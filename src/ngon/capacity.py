@@ -112,6 +112,11 @@ def _row_log_entropy(W: np.ndarray) -> np.ndarray:
     return np.where(W > 0, W * np.log2(np.maximum(W, _TINY)), 0.0).sum(axis=-1)
 
 
+def _validate_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+
+
 def blahut_arimoto(
     matrix,
     tol: float = BA_TOL,
@@ -126,6 +131,7 @@ def blahut_arimoto(
     is nondecreasing across iterations.  Raises ConvergenceError, carrying
     the last iterate, if the bracket fails to close within max_iter.
     """
+    _validate_tol(tol)
     W = np.asarray(matrix, float)
     if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
         raise ValueError("channel matrix must be 2-d and nonempty")
@@ -240,6 +246,7 @@ def theory_capacity(
     the best lower bound seen so far (it can no longer be the argmax).  The
     reported capacity is certified within tol of the true maximum.
     """
+    _validate_tol(tol)
     if theory.n > enumeration_max:
         raise ValueError(f"n={theory.n} above the enumeration bound {enumeration_max}")
     S = theory.states()

@@ -54,6 +54,16 @@ class CheckResult:
         return f"{status} {self.key} ({self.elapsed_s:.2f}s): {self.details}"
 
 
+def _sweep(key: str, sizes: range) -> range:
+    """The polygon sizes a check sweeps; an empty sweep is a usage error."""
+    if not sizes:
+        raise ValueError(
+            f"check {key}: max_n={sizes.stop - 1} leaves an empty sweep "
+            f"(the sweep starts at n={sizes.start})"
+        )
+    return sizes
+
+
 @functools.lru_cache(maxsize=None)
 def capacity_sweep(parity: str, max_n: int = 64) -> tuple:
     """Cached (n, capacity_bits) sweep for one parity up to max_n."""
@@ -67,6 +77,7 @@ def capacity_sweep(parity: str, max_n: int = 64) -> tuple:
 def check_even_capacity(max_n: int = 64) -> CheckResult:
     """Every even polygon up to max_n has one-shot capacity exactly 1 bit."""
     t0 = time.time()
+    _sweep("even-capacity", range(4, max_n + 1, 2))
     rows = capacity_sweep("even", max_n)
     worst = max(abs(cap - 1.0) for _, cap in rows)
     passed = worst <= 1e-6
@@ -81,6 +92,7 @@ def check_even_capacity(max_n: int = 64) -> CheckResult:
 def check_odd_capacity(max_n: int = 64) -> CheckResult:
     """Odd capacities: log2(3) at the triangle, then strictly above 1 bit."""
     t0 = time.time()
+    _sweep("odd-capacity", range(3, max_n + 1, 2))
     rows = dict(capacity_sweep("odd", max_n - 1 if max_n % 2 == 0 else max_n))
     top = max(rows)
     tri_gap = abs(rows[3] - LOG2_3)
@@ -206,7 +218,7 @@ def check_ic(max_n: int = 64) -> CheckResult:
     worst_s1 = 0.0
     worst_info = 0.0
     min_excess = math.inf
-    for n in range(4, max_n + 1, 2):
+    for n in _sweep("ic", range(4, max_n + 1, 2)):
         r = run_ic(Theory(n))
         cos = math.cos(2.0 * math.pi / n)
         worst_s0 = max(worst_s0, abs(r.success_bit0 - 1.0))
@@ -250,7 +262,7 @@ def check_ne(max_n: int = 64) -> CheckResult:
     t0 = time.time()
     worst_diag = 0.0
     min_off = math.inf
-    for n in range(3, max_n + 1):
+    for n in _sweep("ne", range(3, max_n + 1)):
         r = ne_matrix(Theory(n))
         worst_diag = max(worst_diag, r.max_diag)
         if r.effective_alphabet > 1:

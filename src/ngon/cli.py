@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -172,6 +173,10 @@ def _capacity_entry(job):
 
 
 def cmd_capacity(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None:
         ns = [args.n]
     else:

@@ -203,3 +203,11 @@ def test_capacity_result_validates_range():
     m = t.measurement((0, 1, 3))
     with pytest.raises(ValueError):
         CapacityResult(5, "odd", 2.5, m, (0.2, 0.2, 0.2, 0.2, 0.2), (0, 1), 10)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_bad_tolerances_are_rejected(tol):
+    with pytest.raises(ValueError, match="tol"):
+        blahut_arimoto(np.eye(2), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        theory_capacity(Theory(5), tol=tol)

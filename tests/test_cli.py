@@ -221,3 +221,24 @@ def test_nine_significant_digits(capsys):
     _, out, _ = run(capsys, "capacity", "--n", "5")
     d = json.loads(out)
     assert d["results"][0]["capacity_bits"] == 1.02043332
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_capacity_bad_tol_exits_two(capsys, tol):
+    code, out, err = run(capsys, "capacity", "--n", "5", "--tol", tol)
+    assert code == 2 and out == "" and "tol" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_capacity_jobs_below_one_exits_two(capsys, jobs):
+    code, out, err = run(capsys, "capacity", "--n", "5", "--jobs", jobs)
+    assert code == 2 and out == "" and "jobs" in err
+
+
+@pytest.mark.parametrize(
+    "key, max_n", [("ic", "3"), ("even-capacity", "3"), ("odd-capacity", "2"), ("ne", "2")]
+)
+def test_check_empty_sweep_exits_two(capsys, key, max_n):
+    code, out, err = run(capsys, "check", "--only", key, "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert key in err and "sweep" in err

@@ -1,19 +1,27 @@
 """Tests for capped-channel polytope vertex enumeration and classification."""
 
 import functools
+import itertools
 import math
+import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ngon.polytope import (
     CANONICAL_FOUR,
+    DEDUP_TOL,
+    FEASIBILITY_TOL,
     UNCLASSIFIED,
     ZERO_WEIGHT,
     ResourceBoundError,
     VertexPoint,
+    _constraint_system,
     classify_vertex,
     enumerate_vertices,
     is_vertex,
@@ -29,6 +37,83 @@ def verts(alphabet_size, c):
 
 def flatten(v):
     return np.concatenate([v.P.reshape(-1), v.lam])
+
+
+def census(vertices):
+    """(rounded coordinates, saturated names) per vertex, in returned order."""
+    return [(tuple(np.round(flatten(v), 9)), v.saturated) for v in vertices]
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_census(alphabet_size, c):
+    """Oracle: solve every choice of 2|X| + 2 tight inequalities.
+
+    Tries C(6|X| + 3, 2|X| + 2) square systems (203,490 at |X| = 3), keeps
+    the nonsingular, feasible solutions, deduplicates within 1e-8 and sorts
+    by the coordinates rounded to 9 decimals.
+    """
+    assert alphabet_size <= 3, "the brute force is only an oracle for small alphabets"
+    X = alphabet_size
+    dim = 3 * X + 3
+    eq, eq_rhs, ineq, names = _constraint_system(X, c)
+    need = dim - (X + 1)
+    combos = np.array(list(itertools.combinations(range(len(ineq)), need)))
+    rhs = np.concatenate([eq_rhs, np.zeros(need)])
+    points = []
+    for start in range(0, len(combos), 32768):
+        batch = combos[start : start + 32768]
+        systems = np.empty((len(batch), dim, dim))
+        systems[:, : X + 1] = eq
+        systems[:, X + 1 :] = ineq[batch]
+        good = np.abs(np.linalg.det(systems)) > 0.5
+        if not good.any():
+            continue
+        sols = np.linalg.solve(systems[good], rhs)
+        feasible = (sols @ ineq.T >= -FEASIBILITY_TOL).all(axis=1)
+        points.extend(sols[feasible])
+    unique = []
+    seen = set()
+    for z in points:
+        key = tuple(np.round(z, 9))
+        if key in seen:
+            continue
+        seen.add(key)
+        if not any(np.abs(z - u).max() <= 1e-8 for u in unique):
+            unique.append(z)
+    unique.sort(key=lambda z: tuple(np.round(z, 9)))
+    return [
+        (
+            tuple(np.round(z, 9)),
+            tuple(n for n, s in zip(names, ineq @ z) if abs(s) <= 10 * FEASIBILITY_TOL),
+        )
+        for z in unique
+    ]
+
+
+def exact_solve(rows, rhs):
+    """Gauss-Jordan in rationals: (rank, solution or None if inconsistent)."""
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    cols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [v / m[r][col] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    if any(row[-1] != 0 for row in m[r:]):
+        return r, None
+    z = [Fraction(0)] * cols
+    for i, col in enumerate(pivots):
+        z[col] = m[i][-1]
+    return r, z
 
 
 def test_c2_three_inputs_all_zero_weight():
@@ -107,9 +192,58 @@ def test_interior_points_are_convex_combinations():
             assert np.abs(V.T @ res.x - z).max() < 1e-7
 
 
-def test_chunk_boundary_invariance():
-    keys = lambda vs: [tuple(np.round(flatten(v), 9)) for v in vs]
-    assert keys(verts(3, 2.25)) == keys(enumerate_vertices(3, 2.25, chunk=777))
+@pytest.mark.parametrize("c", [2.0, 2.25, 2.5, 2.75, 3.0])
+@pytest.mark.parametrize("alphabet_size", [2, 3])
+def test_matches_brute_force_oracle(alphabet_size, c):
+    assert census(verts(alphabet_size, c)) == brute_force_census(alphabet_size, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=2.0, max_value=3.0))
+def test_matches_brute_force_oracle_for_any_c(c):
+    got, want = census(enumerate_vertices(2, c)), brute_force_census(2, c)
+    if 2.0 + 1e-7 < c < 3.0 - 1e-7:
+        assert got == want
+        return
+    # Within about DEDUP_TOL of c = 2 or c = 3 distinct vertices lie within
+    # DEDUP_TOL of each other; each enumeration keeps one per cluster, the
+    # first in its own order.
+    assert len(got) == len(want)
+    A = np.array([k for k, _ in got])
+    B = np.array([k for k, _ in want])
+    gap = np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
+    assert gap.min(axis=1).max() <= DEDUP_TOL + 1e-9
+    assert gap.min(axis=0).max() <= DEDUP_TOL + 1e-9
+
+
+@pytest.mark.parametrize(
+    "c", [Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(2.3456), Fraction(3)]
+)
+@pytest.mark.parametrize("alphabet_size", [2, 3])
+def test_vertices_certified_in_rationals(alphabet_size, c):
+    X = alphabet_size
+    eq, _, ineq, names = _constraint_system(X, float(c))
+    eq_rhs = [Fraction(1)] * X + [c]
+    as_fractions = lambda A: [[Fraction(int(a)) for a in row] for row in A]
+    eq_q, ineq_q = as_fractions(eq), as_fractions(ineq)
+    for v in verts(X, float(c)):
+        tight = [ineq_q[names.index(s)] for s in v.saturated]
+        rank, z = exact_solve(eq_q + tight, eq_rhs + [Fraction(0)] * len(tight))
+        assert rank == 3 * X + 3 and z is not None
+        for row, b in zip(eq_q, eq_rhs):
+            assert sum(a * zi for a, zi in zip(row, z)) == b
+        assert all(sum(a * zi for a, zi in zip(row, z)) >= 0 for row in ineq_q)
+        assert max(abs(float(zi) - f) for zi, f in zip(z, flatten(v))) <= 1e-12
+
+
+def test_alphabet_four_census_is_fast():
+    t0 = time.perf_counter()
+    vs = enumerate_vertices(4, 2.5)
+    elapsed = time.perf_counter() - t0
+    assert len(vs) == 423
+    assert all(classify_vertex(v) != UNCLASSIFIED for v in vs)
+    assert all(is_vertex(v.P, v.lam, 2.5) for v in vs)
+    assert elapsed < 1.0
 
 
 def test_saturated_constraints_recorded():
@@ -148,7 +282,7 @@ def test_classify_negative_control():
 
 def test_resource_and_range_errors():
     with pytest.raises(ResourceBoundError):
-        enumerate_vertices(5, 2.0)
+        enumerate_vertices(6, 2.0)
     with pytest.raises(ValueError):
         enumerate_vertices(3, 1.5)
     with pytest.raises(ValueError):
