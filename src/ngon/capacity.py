@@ -45,10 +45,13 @@ class ConvergenceError(RuntimeError):
 
 
 class BAResult(NamedTuple):
+    """Best channel of a Blahut-Arimoto stack: its certified lower bound,
+    prior and retirement iteration, and its position in the stack."""
+
     capacity_bits: float
     prior: np.ndarray
     iterations: int
-    objective: tuple | None = None
+    index: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,55 +121,83 @@ def _validate_tol(tol: float) -> None:
 
 
 def blahut_arimoto(
-    matrix,
+    matrices,
     tol: float = BA_TOL,
     max_iter: int = BA_MAX_ITER,
-    record_objective: bool = False,
+    *,
+    _floor: float = -math.inf,
 ) -> BAResult:
-    """Channel capacity by the Blahut-Arimoto ascent from the uniform prior.
+    """Largest channel capacity in a stack, by the Blahut-Arimoto ascent.
 
-    Stops when the bracket (max per-input divergence minus achieved mutual
-    information) is at most tol; the returned capacity is the achieved lower
-    bound, so it is within tol of the true capacity.  The achieved objective
-    is nondecreasing across iterations.  Raises ConvergenceError, carrying
-    the last iterate, if the bracket fails to close within max_iter.
+    ``matrices`` is one channel (inputs, outcomes) or a stack (count, inputs,
+    outcomes); every channel starts from the uniform prior and all of them
+    iterate together.  Each keeps a bracket: the mutual information achieved
+    so far is a lower bound, the smallest max per-input divergence from the
+    output marginal an upper bound.  A channel retires when its bracket
+    closes to tol or its upper bound falls to the best lower bound in the
+    stack, since it can then no longer be the maximum.  The result is the
+    best channel's lower bound, within tol of the maximum capacity, its
+    prior, the iteration it retired at and its position ``index`` in the
+    stack.  ``_floor`` is a lower bound known from outside the stack that
+    joins the retirement test; a result at or below it is not certified.
+    Raises ConvergenceError, carrying the best channel's last iterate, if
+    some bracket stays open after max_iter iterations.
     """
     _validate_tol(tol)
-    W = np.asarray(matrix, float)
-    if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
-        raise ValueError("channel matrix must be 2-d and nonempty")
-    if (W < -1e-12).any() or np.abs(W.sum(axis=1) - 1.0).max() > 1e-9:
+    W = np.asarray(matrices, float)
+    if W.ndim not in (2, 3) or 0 in W.shape:
+        raise ValueError("expected a nonempty channel (inputs, outcomes) or stack of them")
+    if (W < -1e-12).any() or np.abs(W.sum(axis=-1) - 1.0).max() > 1e-9:
         raise ValueError("matrix rows must be probability vectors")
-    W = np.clip(W, 0.0, None)
-    m = W.shape[0]
-    p = np.full(m, 1.0 / m)
+    W = np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)
+    count, m, _ = W.shape
     wlogw = _row_log_entropy(W)
-    lower = -math.inf
-    upper = math.inf
-    trajectory: list[float] = []
+    # ids, W, wlogw, p and the bounds lo, up hold the channels still iterating
+    ids = np.arange(count)
+    p = np.full((count, m), 1.0 / m)
+    lo = np.full(count, -math.inf)
+    up = np.full(count, math.inf)
+    lower = np.full(count, -math.inf)
+    priors = p.copy()
+    retired_at = np.zeros(count, int)
+    best = _floor
     for it in range(1, max_iter + 1):
-        q = p @ W
-        d = wlogw - W @ np.log2(np.maximum(q, _TINY))
-        achieved = float(p @ d)
-        lower = max(lower, achieved)
-        upper = min(upper, float(d.max()))
-        if record_objective:
-            trajectory.append(achieved)
-        if upper - lower <= tol:
-            return BAResult(max(lower, 0.0), p, it, tuple(trajectory) if record_objective else None)
-        p = p * np.exp2(d - d.max())
-        p /= p.sum()
-    raise ConvergenceError(
-        f"capacity bracket {upper - lower:.3e} above tol={tol} after {max_iter} iterations",
-        max(lower, 0.0),
-        p,
-        max_iter,
-    )
+        q = np.einsum("cx,cxy->cy", p, W)
+        d = wlogw - np.einsum("cxy,cy->cx", W, np.log2(np.maximum(q, _TINY)))
+        dmax = d.max(axis=1, keepdims=True)
+        lo = np.maximum(lo, np.einsum("cx,cx->c", p, d))
+        up = np.minimum(up, dmax[:, 0])
+        best = max(best, float(lo.max()))
+        retire = (up - lo <= tol) | (up <= best)
+        if retire.any():
+            done = ids[retire]
+            lower[done], priors[done], retired_at[done] = lo[retire], p[retire], it
+            keep = ~retire
+            ids, W, wlogw, p, d, dmax, lo, up = (
+                a[keep] for a in (ids, W, wlogw, p, d, dmax, lo, up)
+            )
+            if not len(ids):
+                break
+        p = p * np.exp2(d - dmax)
+        p /= p.sum(axis=1, keepdims=True)
+    else:
+        lower[ids], priors[ids] = lo, p
+        winner = int(np.argmax(lower))
+        raise ConvergenceError(
+            f"{len(ids)} of {count} channels kept brackets above tol={tol} "
+            f"after {max_iter} iterations",
+            max(float(lower[winner]), 0.0),
+            priors[winner],
+            max_iter,
+        )
+    winner = int(np.argmax(lower))
+    return BAResult(max(float(lower[winner]), 0.0), priors[winner], int(retired_at[winner]), winner)
 
 
-def induced_channel(states, measurement: Measurement, prior=None) -> Channel:
-    """Channel induced by sending the given normalised states into a measurement."""
-    S = np.atleast_2d(np.asarray(states, float))
+def induced_channel(theory: Theory, measurement: Measurement, states=None, prior=None) -> Channel:
+    """Channel induced by sending normalised states (default: all n extremal
+    states) into a measurement, at the given prior (default: uniform)."""
+    S = theory.states() if states is None else np.atleast_2d(np.asarray(states, float))
     if S.shape[1] != 3:
         raise ValueError("states must be 3-vectors")
     if np.abs(S[:, 2] - 1.0).max() > 1e-9:
@@ -176,8 +207,7 @@ def induced_channel(states, measurement: Measurement, prior=None) -> Channel:
     prior = np.asarray(prior, float)
     if prior.shape != (S.shape[0],):
         raise ValueError("prior length does not match the number of states")
-    P = np.clip(S @ measurement.effects.T, 0.0, 1.0)
-    return Channel(prior, P)
+    return Channel(prior, theory.channel_matrix(measurement, S))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +257,7 @@ def measurement_capacity(
     theory: Theory, indices, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER
 ) -> BAResult:
     """Capacity of the channel with all n extremal states and one measurement."""
-    m = theory.measurement(indices)
-    W = np.clip(theory.states() @ m.effects.T, 0.0, 1.0)
-    return blahut_arimoto(W, tol=tol, max_iter=max_iter)
+    return blahut_arimoto(theory.channel_matrix(theory.measurement(indices)), tol, max_iter)
 
 
 def theory_capacity(
@@ -241,95 +269,37 @@ def theory_capacity(
 ) -> CapacityResult:
     """Classical capacity of the model over canonical measurement classes.
 
-    Runs Blahut-Arimoto on every candidate channel simultaneously, retiring a
-    candidate once its bracket closes to tol or its upper bound falls below
-    the best lower bound seen so far (it can no longer be the argmax).  The
-    reported capacity is certified within tol of the true maximum.
+    All triple candidates run as one Blahut-Arimoto stack.  For even n the
+    antipodal pair runs first and its lower bound joins the stack's
+    retirement test, so a triple that cannot beat the pair stops early.
+    The reported capacity is certified within tol of the true maximum.
     """
     _validate_tol(tol)
     if theory.n > enumeration_max:
         raise ValueError(f"n={theory.n} above the enumeration bound {enumeration_max}")
     S = theory.states()
     cands = capacity_candidates(theory)
-    best_value = -math.inf
-    best_idx = -1
-    best_prior: np.ndarray | None = None
-    best_iters = 0
     triples = [m for m in cands if len(m.indices) == 3]
+    floor = -math.inf
     if theory.even:
-        pair = cands[0]
-        res = blahut_arimoto(
-            np.clip(S @ pair.effects.T, 0.0, 1.0), tol=tol, max_iter=max_iter
-        )
-        best_value, best_idx, best_prior, best_iters = res.capacity_bits, 0, res.prior, res.iterations
+        pair = blahut_arimoto(theory.channel_matrix(cands[0], S), tol, max_iter)
+        floor = pair.capacity_bits
+    W = np.stack([theory.channel_matrix(m, S) for m in triples])
+    best = blahut_arimoto(W, tol, max_iter, _floor=floor)
+    winner = triples[best.index]
+    if best.capacity_bits <= floor:
+        best, winner = pair, cands[0]
 
-    if triples:
-        W = np.stack([np.clip(S @ m.effects.T, 0.0, 1.0) for m in triples])
-        value, idx, prior, iters = _max_capacity_batched(W, tol, max_iter, best_value)
-        if value > best_value:
-            offset = 1 if theory.even else 0
-            best_value, best_idx, best_prior, best_iters = value, idx + offset, prior, iters
-
-    winner = cands[best_idx]
-    support = tuple(int(i) for i in np.nonzero(best_prior > 1e-6)[0])
+    support = tuple(int(i) for i in np.nonzero(best.prior > 1e-6)[0])
     return CapacityResult(
         n=theory.n,
         parity=theory.parity,
-        capacity_bits=max(best_value, 0.0),
+        capacity_bits=best.capacity_bits,
         measurement=winner,
-        prior=best_prior,
+        prior=best.prior,
         support=support,
-        iterations=best_iters,
+        iterations=best.iterations,
     )
-
-
-def _max_capacity_batched(W: np.ndarray, tol: float, max_iter: int, init_lower: float):
-    """Max capacity over stacked channels W (count, inputs, outcomes).
-
-    Returns (value, winner_index, winner_prior, winner_iterations).  Keeps
-    per-channel lower/upper brackets; a channel is dropped once its best
-    upper bound cannot beat the global lower bound.
-    """
-    count, m, _ = W.shape
-    wlogw = _row_log_entropy(W)
-    ids = np.arange(count)
-    p = np.full((count, m), 1.0 / m)
-    lower = np.full(count, -math.inf)
-    upper = np.full(count, math.inf)
-    retired_iter = np.zeros(count, int)
-    priors = np.full((count, m), 1.0 / m)
-    global_lower = init_lower
-    Wa, wlogwa, pa = W, wlogw, p
-    for it in range(1, max_iter + 1):
-        q = np.einsum("cx,cxy->cy", pa, Wa)
-        d = wlogwa - np.einsum("cxy,cy->cx", Wa, np.log2(np.maximum(q, _TINY)))
-        achieved = np.einsum("cx,cx->c", pa, d)
-        lower[ids] = np.maximum(lower[ids], achieved)
-        upper[ids] = np.minimum(upper[ids], d.max(axis=1))
-        global_lower = max(global_lower, float(lower[ids].max()))
-        closed = (upper[ids] - lower[ids]) <= tol
-        dominated = upper[ids] <= global_lower
-        drop = closed | dominated
-        if drop.any():
-            priors[ids[drop]] = pa[drop]
-            retired_iter[ids[drop]] = it
-            keep = ~drop
-            if not keep.any():
-                break
-            ids = ids[keep]
-            Wa, wlogwa, pa, d = Wa[keep], wlogwa[keep], pa[keep], d[keep]
-        if it == max_iter and len(ids):
-            raise ConvergenceError(
-                f"{len(ids)} candidate channels kept brackets above tol={tol} "
-                f"after {max_iter} iterations",
-                float(lower.max()),
-                priors[int(np.argmax(lower))],
-                max_iter,
-            )
-        pa = pa * np.exp2(d - d.max(axis=1, keepdims=True))
-        pa /= pa.sum(axis=1, keepdims=True)
-    winner = int(np.argmax(lower))
-    return float(lower[winner]), winner, priors[winner], int(retired_iter[winner])
 
 
 def antipodal_pair_channel(theory: Theory) -> Channel:
@@ -339,7 +309,7 @@ def antipodal_pair_channel(theory: Theory) -> Channel:
     half = theory.n // 2
     m = theory.measurement((0, half))
     states = np.stack([theory.state(0), theory.state(half)])
-    return induced_channel(states, m, prior=np.array([0.5, 0.5]))
+    return induced_channel(theory, m, states, prior=np.array([0.5, 0.5]))
 
 
 def antipodal_pair_rate(theory: Theory) -> float:
@@ -358,7 +328,7 @@ def odd_triple_channel(theory: Theory) -> Channel:
     m = (theory.n - 1) // 2
     meas = theory.measurement((0, m, m + 1))
     states = np.stack([theory.state(0), theory.state(m), theory.state(m + 1)])
-    return induced_channel(states, meas, prior=np.array([0.5, 0.25, 0.25]))
+    return induced_channel(theory, meas, states, prior=np.array([0.5, 0.25, 0.25]))
 
 
 def odd_triple_rate(theory: Theory, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> float:

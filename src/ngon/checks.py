@@ -23,7 +23,13 @@ from .capacity import (
     theory_capacity,
 )
 from .decomposition import caratheodory_reduce, decompose_into_binary_channels, trace_information
-from .geometry import Theory, closed_form_triple_weights, min_effect_weight
+from .geometry import (
+    DegenerateTripleError,
+    InfeasibleMeasurementError,
+    Theory,
+    closed_form_triple_weights,
+    min_effect_weight,
+)
 from .polytope import (
     UNCLASSIFIED,
     ZERO_WEIGHT,
@@ -150,15 +156,15 @@ def check_decomposition(trials: int = 100, seed: int = 41) -> CheckResult:
         idx = np.sort(rng.choice(n, size=3, replace=False))
         try:
             m = t.measurement(tuple(int(v) for v in idx))
-        except Exception:
+        except (InfeasibleMeasurementError, DegenerateTripleError):
             continue
-        P = np.clip(t.states() @ m.effects.T, 0.0, 1.0).T
+        P = t.channel_matrix(m).T
         res = decompose_into_binary_channels(P, m.realized_weights)
         worst_recon = max(worst_recon, float(np.abs(res.reconstruct() - P).max()))
         worst_q = min(worst_q, float(res.q.min()))
-        for k in range(3):
-            cap = blahut_arimoto(res.components[k].T).capacity_bits
-            worst_cap = max(worst_cap, cap)
+        # the best of the three binary components, as one stack
+        cap = blahut_arimoto(res.components.transpose(0, 2, 1)).capacity_bits
+        worst_cap = max(worst_cap, cap)
         done += 1
     passed = worst_recon <= 1e-9 and worst_q >= -1e-12 and worst_cap <= 1.0 + 1e-9
     return CheckResult(
@@ -185,12 +191,12 @@ def check_reduction(trials: int = 100, seed: int = 29) -> CheckResult:
             c = tuple(sorted(int(v) for v in rng.choice(5, 3, replace=False)))
             try:
                 tri = t.measurement(c)
-            except Exception:
+            except (InfeasibleMeasurementError, DegenerateTripleError):
                 tri = None
         letters = rng.integers(0, 5, size=6)
         w = rng.dirichlet(np.ones(6))
         states = t.states()[letters]
-        merged = mutual_information_bits(w, np.clip(states @ tri.effects.T, 0.0, 1.0))
+        merged = mutual_information_bits(w, t.channel_matrix(tri, states))
         trace = caratheodory_reduce(t, states, w, tri)
         info = trace_information(trace, t, tri)
         worst_loss = max(worst_loss, merged - info["per_stage"][trace.selected])
@@ -296,7 +302,7 @@ def check_simulation(seed: int = 99) -> CheckResult:
                 c = tuple(sorted(int(v) for v in rng.choice(n, 3, replace=False)))
                 try:
                     tri = t.measurement(c)
-                except Exception:
+                except (InfeasibleMeasurementError, DegenerateTripleError):
                     tri = None
             rep = simulate_transmission(t, w, tri, samples=1, seed=1)
             direct = np.clip(tri.effects @ w, 0.0, 1.0)
@@ -332,7 +338,7 @@ def check_weights(trials: int = 1000, seed: int = 2024) -> CheckResult:
             continue
         try:
             m = t.measurement((j1, j2, j3))
-        except Exception:
+        except (InfeasibleMeasurementError, DegenerateTripleError):
             continue
         worst = max(worst, float(np.abs(np.asarray(m.weights) - [l1, l2, l3]).max()))
         done += 1

@@ -234,7 +234,7 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement: Measuremen
     best_info = -math.inf
     channels = []
     for qk, J, beta in stages:
-        rows = np.clip(verts[list(J)] @ measurement.effects.T, 0.0, 1.0)
+        rows = theory.channel_matrix(measurement, verts[list(J)])
         channels.append(Channel(beta, rows))
         info = mutual_information_bits(beta, rows)
         if info > best_info + 1e-15:
@@ -260,9 +260,7 @@ def trace_information(trace: ReductionTrace, theory: Theory, measurement: Measur
             pairs.append((k, j))
             probs.append(qk * b)
     probs = np.asarray(probs)
-    rows = np.clip(
-        np.stack([verts[j] for _, j in pairs]) @ measurement.effects.T, 0.0, 1.0
-    )
+    rows = theory.channel_matrix(measurement, np.stack([verts[j] for _, j in pairs]))
     joint_info = mutual_information_bits(probs / probs.sum(), rows)
 
     stage_prior = np.array([qk for qk, _, _ in trace.stages])
@@ -276,7 +274,7 @@ def trace_information(trace: ReductionTrace, theory: Theory, measurement: Measur
     stage_info = mutual_information_bits(stage_prior, stage_rows)
 
     conditional = [
-        mutual_information_bits(beta, np.clip(verts[list(J)] @ measurement.effects.T, 0.0, 1.0))
+        mutual_information_bits(beta, theory.channel_matrix(measurement, verts[list(J)]))
         for _, J, beta in trace.stages
     ]
     cond_info = float(np.dot(stage_prior, conditional))

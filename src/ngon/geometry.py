@@ -34,7 +34,6 @@ from functools import cached_property
 import numpy as np
 
 GEOM_TOL = 1e-12
-SOLVE_TOL = 1e-10
 
 
 class DegenerateTripleError(ValueError):
@@ -52,15 +51,6 @@ class InvalidStateError(ValueError):
 def unit_effect() -> np.ndarray:
     """The unit effect u = (0, 0, 1)."""
     return np.array([0.0, 0.0, 1.0])
-
-
-def outcome_probability(effect: np.ndarray, state: np.ndarray) -> float:
-    """Probability of an effect firing on a normalised state.
-
-    The pairing is the Euclidean dot product, clamped to [0, 1] to absorb
-    roundoff at the saturated extremes.
-    """
-    return min(max(float(np.dot(np.asarray(effect, float), np.asarray(state, float))), 0.0), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +71,6 @@ class Measurement:
     def realized_weights(self) -> tuple[float, ...]:
         """Coefficients of the extremal effects in the realised outcomes."""
         return tuple(w * self.scale for w in self.weights)
-
-    def outcome_distribution(self, state: np.ndarray) -> np.ndarray:
-        """Outcome probabilities of this measurement on a normalised state."""
-        return np.clip(self.effects @ np.asarray(state, float), 0.0, 1.0)
 
     def to_dict(self) -> dict:
         return {
@@ -155,14 +141,11 @@ class Theory:
         v = np.asarray(v, float)
         return bool(v[2] >= -tol and (self.effects() @ v >= -tol).all())
 
-    def in_dual_cone(self, f, tol: float = GEOM_TOL) -> bool:
-        """Whether f lies in the dual cone: nonnegative on every extremal state."""
-        f = np.asarray(f, float)
-        return bool((self.states() @ f >= -tol).all())
-
-    def is_normalized_state(self, v, tol: float = GEOM_TOL) -> bool:
-        v = np.asarray(v, float)
-        return bool(abs(v[2] - 1.0) <= tol) and self.in_state_cone(v, tol)
+    def channel_matrix(self, measurement: Measurement, states=None) -> np.ndarray:
+        """P(outcome | state), shape (inputs, outcomes), for the given states
+        (default: all n extremal states), clipped to [0, 1] against roundoff."""
+        S = self.states() if states is None else states
+        return np.clip(S @ measurement.effects.T, 0.0, 1.0)
 
     def measurement(self, indices) -> Measurement:
         """Build the canonical measurement on 2 or 3 effect indices.

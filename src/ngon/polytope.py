@@ -302,7 +302,7 @@ def classify_vertex(v: VertexPoint, *, tol: float = 1e-8) -> str:
 
 def _max_capacity(vertices, tol: float) -> float:
     """Largest Blahut-Arimoto capacity over the channels of a vertex list."""
-    return max((blahut_arimoto(v.P.T, tol=tol).capacity_bits for v in vertices), default=0.0)
+    return blahut_arimoto(np.stack([v.P.T for v in vertices]), tol=tol).capacity_bits
 
 
 def max_vertex_capacity(alphabet_size: int, c: float, *, tol: float = 1e-10) -> float:

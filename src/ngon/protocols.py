@@ -133,7 +133,7 @@ def ic_encoding(theory: Theory) -> dict:
 def _pair_outcome_table(theory: Theory, anchor: int) -> np.ndarray:
     """P(first outcome | state i) for the antipodal pair at ``anchor``."""
     pair = theory.measurement((anchor, anchor + theory.n // 2))
-    return np.clip(theory.states() @ pair.effects[0], 0.0, 1.0)
+    return theory.channel_matrix(pair)[:, 0]
 
 
 def _binary_info(t0: float, t1: float) -> float:
@@ -258,16 +258,14 @@ def ne_matrix(theory: Theory) -> NEReport:
         matrix = np.empty((size, size))
         for y in range(size):
             pair = theory.measurement((2 * y, 2 * y + n // 2))
-            far = np.clip(states @ pair.effects[1], 0.0, 1.0)
-            matrix[:, y] = far[::2]
+            matrix[:, y] = theory.channel_matrix(pair, states)[::2, 1]
     else:
         size = n
         m = (n - 1) // 2
         matrix = np.empty((size, size))
         for y in range(size):
             triple = theory.measurement((y, y + m, y + m + 1))
-            others = np.clip(states @ triple.effects[1:].T, 0.0, 1.0)
-            matrix[:, y] = others.sum(axis=1)
+            matrix[:, y] = theory.channel_matrix(triple, states)[:, 1:].sum(axis=1)
     diag = np.diag(matrix)
     off = matrix[~np.eye(size, dtype=bool)]
     return NEReport(
@@ -293,7 +291,7 @@ def even_full_alphabet_ne_matrix(theory: Theory) -> NEReport:
     matrix = np.empty((n, n))
     for y in range(n):
         pair = theory.measurement((y, y + n // 2))
-        matrix[:, y] = np.clip(states @ pair.effects[1], 0.0, 1.0)
+        matrix[:, y] = theory.channel_matrix(pair, states)[:, 1]
     diag = np.diag(matrix)
     off = matrix[~np.eye(n, dtype=bool)]
     return NEReport(
@@ -324,7 +322,7 @@ def simulate_transmission(
         raise ValueError("need at least one sample")
     state = np.asarray(state, float)
     weights = extremal_decomposition(theory, state)  # raises InvalidStateError
-    rows = np.clip(theory.states() @ measurement.effects.T, 0.0, 1.0)
+    rows = theory.channel_matrix(measurement)
     analytic = weights @ rows
     sampling_rows = rows / rows.sum(axis=1, keepdims=True)
 

@@ -201,6 +201,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert d["n"] == 7 and d["effective_alphabet"] == 7
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "states", "--n", "5", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_env_overrides_defaults(capsys, monkeypatch):
     monkeypatch.setenv("NGON_SAMPLES", "750")
     monkeypatch.setenv("NGON_SEED", "42")

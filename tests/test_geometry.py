@@ -13,7 +13,6 @@ from ngon.geometry import (
     closed_form_triple_weights,
     extremal_decomposition,
     min_effect_weight,
-    outcome_probability,
     unit_effect,
 )
 
@@ -51,7 +50,7 @@ def test_unit_effect_pairing():
     for n in (3, 4, 9):
         t = Theory(n)
         for i in range(n):
-            assert abs(outcome_probability(u, t.state(i)) - 1.0) < 1e-15
+            assert abs(np.dot(u, t.state(i)) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("n", list(range(3, 65)))
@@ -86,14 +85,9 @@ def test_overlap_table_matches_oracle_and_saturates(n):
 def test_cone_memberships():
     t = Theory(6)
     assert t.in_state_cone(t.state(2))
-    assert t.is_normalized_state(t.state(2))
     assert t.in_state_cone(2.5 * t.state(2))
-    assert not t.is_normalized_state(2.5 * t.state(2))
     outside = t.state(0) + np.array([t.r, 0.0, 0.0])
     assert not t.in_state_cone(outside)
-    assert t.in_dual_cone(t.effect(1))
-    assert t.in_dual_cone(unit_effect())
-    assert not t.in_dual_cone(np.array([10.0, 0.0, 1.0]))
 
 
 def test_effects_sum_to_scaled_unit():
@@ -171,13 +165,16 @@ def test_closed_form_matches_solver():
         checked += 1
 
 
-def test_outcome_distribution_is_probability():
+def test_channel_matrix_rows_are_probabilities():
     t = Theory(9)
     m = t.measurement((0, 3, 6))
-    for i in range(9):
-        d = m.outcome_distribution(t.state(i))
-        assert (d >= 0).all()
-        assert abs(d.sum() - 1.0) < 1e-12
+    P = t.channel_matrix(m)
+    assert P.shape == (9, 3)
+    assert (P >= 0).all()
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+    # given states are used as they are, one row each
+    picked = t.states()[[4, 1, 4]]
+    assert np.abs(t.channel_matrix(m, picked) - P[[4, 1, 4]]).max() < 1e-15
 
 
 def test_extremal_decomposition_roundtrip():
