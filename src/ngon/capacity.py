@@ -14,19 +14,13 @@ antipodal pair for even n) with all n extremal states as the input alphabet.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    DegenerateTripleError,
-    InfeasibleMeasurementError,
-    Measurement,
-    Theory,
-)
+from .geometry import Measurement, Theory, triple_representatives
 
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
@@ -242,15 +236,8 @@ class CapacityResult:
 def capacity_candidates(theory: Theory) -> list[Measurement]:
     """One measurement per rotation class: feasible triples with first index 0,
     preceded by the antipodal pair when n is even."""
-    cands: list[Measurement] = []
-    if theory.even:
-        cands.append(theory.measurement((0, theory.n // 2)))
-    for j2, j3 in itertools.combinations(range(1, theory.n), 2):
-        try:
-            cands.append(theory.measurement((0, j2, j3)))
-        except (InfeasibleMeasurementError, DegenerateTripleError):
-            continue
-    return cands
+    pair = [theory.measurement((0, theory.n // 2))] if theory.even else []
+    return pair + [theory.measurement(t) for t in triple_representatives(theory)]
 
 
 def measurement_capacity(
@@ -308,8 +295,7 @@ def antipodal_pair_channel(theory: Theory) -> Channel:
         raise ValueError("the antipodal pair strategy requires even n")
     half = theory.n // 2
     m = theory.measurement((0, half))
-    states = np.stack([theory.state(0), theory.state(half)])
-    return induced_channel(theory, m, states, prior=np.array([0.5, 0.5]))
+    return induced_channel(theory, m, theory.states()[[0, half]], prior=np.array([0.5, 0.5]))
 
 
 def antipodal_pair_rate(theory: Theory) -> float:
@@ -327,7 +313,7 @@ def odd_triple_channel(theory: Theory) -> Channel:
         raise ValueError("the triple strategy requires odd n")
     m = (theory.n - 1) // 2
     meas = theory.measurement((0, m, m + 1))
-    states = np.stack([theory.state(0), theory.state(m), theory.state(m + 1)])
+    states = theory.states()[[0, m, m + 1]]
     return induced_channel(theory, meas, states, prior=np.array([0.5, 0.25, 0.25]))
 
 

@@ -9,6 +9,7 @@ informational, not failures.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .capacity import (
 )
 from .decomposition import caratheodory_reduce, decompose_into_binary_channels, trace_information
 from .geometry import (
-    DegenerateTripleError,
     InfeasibleMeasurementError,
     Theory,
     closed_form_triple_weights,
@@ -78,6 +78,16 @@ def capacity_sweep(parity: str, max_n: int = 64) -> tuple:
     for n in range(start, max_n + 1, 2):
         out.append((n, theory_capacity(Theory(n), enumeration_max=max_n).capacity_bits))
     return tuple(out)
+
+
+def _random_measurement(t: Theory, rng):
+    """Measurement on a uniformly drawn feasible triple, redrawn until feasible."""
+    while True:
+        c = tuple(sorted(int(v) for v in rng.choice(t.n, 3, replace=False)))
+        try:
+            return t.measurement(c)
+        except InfeasibleMeasurementError:
+            continue
 
 
 def check_even_capacity(max_n: int = 64) -> CheckResult:
@@ -156,7 +166,7 @@ def check_decomposition(trials: int = 100, seed: int = 41) -> CheckResult:
         idx = np.sort(rng.choice(n, size=3, replace=False))
         try:
             m = t.measurement(tuple(int(v) for v in idx))
-        except (InfeasibleMeasurementError, DegenerateTripleError):
+        except InfeasibleMeasurementError:
             continue
         P = t.channel_matrix(m).T
         res = decompose_into_binary_channels(P, m.realized_weights)
@@ -186,13 +196,7 @@ def check_reduction(trials: int = 100, seed: int = 29) -> CheckResult:
     worst_loss = -1.0
     worst_chain = 0.0
     for _ in range(trials):
-        tri = None
-        while tri is None:
-            c = tuple(sorted(int(v) for v in rng.choice(5, 3, replace=False)))
-            try:
-                tri = t.measurement(c)
-            except (InfeasibleMeasurementError, DegenerateTripleError):
-                tri = None
+        tri = _random_measurement(t, rng)
         letters = rng.integers(0, 5, size=6)
         w = rng.dirichlet(np.ones(6))
         states = t.states()[letters]
@@ -297,13 +301,7 @@ def check_simulation(seed: int = 99) -> CheckResult:
         for _ in range(100):
             p = rng.dirichlet(np.ones(n))
             w = p @ t.states()
-            tri = None
-            while tri is None:
-                c = tuple(sorted(int(v) for v in rng.choice(n, 3, replace=False)))
-                try:
-                    tri = t.measurement(c)
-                except (InfeasibleMeasurementError, DegenerateTripleError):
-                    tri = None
+            tri = _random_measurement(t, rng)
             rep = simulate_transmission(t, w, tri, samples=1, seed=1)
             direct = np.clip(tri.effects @ w, 0.0, 1.0)
             worst_gap = max(worst_gap, float(np.abs(rep.analytic_dist - direct).max()))
@@ -336,10 +334,8 @@ def check_weights(trials: int = 1000, seed: int = 2024) -> CheckResult:
         l1, l2, l3, _ = closed_form_triple_weights(t, j1, j2, j3)
         if min(l1, l2, l3) < 1e-9:
             continue
-        try:
-            m = t.measurement((j1, j2, j3))
-        except (InfeasibleMeasurementError, DegenerateTripleError):
-            continue
+        # all three weights positive, so the triple is a measurement
+        m = t.measurement((j1, j2, j3))
         worst = max(worst, float(np.abs(np.asarray(m.weights) - [l1, l2, l3]).max()))
         done += 1
     minima = [min_effect_weight(Theory(n)) for n in range(3, 64, 2)]
@@ -412,15 +408,13 @@ NOTES = (
 
 
 def run_checks(only=None, max_n: int = 64):
-    """Run all (or selected) checks; returns the list of CheckResult."""
+    """Run all (or selected) checks; max_n goes to the checks that take it."""
     keys = list(REGISTRY) if not only else list(only)
     results = []
     for key in keys:
         if key not in REGISTRY:
             raise ValueError(f"unknown check {key!r}; known: {', '.join(REGISTRY)}")
         fn = REGISTRY[key]
-        if key in ("even-capacity", "odd-capacity", "ic", "ne"):
-            results.append(fn(max_n=max_n))
-        else:
-            results.append(fn())
+        takes_max_n = "max_n" in inspect.signature(fn).parameters
+        results.append(fn(max_n=max_n) if takes_max_n else fn())
     return results

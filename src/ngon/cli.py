@@ -8,7 +8,7 @@ kept out of JSON so identical invocations produce identical bytes.  CSV is
 for spreadsheet-style consumption and may include runtimes.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage errors
-(argparse errors and invalid parameter values).
+(argparse errors and invalid parameter values), 3 on numerical failures.
 
 Environment defaults: NGON_SEED, NGON_SAMPLES, NGON_JOBS, NGON_TOL and
 NGON_MAX_N override the built-in defaults of the matching options.
@@ -29,8 +29,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .capacity import theory_capacity
+from .capacity import ConvergenceError, theory_capacity
 from .checks import NOTES, REGISTRY, run_checks
+from .decomposition import DecompositionError
 from .geometry import Theory
 from .polytope import enumerate_vertices, vertex_summary
 from .protocols import (
@@ -386,6 +387,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConvergenceError, DecompositionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

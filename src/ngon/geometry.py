@@ -20,6 +20,10 @@ effects are complementary.  Every extremal multi-outcome measurement can be
 brought to a canonical form with at most three outcomes, each proportional to
 an extremal effect.
 
+Arc-gap rule: three distinct extremal effects complete to the unit effect with
+nonnegative weights iff their directions surround the centre: every cyclic gap
+b - a, c - b, n - c + a of sorted indices a < b < c is at most n/2.
+
 Index arithmetic is cyclic: state and effect indices are reduced mod n
 everywhere, with canonical representatives in [0, n).
 """
@@ -119,9 +123,13 @@ class Theory:
         ang = 2.0 * math.pi * (i % self.n) / self.n
         return np.array([self.r * math.cos(ang), self.r * math.sin(ang), 1.0])
 
-    def states(self) -> np.ndarray:
-        """All n extremal states, shape (n, 3)."""
+    @cached_property
+    def _state_table(self) -> np.ndarray:
         return np.stack([self.state(i) for i in range(self.n)])
+
+    def states(self) -> np.ndarray:
+        """All n extremal states, shape (n, 3); a copy of a table built once."""
+        return self._state_table.copy()
 
     def effect(self, j: int) -> np.ndarray:
         """Extremal effect j (index reduced mod n)."""
@@ -132,9 +140,13 @@ class Theory:
         ang = 2.0 * math.pi * j / self.n
         return np.array([self.r * math.cos(ang), self.r * math.sin(ang), 1.0]) / (1.0 + self.r**2)
 
-    def effects(self) -> np.ndarray:
-        """All n extremal effects, shape (n, 3)."""
+    @cached_property
+    def _effect_table(self) -> np.ndarray:
         return np.stack([self.effect(j) for j in range(self.n)])
+
+    def effects(self) -> np.ndarray:
+        """All n extremal effects, shape (n, 3); a copy of a table built once."""
+        return self._effect_table.copy()
 
     def in_state_cone(self, v, tol: float = GEOM_TOL) -> bool:
         """Whether v lies in the state cone: nonnegative on every extremal effect."""
@@ -151,32 +163,40 @@ class Theory:
         """Build the canonical measurement on 2 or 3 effect indices.
 
         Two indices require even n and an antipodal pair.  Three distinct
-        indices are completed by solving sum_k mu_k * effect(j_k) = u; the
-        triple is feasible when every mu_k is nonnegative.
+        indices must pass the arc-gap rule; their weights mu_k then solve
+        sum_k mu_k * effect(j_k) = u.
         """
         idx = tuple(int(j) % self.n for j in indices)
+        rows = self._effect_table[list(idx)]
         if len(idx) == 2:
             if not self.even:
                 raise InfeasibleMeasurementError("two-outcome measurements require even n")
             if (idx[1] - idx[0]) % self.n != self.n // 2:
                 raise InfeasibleMeasurementError(f"pair {idx} is not antipodal for n={self.n}")
-            eff = np.stack([self.effect(idx[0]), self.effect(idx[1])])
-            return Measurement(idx, (1.0, 1.0), 1.0, eff)
+            return Measurement(idx, (1.0, 1.0), 1.0, rows)
         if len(idx) != 3:
             raise ValueError("a canonical measurement has 2 or 3 outcomes")
         if len(set(idx)) != 3:
             raise DegenerateTripleError(f"indices {idx} are not distinct mod {self.n}")
-        basis = np.column_stack([self.effect(j) for j in idx])
-        if abs(np.linalg.det(basis)) < 1e-14:
-            raise DegenerateTripleError(f"effects at {idx} do not span R^3")
-        mu = np.linalg.solve(basis, unit_effect())
-        if mu.min() < -GEOM_TOL:
-            raise InfeasibleMeasurementError(
-                f"completion on {idx} needs a negative weight ({mu.min():.3e})"
-            )
+        if not _surrounds_centre(self.n, idx):
+            raise InfeasibleMeasurementError(f"triple {idx} has an index gap above n/2")
+        mu = np.linalg.solve(rows.T, unit_effect())
+        # roundoff can leave the zero weight of a gap of exactly n/2 marginally negative
         mu = np.clip(mu, 0.0, None)
-        eff = mu[:, None] * np.stack([self.effect(j) for j in idx])
-        return Measurement(idx, tuple(mu / self.effect_scale), self.effect_scale, eff)
+        return Measurement(idx, tuple(mu / self.effect_scale), self.effect_scale, mu[:, None] * rows)
+
+
+def _surrounds_centre(n: int, indices) -> bool:
+    """The arc-gap rule for three distinct effect indices mod n."""
+    a, b, c = sorted(j % n for j in indices)
+    return 2 * max(b - a, c - b, n - c + a) <= n
+
+
+def triple_representatives(theory: Theory) -> list[tuple[int, int, int]]:
+    """Feasible triples (0, a, b) with 0 < a < b < n, in lexicographic order:
+    one representative of every rotation class of triple measurements."""
+    pairs = itertools.combinations(range(1, theory.n), 2)
+    return [(0, a, b) for a, b in pairs if _surrounds_centre(theory.n, (0, a, b))]
 
 
 def closed_form_triple_weights(theory: Theory, j1: int, j2: int, j3: int):
@@ -205,14 +225,8 @@ def min_effect_weight(theory: Theory) -> float:
     """
     if theory.even:
         raise ValueError("minimum effect weight is defined for odd n")
-    best = math.inf
-    for j2, j3 in itertools.combinations(range(1, theory.n), 2):
-        try:
-            m = theory.measurement((0, j2, j3))
-        except InfeasibleMeasurementError:
-            continue
-        best = min(best, min(m.realized_weights))
-    return best
+    triples = triple_representatives(theory)
+    return min(min(theory.measurement(t).realized_weights) for t in triples)
 
 
 def extremal_decomposition(theory: Theory, state) -> np.ndarray:

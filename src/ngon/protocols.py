@@ -25,6 +25,7 @@ Four executable constructions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -346,7 +347,9 @@ def simulate_transmission(
     )
 
 
-_EVEN_VERTEX_BOUND = {}
+@functools.cache
+def _even_vertex_bound() -> float:
+    return max_vertex_capacity(3, 2.0)
 
 
 def ic_bound_check(
@@ -373,8 +376,5 @@ def ic_bound_check(
     if theory.n <= enumeration_max:
         cap = theory_capacity(theory, enumeration_max=enumeration_max).capacity_bits
         return abs(cap - 1.0) <= capacity_tol
-    if "even" not in _EVEN_VERTEX_BOUND:
-        _EVEN_VERTEX_BOUND["even"] = max_vertex_capacity(3, 2.0)
-    upper = _EVEN_VERTEX_BOUND["even"]
     lower = antipodal_pair_rate(theory)
-    return abs(lower - 1.0) <= capacity_tol and upper <= 1.0 + capacity_tol
+    return abs(lower - 1.0) <= capacity_tol and _even_vertex_bound() <= 1.0 + capacity_tol

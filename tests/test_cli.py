@@ -1,12 +1,17 @@
 """Command line interface: payloads, formats, determinism, exit codes."""
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from ngon import checks, cli
+from ngon.capacity import ConvergenceError
+from ngon.checks import run_checks
 from ngon.cli import main
+from ngon.decomposition import DecompositionError
 
 
 def run(capsys, *argv):
@@ -251,3 +256,37 @@ def test_check_empty_sweep_exits_two(capsys, key, max_n):
     code, out, err = run(capsys, "check", "--only", key, "--max-n", max_n)
     assert code == 2 and out == ""
     assert key in err and "sweep" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ConvergenceError("1 of 4 channels kept brackets above tol", 0.5, np.full(5, 0.2), 3),
+        DecompositionError("no barycentric triple contains the ensemble average"),
+    ],
+)
+def test_numerical_failure_exits_three(capsys, monkeypatch, error):
+    def failing(theory, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "theory_capacity", failing)
+    code, out, err = run(capsys, "capacity", "--n", "5")
+    assert code == 3 and out == ""
+    assert err == f"error: {error}\n"
+
+
+def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):
+    code, out, _ = run(capsys, "check", "--only", "ne", "--max-n", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["details"].startswith("n=3..5:")
+    # a wrapped registry entry is still recognised by its signature
+    calls = []
+
+    @functools.wraps(checks.check_ne)
+    def traced(*args, **kwargs):
+        calls.append(kwargs)
+        return checks.check_ne(*args, **kwargs)
+
+    monkeypatch.setitem(checks.REGISTRY, "ne", traced)
+    run_checks(only=["ne"], max_n=5)
+    assert calls == [{"max_n": 5}]

@@ -1,10 +1,14 @@
 """Tests for polygon state/effect geometry and measurement construction."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ngon.capacity import capacity_candidates
 from ngon.geometry import (
     DegenerateTripleError,
     InfeasibleMeasurementError,
@@ -129,6 +133,93 @@ def test_degenerate_and_infeasible_triples():
     assert abs(l2 - (-2.0)) < 1e-12
     with pytest.raises(InfeasibleMeasurementError):
         Theory(6).measurement((0, 1, 2))
+
+
+def trial_solve_feasible(t, triples):
+    """The trial solve the arc-gap rule replaced, one flag per triple: the
+    effects span R^3 and the completion weights mu of
+    sum_k mu_k * effect(j_k) = u are all >= -1e-12."""
+    basis = t.effects()[np.asarray(triples)].transpose(0, 2, 1)
+    spans = np.abs(np.linalg.det(basis)) >= 1e-14
+    mu = np.linalg.solve(basis, np.broadcast_to(unit_effect()[:, None], (len(basis), 3, 1)))
+    return spans & (mu[..., 0].min(axis=1) >= -1e-12)
+
+
+def accepts(t, triple):
+    try:
+        t.measurement(triple)
+    except InfeasibleMeasurementError:
+        return False
+    return True
+
+
+def test_arc_gap_rule_matches_the_trial_solve_on_every_triple():
+    checked = 0
+    for n in range(3, 33):
+        t = Theory(n)
+        triples = list(itertools.combinations(range(n), 3))
+        expected = trial_solve_feasible(t, triples)
+        assert [accepts(t, tr) for tr in triples] == expected.tolist(), n
+        checked += len(triples)
+    assert checked == 40_920
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 128).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+        )
+    )
+)
+def test_arc_gap_rule_matches_the_trial_solve_on_random_triples(case):
+    n, triple = case
+    t = Theory(n)
+    assert accepts(t, tuple(triple)) == bool(trial_solve_feasible(t, [triple])[0])
+
+
+def test_capacity_candidates_match_the_trial_loop():
+    for n in range(3, 65):
+        t = Theory(n)
+        pairs = list(itertools.combinations(range(1, n), 2))
+        flags = trial_solve_feasible(t, [(0, a, b) for a, b in pairs])
+        expected = [(0, n // 2)] if n % 2 == 0 else []
+        expected += [(0, a, b) for (a, b), ok in zip(pairs, flags) if ok]
+        assert [m.indices for m in capacity_candidates(t)] == expected, n
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 32, 64])
+def test_antipodal_gap_puts_one_weight_at_zero(n):
+    t = Theory(n)
+    half = n // 2
+    for b in range(1, n):
+        if b == half:
+            continue
+        w = t.measurement((0, half, b)).realized_weights
+        assert min(w) <= 1e-12 and w[2] <= 1e-12
+        assert abs(w[0] - 1.0) <= 1e-12 and abs(w[1] - 1.0) <= 1e-12
+
+
+def test_state_and_effect_tables_are_built_once(monkeypatch):
+    t = Theory(7)
+    expected = {"state": np.stack([t.state(i) for i in range(7)]),
+                "effect": np.stack([t.effect(j) for j in range(7)])}
+    built = {"state": 0, "effect": 0}
+    for name in built:
+        original = getattr(Theory, name)
+
+        def counted(self, i, name=name, original=original):
+            built[name] += 1
+            return original(self, i)
+
+        monkeypatch.setattr(Theory, name, counted)
+    for table, name in ((t.states, "state"), (t.effects, "effect")):
+        first = table()
+        assert np.array_equal(first, expected[name])
+        first[0, 0] = 99.0  # callers get a copy; the table stays intact
+        assert np.array_equal(table(), expected[name])
+    t.measurement((0, 2, 4))
+    assert built == {"state": 7, "effect": 7}
 
 
 def test_triangle_measurement_weights_n3():
