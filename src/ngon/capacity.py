@@ -7,9 +7,12 @@ around the optimum: at every iterate the achieved mutual information is a
 lower bound and the largest per-input divergence from the output marginal is
 an upper bound.
 
-``theory_capacity`` maximises the capacity over one representative of every
-rotation class of canonical measurements (first index pinned to 0, plus the
-antipodal pair for even n) with all n extremal states as the input alphabet.
+``theory_capacity`` maximises the capacity over one canonical measurement per
+dihedral orbit, with all n extremal states as the input alphabet: rotating or
+reflecting a measurement only permutes the channel's inputs and outcomes.  The
+candidates are the antipodal pair for even n and one triple (0, g1, g1 + g2)
+per sorted gap partition g1 <= g2 <= g3 <= n/2, less the triples with a gap of
+exactly n/2, whose zero weight leaves the pair's channel plus a zero column.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ class ConvergenceError(RuntimeError):
         self.capacity_bits = capacity_bits
         self.prior = prior
         self.iterations = iterations
+
+    def __reduce__(self):
+        # pickle every field, so that a worker process can send the error back
+        return type(self), (str(self), self.capacity_bits, self.prior, self.iterations)
 
 
 class BAResult(NamedTuple):
@@ -234,10 +241,15 @@ class CapacityResult:
 
 
 def capacity_candidates(theory: Theory) -> list[Measurement]:
-    """One measurement per rotation class: feasible triples with first index 0,
-    preceded by the antipodal pair when n is even."""
-    pair = [theory.measurement((0, theory.n // 2))] if theory.even else []
-    return pair + [theory.measurement(t) for t in triple_representatives(theory)]
+    """One measurement per dihedral orbit: the antipodal pair when n is even,
+    then the triple representatives without a gap of exactly n/2.  Such a
+    triple has a zero weight, so its channel is the pair's plus a zero column.
+    """
+    n = theory.n
+    pair = [theory.measurement((0, n // 2))] if theory.even else []
+    # n - t[2] is the largest gap of a representative (0, g1, g1 + g2)
+    triples = [t for t in triple_representatives(theory) if 2 * (n - t[2]) < n]
+    return pair + [theory.measurement(t) for t in triples]
 
 
 def measurement_capacity(
@@ -258,8 +270,10 @@ def theory_capacity(
 
     All triple candidates run as one Blahut-Arimoto stack.  For even n the
     antipodal pair runs first and its lower bound joins the stack's
-    retirement test, so a triple that cannot beat the pair stops early.
-    The reported capacity is certified within tol of the true maximum.
+    retirement test, so a triple that cannot beat the pair stops early; the
+    pair is reported unless a triple's certified bound lies above it (at
+    n = 4 no triple is left).  The reported capacity is certified within tol
+    of the true maximum.
     """
     _validate_tol(tol)
     if theory.n > enumeration_max:
@@ -270,12 +284,12 @@ def theory_capacity(
     floor = -math.inf
     if theory.even:
         pair = blahut_arimoto(theory.channel_matrix(cands[0], S), tol, max_iter)
-        floor = pair.capacity_bits
-    W = np.stack([theory.channel_matrix(m, S) for m in triples])
-    best = blahut_arimoto(W, tol, max_iter, _floor=floor)
-    winner = triples[best.index]
-    if best.capacity_bits <= floor:
-        best, winner = pair, cands[0]
+        best, winner, floor = pair, cands[0], pair.capacity_bits
+    if triples:
+        W = np.stack([theory.channel_matrix(m, S) for m in triples])
+        stack = blahut_arimoto(W, tol, max_iter, _floor=floor)
+        if stack.capacity_bits > floor:
+            best, winner = stack, triples[stack.index]
 
     support = tuple(int(i) for i in np.nonzero(best.prior > 1e-6)[0])
     return CapacityResult(

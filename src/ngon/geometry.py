@@ -30,7 +30,6 @@ everywhere, with canonical representatives in [0, n).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -193,10 +192,21 @@ def _surrounds_centre(n: int, indices) -> bool:
 
 
 def triple_representatives(theory: Theory) -> list[tuple[int, int, int]]:
-    """Feasible triples (0, a, b) with 0 < a < b < n, in lexicographic order:
-    one representative of every rotation class of triple measurements."""
-    pairs = itertools.combinations(range(1, theory.n), 2)
-    return [(0, a, b) for a, b in pairs if _surrounds_centre(theory.n, (0, a, b))]
+    """One feasible triple (0, g1, g1 + g2) per dihedral orbit, in
+    lexicographic order.
+
+    A rotation cycles the three cyclic gaps of a triple and a reflection
+    reverses them, so an orbit is fixed by its gaps sorted as
+    g1 <= g2 <= g3 = n - g1 - g2; the arc-gap rule asks g3 <= n/2.  With all
+    n states as inputs the orbit's channels differ only by a permutation of
+    inputs and outcomes.
+    """
+    n = theory.n
+    return [
+        (0, g1, g1 + g2)
+        for g1 in range(1, n // 3 + 1)
+        for g2 in range(max(g1, (n + 1) // 2 - g1), (n - g1) // 2 + 1)
+    ]
 
 
 def closed_form_triple_weights(theory: Theory, j1: int, j2: int, j3: int):
@@ -221,7 +231,8 @@ def min_effect_weight(theory: Theory) -> float:
     """Smallest realised outcome weight over all feasible triple measurements.
 
     Defined for odd n, where every canonical measurement has three strictly
-    positive outcome weights.  Cyclic symmetry fixes the first index to 0.
+    positive outcome weights.  Rotations and reflections permute the weights,
+    so one triple per dihedral orbit suffices.
     """
     if theory.even:
         raise ValueError("minimum effect weight is defined for odd n")

@@ -1,6 +1,7 @@
 """Tests for channel capacity: Blahut-Arimoto core and polygon-theory rates."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -78,6 +79,18 @@ def test_ba_convergence_error_carries_state():
     assert 0.0 < err.value.capacity_bits < 1.0
     assert abs(err.value.prior.sum() - 1.0) < 1e-12
     assert np.abs(err.value.prior - 0.5).max() > 1e-3  # not the uniform start
+
+
+def test_convergence_error_survives_a_pickle_round_trip():
+    # worker processes send their exceptions back pickled
+    w = np.array([[0.9, 0.1], [0.3, 0.7]])
+    with pytest.raises(ConvergenceError) as err:
+        blahut_arimoto(w, tol=1e-15, max_iter=2)
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert type(copy) is ConvergenceError and str(copy) == str(err.value)
+    assert copy.capacity_bits == err.value.capacity_bits
+    assert np.array_equal(copy.prior, err.value.prior)
+    assert copy.iterations == err.value.iterations == 2
 
 
 def test_theory_capacity_convergence_error_carries_last_iterate():
@@ -229,9 +242,18 @@ def test_theory_capacity_enforces_bound():
     assert abs(r.capacity_bits - 1.0) < 1e-6
 
 
+def test_reported_measurement_is_the_canonical_strategy():
+    # even n: the antipodal pair; odd n: (0, 1, (n+1)/2), the rotation of the
+    # paper's (0, (n-1)/2, (n+1)/2) that represents its dihedral orbit
+    for n in range(3, 65):
+        r = theory_capacity(Theory(n))
+        expected = (0, n // 2) if n % 2 == 0 else (0, 1, (n + 1) // 2)
+        assert r.measurement.indices == expected, n
+
+
 def test_reported_measurement_attains_the_capacity():
-    # ties between candidates are broken by roundoff, so the oracle for the
-    # reported measurement is that it attains the capacity, not which one it is
+    # each dihedral orbit has one candidate, so the winner is no longer picked
+    # by roundoff among copies of one channel; it must attain the capacity alone
     tol = 1e-9
     for n in range(3, 65):
         t = Theory(n)

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -273,6 +274,21 @@ def test_numerical_failure_exits_three(capsys, monkeypatch, error):
     code, out, err = run(capsys, "capacity", "--n", "5")
     assert code == 3 and out == ""
     assert err == f"error: {error}\n"
+
+
+def _fail_to_converge(theory, **kwargs):
+    raise ConvergenceError("1 of 4 channels kept brackets above tol", 0.5, np.full(5, 0.2), 3)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched capacity reaches the workers only by fork",
+)
+def test_numerical_failure_in_a_worker_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "theory_capacity", _fail_to_converge)
+    code, out, err = run(capsys, "capacity", "--n-range", "5..6", "--jobs", "2")
+    assert code == 3 and out == ""
+    assert err == "error: 1 of 4 channels kept brackets above tol\n"
 
 
 def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):

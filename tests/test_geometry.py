@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngon.capacity import capacity_candidates
+from ngon import capacity
+from ngon.capacity import capacity_candidates, theory_capacity
 from ngon.geometry import (
     DegenerateTripleError,
     InfeasibleMeasurementError,
@@ -17,6 +18,7 @@ from ngon.geometry import (
     closed_form_triple_weights,
     extremal_decomposition,
     min_effect_weight,
+    triple_representatives,
     unit_effect,
 )
 
@@ -112,6 +114,27 @@ def test_measurement_completeness_and_weights():
         assert np.abs(m.effects[k] - m.realized_weights[k] * t.effect(idx)).max() < 1e-12
 
 
+@st.composite
+def feasible_triples(draw):
+    """(n, triple) with n up to 128 and three distinct indices, in any order,
+    whose cyclic gaps g1, g2, n - g1 - g2 are all at most n/2."""
+    n = draw(st.integers(3, 128))
+    g1 = draw(st.integers(1, n // 2))
+    g2 = draw(st.integers(max(1, (n + 1) // 2 - g1), min(n // 2, n - g1 - 1)))
+    start = draw(st.integers(0, n - 1))
+    triple = [start % n, (start + g1) % n, (start + g1 + g2) % n]
+    return n, tuple(draw(st.permutations(triple)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_triples())
+def test_realised_effects_sum_to_the_unit_effect(case):
+    n, triple = case
+    m = Theory(n).measurement(triple)
+    assert min(m.realized_weights) >= 0
+    assert np.abs(m.effects.sum(axis=0) - unit_effect()).max() <= 1e-12
+
+
 def test_antipodal_pair_measurement():
     t = Theory(8)
     m = t.measurement((0, 4))
@@ -178,14 +201,104 @@ def test_arc_gap_rule_matches_the_trial_solve_on_random_triples(case):
     assert accepts(t, tuple(triple)) == bool(trial_solve_feasible(t, [triple])[0])
 
 
-def test_capacity_candidates_match_the_trial_loop():
+def sorted_gaps(n, triple):
+    """The dihedral invariant of a triple: its cyclic index gaps, sorted."""
+    a, b, c = sorted(j % n for j in triple)
+    return tuple(sorted((b - a, c - b, n - c + a)))
+
+
+def trial_accepted_triples(t):
+    """Every (0, a, b) with 0 < a < b < n that the trial solve accepts."""
+    pairs = list(itertools.combinations(range(1, t.n), 2))
+    flags = trial_solve_feasible(t, [(0, a, b) for a, b in pairs])
+    return [(0, a, b) for (a, b), ok in zip(pairs, flags) if ok]
+
+
+def test_triple_representatives_cover_each_dihedral_orbit_once():
     for n in range(3, 65):
         t = Theory(n)
-        pairs = list(itertools.combinations(range(1, n), 2))
-        flags = trial_solve_feasible(t, [(0, a, b) for a, b in pairs])
-        expected = [(0, n // 2)] if n % 2 == 0 else []
-        expected += [(0, a, b) for (a, b), ok in zip(pairs, flags) if ok]
-        assert [m.indices for m in capacity_candidates(t)] == expected, n
+        reps = triple_representatives(t)
+        assert reps == sorted(reps) and all(r[0] == 0 for r in reps), n
+        assert trial_solve_feasible(t, reps).all(), n
+        by_gaps = {}
+        for r in reps:
+            by_gaps.setdefault(sorted_gaps(n, r), []).append(r)
+        assert all(len(found) == 1 for found in by_gaps.values()), n
+        accepted = {sorted_gaps(n, tr) for tr in trial_accepted_triples(t)}
+        assert accepted == set(by_gaps), n
+
+
+def dihedral_images(n, triple):
+    """(state map, effect images of the triple) for the 2n symmetries of the
+    n-gon.  Rotation by k shifts state and effect indices by k; the
+    reflection through state 0 sends state i to -i and effect j to -j (odd
+    n) or 1 - j (even n, whose effect j points at angle (2j - 1) pi / n)."""
+    flip = 1 if n % 2 == 0 else 0
+    for k in range(n):
+        yield (lambda i, k=k: (i + k) % n), [(j + k) % n for j in triple]
+        yield (lambda i, k=k: (k - i) % n), [(k + flip - j) % n for j in triple]
+
+
+@pytest.mark.parametrize("n", [5, 8, 12, 17])
+def test_an_orbit_shares_its_channel_up_to_permutations(n):
+    t = Theory(n)
+    reps = {sorted_gaps(n, r): r for r in triple_representatives(t)}
+    for triple in trial_accepted_triples(t):
+        rep = reps[sorted_gaps(n, triple)]
+        base = t.channel_matrix(t.measurement(rep))
+        moved = t.channel_matrix(t.measurement(triple))
+        matches = 0
+        for state_map, images in dihedral_images(n, rep):
+            if sorted(images) != list(triple):
+                continue
+            rows = [state_map(i) for i in range(n)]
+            cols = [triple.index(j) for j in images]
+            assert np.abs(moved[np.ix_(rows, cols)] - base).max() < 1e-12
+            matches += 1
+        assert matches >= 1, (n, triple, rep)
+
+
+def test_capacity_candidates_are_the_pair_and_the_orbits_without_a_half_gap():
+    total = 0
+    for n in range(3, 65):
+        t = Theory(n)
+        got = [m.indices for m in capacity_candidates(t)]
+        total += len(got)
+        half_gap = {r for r in triple_representatives(t) if 2 * max(sorted_gaps(n, r)) == n}
+        assert bool(half_gap) == (n % 2 == 0), n
+        if n % 2 == 0:
+            assert got[0] == (0, n // 2), n
+            got = got[1:]
+        assert got == [r for r in triple_representatives(t) if r not in half_gap], n
+    assert total == 2022
+    assert [m.indices for m in capacity_candidates(Theory(4))] == [(0, 2)]
+
+
+def test_theory_capacity_matches_the_full_candidate_list(monkeypatch):
+    # the parent list: the pair, then every accepted (0, a, b)
+    def full_list(t):
+        pair = [t.measurement((0, t.n // 2))] if t.n % 2 == 0 else []
+        return pair + [t.measurement(tr) for tr in trial_accepted_triples(t)]
+
+    # The full list holds up to 2n copies of each orbit's channel, rows and
+    # columns permuted, and reports the copy whose roundoff came out highest:
+    # a few ulps, invisible at the 9 digits the CLI prints.
+    for n in range(3, 41):
+        t = Theory(n)
+        orbits = theory_capacity(t)
+        with monkeypatch.context() as patched:
+            patched.setattr(capacity, "capacity_candidates", full_list)
+            full = theory_capacity(t)
+        assert orbits.iterations == full.iterations, n
+        assert f"{orbits.capacity_bits:.9g}" == f"{full.capacity_bits:.9g}", n
+        assert 0 <= full.capacity_bits - orbits.capacity_bits <= 1e-14, n
+
+
+def test_min_effect_weight_matches_every_accepted_triple():
+    for n in range(3, 64, 2):
+        t = Theory(n)
+        every = min(min(t.measurement(tr).realized_weights) for tr in trial_accepted_triples(t))
+        assert abs(min_effect_weight(t) - every) <= 1e-15, n
 
 
 @pytest.mark.parametrize("n", [4, 6, 10, 32, 64])
@@ -280,6 +393,17 @@ def test_extremal_decomposition_roundtrip():
             assert (q >= 0).all()
             assert abs(q.sum() - 1.0) < 1e-9
             assert np.abs(q @ verts - v).max() < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 128), st.floats(0.05, 5.0), st.integers(0, 2**32 - 1))
+def test_extremal_decomposition_rebuilds_a_random_mixture(n, alpha, seed):
+    t = Theory(n)
+    verts = t.states()
+    v = np.random.default_rng(seed).dirichlet(np.full(n, alpha)) @ verts
+    q = extremal_decomposition(t, v)
+    assert (q >= 0).all() and abs(q.sum() - 1.0) <= 1e-12
+    assert np.abs(q @ verts - v).max() <= 1e-12
 
 
 def test_extremal_decomposition_vertex_and_errors():
