@@ -3,9 +3,13 @@
 A choice of input states and a canonical measurement induce a discrete
 memoryless channel whose entries are effect-state overlaps.  Capacity is
 computed with the Blahut-Arimoto ascent, which keeps a certified bracket
-around the optimum: at every iterate the achieved mutual information is a
-lower bound and the largest per-input divergence from the output marginal is
-an upper bound.
+around the optimum: at any prior the achieved mutual information is a lower
+bound and the largest per-input divergence from the output marginal is an
+upper bound.  At iterations 1, 2, 4, 8, ... the ascent is polished: the
+capacity KKT conditions are solved on the few inputs the iterate points to
+(at most one per outcome; in closed form on a square support, by a safeguarded
+Newton search on a pair), and the solution joins the bracket as a separate
+certificate prior.  Every polygon capacity closes this way at iteration 1.
 
 ``theory_capacity`` maximises the capacity over one canonical measurement per
 dihedral orbit, with all n extremal states as the input alphabet: rotating or
@@ -29,6 +33,7 @@ BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
 
 _TINY = 1e-300
+_PAIR_STEPS = 60
 
 
 class ConvergenceError(RuntimeError):
@@ -46,8 +51,9 @@ class ConvergenceError(RuntimeError):
 
 
 class BAResult(NamedTuple):
-    """Best channel of a Blahut-Arimoto stack: its certified lower bound,
-    prior and retirement iteration, and its position in the stack."""
+    """Best channel of a Blahut-Arimoto stack: its certified lower bound, the
+    prior attaining it, the iteration at which the certified bracket closed,
+    polish steps included, and its position in the stack."""
 
     capacity_bits: float
     prior: np.ndarray
@@ -116,6 +122,149 @@ def _row_log_entropy(W: np.ndarray) -> np.ndarray:
     return np.where(W > 0, W * np.log2(np.maximum(W, _TINY)), 0.0).sum(axis=-1)
 
 
+def _divergences(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D(W_x || pW) in bits for every input row of a stack.
+
+    ``p`` is (count, inputs) or carries leading axes of candidate priors,
+    (..., count, inputs); the result has the shape of ``p``.
+    """
+    q = np.einsum("...cx,cxy->...cy", p, W)
+    return wlogw - np.einsum("cxy,...cy->...cx", W, np.log2(np.maximum(q, _TINY)))
+
+
+def _column_groups(W: np.ndarray):
+    """Rows and non-zero outcome columns of each column pattern in a stack.
+
+    A zero column would make every square block singular, so the KKT
+    systems are solved on the non-zero columns of each group.  Only groups
+    with 2 or 3 non-zero columns are yielded; a single column carries no
+    information, and wider channels are left to the plain iteration.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for row, key in enumerate(map(tuple, (W.max(axis=1) > 0).tolist())):
+        groups.setdefault(key, []).append(row)
+    for key, rows in groups.items():
+        cols = np.flatnonzero(key)
+        if 2 <= len(cols) <= 3:
+            yield np.array(rows), cols
+
+
+def _leaders(p: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The input each outcome column decodes to, argmax_x p_x W_xy.  Shape (count, outcomes)."""
+    return np.stack([np.argmax(p * W[:, :, y], axis=1) for y in range(W.shape[2])], axis=1)
+
+
+def _repeats(support: np.ndarray) -> np.ndarray:
+    """True where an entry of a support row repeats an earlier one.  Shape (count, k)."""
+    k = support.shape[1]
+    return ((support[:, :, None] == support[:, None, :]) & np.tri(k, k, -1, bool)).any(axis=2)
+
+
+def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugates and determinants of a stack of 2x2 or 3x3 matrices."""
+    if M.shape[1] == 2:
+        adj = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]], axis=1)
+        return adj.reshape(-1, 2, 2), M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    r0, r1, r2 = M[:, 0], M[:, 1], M[:, 2]
+    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=2)
+    return adj, np.einsum("cy,cy->c", r0, adj[:, :, 0])
+
+
+def _square_priors(W, wlogw, priors, sel, cols, support) -> np.ndarray:
+    """Solve the capacity KKT system on square supports; returns which are valid.
+
+    For the channels ``sel`` with non-zero columns ``cols`` (2 or 3),
+    ``support`` (len(sel), k) names one input per column.  When the inputs
+    are distinct and W_S is nonsingular, every x in S has divergence C from
+    the output law q exactly when a = W_S^-1 h with
+    h_x = sum_y W_xy log2 W_xy (the rows of W sum to 1, so
+    a_y = log2 q_y + C); then C = log2 sum_y 2^a_y, q = 2^(a-C), and
+    p_S W_S = q.  The inverse is the adjugate over the determinant.  A
+    finite, nonnegative p_S is valid and is written into ``priors[sel]``.
+    """
+    adj, det = _adjugate(W[sel[:, None, None], support[:, :, None], cols])
+    ok = ~_repeats(support).any(axis=1) & (det != 0)
+    det = np.where(ok, det, 1.0)[:, None]
+    a = np.einsum("cys,cs->cy", adj, wlogw[sel[:, None], support]) / det
+    q = np.exp2(a - a.max(axis=1, keepdims=True))
+    q /= q.sum(axis=1, keepdims=True)
+    pS = np.einsum("cy,cys->cs", q, adj) / det
+    ok &= np.isfinite(pS).all(axis=1) & (pS >= 0).all(axis=1)
+    good = sel[ok]
+    priors[good[:, None], support[ok]] = pS[ok] / pS[ok].sum(axis=1, keepdims=True)
+    return ok
+
+
+def _pair_priors(W: np.ndarray, wlogw: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """The best prior on each channel's pair of inputs ``pair`` (count, 2).
+
+    On the segment t W_a + (1 - t) W_b the mutual information is concave in
+    t with derivative f(t) = D(W_a || q) - D(W_b || q), so its maximiser is
+    the root of f in [0, 1], found by Newton steps kept inside a bisection
+    bracket.
+    """
+    W2 = np.take_along_axis(W, pair[:, :, None], axis=1)
+    h2 = np.take_along_axis(wlogw, pair, axis=1)
+    dW = W2[:, 0] - W2[:, 1]
+    low, high = np.zeros(len(W)), np.ones(len(W))
+    t = np.full(len(W), 0.5)
+    for _ in range(_PAIR_STEPS):
+        mix = np.stack([t, 1.0 - t], axis=1)
+        d = _divergences(W2, h2, mix)
+        f = d[:, 0] - d[:, 1]
+        low, high = np.where(f > 0, t, low), np.where(f > 0, high, t)
+        # -f'(t) = sum_y (W_ay - W_by)^2 / q_y / ln 2
+        q = np.maximum(np.einsum("cx,cxy->cy", mix, W2), _TINY)
+        step = f * math.log(2.0) / np.maximum((dW * dW / q).sum(axis=1), _TINY)
+        moved = np.where((t + step > low) & (t + step < high), t + step, 0.5 * (low + high))
+        if np.array_equal(moved, t):
+            break
+        t = moved
+    priors = np.zeros(W.shape[:2])
+    np.put_along_axis(priors, pair, np.stack([t, 1.0 - t], axis=1), axis=1)
+    return priors
+
+
+def _leader_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray):
+    """First polish: the KKT system on the inputs the outcomes decode to.
+    Returns (valid, priors), shaped (1, count) and (1, count, inputs)."""
+    count, m, _ = W.shape
+    valid, priors = np.zeros((1, count), bool), np.zeros((1, count, m))
+    leaders = _leaders(p, W)
+    for sel, cols in _column_groups(W):
+        valid[0, sel] = _square_priors(W, wlogw, priors[0], sel, cols, leaders[sel][:, cols])
+    return valid, priors
+
+
+def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray):
+    """Second polish, for channels whose leaders gave no valid prior.
+
+    Two guesses per channel: the KKT system on the k inputs of largest
+    divergence ``d`` (k non-zero columns), for leaders that name one input
+    twice, and the best prior on a pair of inputs, for an optimum on fewer
+    inputs than outcomes: the leaders when they name exactly two inputs,
+    else the two inputs of largest divergence.  Returns (valid, priors),
+    shaped (2, count) and (2, count, inputs).
+    """
+    count, m, _ = W.shape
+    valid, priors = np.zeros((2, count), bool), np.zeros((2, count, m))
+    if m < 2:
+        return valid, priors
+    order = np.argsort(d, axis=1)
+    pairs = order[:, -2:].copy()
+    leaders = _leaders(p, W)
+    for sel, cols in _column_groups(W):
+        k = len(cols)
+        lead = leaders[sel][:, cols]
+        two = k - _repeats(lead).sum(axis=1) == 2
+        other = np.where(lead[:, 1] != lead[:, 0], lead[:, 1], lead[:, -1])
+        pairs[sel[two]] = np.stack([lead[two, 0], other[two]], axis=1)
+        if k <= m:
+            valid[0, sel] = _square_priors(W, wlogw, priors[0], sel, cols, order[sel, -k:])
+    valid[1], priors[1] = True, _pair_priors(W, wlogw, pairs)
+    return valid, priors
+
+
 def _validate_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
@@ -132,17 +281,26 @@ def blahut_arimoto(
 
     ``matrices`` is one channel (inputs, outcomes) or a stack (count, inputs,
     outcomes); every channel starts from the uniform prior and all of them
-    iterate together.  Each keeps a bracket: the mutual information achieved
-    so far is a lower bound, the smallest max per-input divergence from the
-    output marginal an upper bound.  A channel retires when its bracket
-    closes to tol or its upper bound falls to the best lower bound in the
-    stack, since it can then no longer be the maximum.  The result is the
-    best channel's lower bound, within tol of the maximum capacity, its
-    prior, the iteration it retired at and its position ``index`` in the
-    stack.  ``_floor`` is a lower bound known from outside the stack that
-    joins the retirement test; a result at or below it is not certified.
-    Raises ConvergenceError, carrying the best channel's last iterate, if
-    some bracket stays open after max_iter iterations.
+    iterate together.  Each keeps a bracket: the largest mutual information
+    at a prior seen so far is a lower bound, the smallest max per-input
+    divergence from that prior's output law an upper bound (Gallager 1968,
+    Thm 4.5.1).  At iterations 1, 2, 4, 8, ... every channel still open is
+    polished: the capacity KKT system is solved in closed form on the
+    inputs its outcomes decode to, argmax_x p_x W_xy, and a nonnegative
+    solution is a certificate prior whose bounds join the bracket.  A
+    channel that gets no such prior tries the inputs of largest divergence
+    and the best prior on a pair of inputs instead.  Certificate priors
+    never replace the iterate.  A channel retires when its bracket closes
+    to tol or its upper bound falls to the best lower bound in the stack,
+    since it can then no longer be the maximum.  The result is the best
+    channel's lower bound, within tol of the maximum capacity, the prior
+    that attains it, ``iterations``, the iteration at which the certified
+    bracket closed, polish steps included, and the channel's position
+    ``index`` in the stack.  ``_floor`` is a lower bound known from outside
+    the stack that joins the retirement test; a result at or below it is
+    not certified.  Raises ConvergenceError, carrying the best channel's
+    lower bound and last iterate, if some bracket stays open after max_iter
+    iterations.
     """
     _validate_tol(tol)
     W = np.asarray(matrices, float)
@@ -153,29 +311,56 @@ def blahut_arimoto(
     W = np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)
     count, m, _ = W.shape
     wlogw = _row_log_entropy(W)
-    # ids, W, wlogw, p and the bounds lo, up hold the channels still iterating
+    # ids, W, wlogw, p, the bounds lo, up and the certificate priors cert hold
+    # the channels still iterating; certified marks a lo attained at cert
     ids = np.arange(count)
     p = np.full((count, m), 1.0 / m)
     lo = np.full(count, -math.inf)
     up = np.full(count, math.inf)
+    cert = np.zeros((count, m))
+    certified = np.zeros(count, bool)
     lower = np.full(count, -math.inf)
     priors = p.copy()
     retired_at = np.zeros(count, int)
     best = _floor
     for it in range(1, max_iter + 1):
-        q = np.einsum("cx,cxy->cy", p, W)
-        d = wlogw - np.einsum("cxy,cy->cx", W, np.log2(np.maximum(q, _TINY)))
+        d = _divergences(W, wlogw, p)
         dmax = d.max(axis=1, keepdims=True)
-        lo = np.maximum(lo, np.einsum("cx,cx->c", p, d))
+        info = np.einsum("cx,cx->c", p, d)
+        certified &= info <= lo
+        lo = np.maximum(lo, info)
         up = np.minimum(up, dmax[:, 0])
         best = max(best, float(lo.max()))
         retire = (up - lo <= tol) | (up <= best)
+        if it & (it - 1) == 0:
+            # polish the channels still open; the fallback only takes those
+            # the leaders gave no valid prior
+            fresh = ~retire
+            for polish in (_leader_priors, _fallback_priors):
+                rows = np.flatnonzero(fresh & ~retire)
+                if not len(rows):
+                    break
+                # a slice keeps the common case, every channel open, free of copies
+                sub = slice(None) if len(rows) == len(ids) else rows
+                Wr, hr = W[sub], wlogw[sub]
+                valid, prior = polish(Wr, hr, p[sub], d[sub])
+                fresh[rows[valid.any(axis=0)]] = False
+                dc = _divergences(Wr, hr, prior)
+                info = np.where(valid, np.einsum("rcx,rcx->rc", prior, dc), -math.inf)
+                pick = np.argmax(info, axis=0)
+                prior, info = prior[pick, np.arange(len(rows))], info.max(axis=0)
+                gain = info > lo[rows]
+                lo[rows[gain]], cert[rows[gain]], certified[rows[gain]] = info[gain], prior[gain], True
+                up[rows] = np.minimum(up[rows], np.where(valid, dc.max(axis=2), math.inf).min(axis=0))
+                best = max(best, float(lo.max()))
+                retire = (up - lo <= tol) | (up <= best)
         if retire.any():
             done = ids[retire]
-            lower[done], priors[done], retired_at[done] = lo[retire], p[retire], it
+            lower[done], retired_at[done] = lo[retire], it
+            priors[done] = np.where(certified[retire, None], cert[retire], p[retire])
             keep = ~retire
-            ids, W, wlogw, p, d, dmax, lo, up = (
-                a[keep] for a in (ids, W, wlogw, p, d, dmax, lo, up)
+            ids, W, wlogw, p, d, dmax, lo, up, cert, certified = (
+                a[keep] for a in (ids, W, wlogw, p, d, dmax, lo, up, cert, certified)
             )
             if not len(ids):
                 break
@@ -213,7 +398,11 @@ def induced_channel(theory: Theory, measurement: Measurement, states=None, prior
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
-    """Capacity of a polygon model with the maximising measurement."""
+    """Capacity of a polygon model with the maximising measurement.
+
+    ``iterations`` is the iteration at which the winner's certified bracket
+    closed, polish steps included.
+    """
 
     n: int
     parity: str
@@ -250,13 +439,6 @@ def capacity_candidates(theory: Theory) -> list[Measurement]:
     # n - t[2] is the largest gap of a representative (0, g1, g1 + g2)
     triples = [t for t in triple_representatives(theory) if 2 * (n - t[2]) < n]
     return pair + [theory.measurement(t) for t in triples]
-
-
-def measurement_capacity(
-    theory: Theory, indices, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER
-) -> BAResult:
-    """Capacity of the channel with all n extremal states and one measurement."""
-    return blahut_arimoto(theory.channel_matrix(theory.measurement(indices)), tol, max_iter)
 
 
 def theory_capacity(
