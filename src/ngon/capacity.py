@@ -112,11 +112,6 @@ def mutual_information_bits(prior, matrix) -> float:
     return max(val, 0.0)
 
 
-def mutual_information(channel: Channel) -> float:
-    """Mutual information of a channel at its stored prior."""
-    return mutual_information_bits(channel.prior, channel.matrix)
-
-
 def _row_log_entropy(W: np.ndarray) -> np.ndarray:
     """sum_y W log2 W per input row, with 0 log 0 = 0.  Shape (..., inputs)."""
     return np.where(W > 0, W * np.log2(np.maximum(W, _TINY)), 0.0).sum(axis=-1)
@@ -380,22 +375,6 @@ def blahut_arimoto(
     return BAResult(max(float(lower[winner]), 0.0), priors[winner], int(retired_at[winner]), winner)
 
 
-def induced_channel(theory: Theory, measurement: Measurement, states=None, prior=None) -> Channel:
-    """Channel induced by sending normalised states (default: all n extremal
-    states) into a measurement, at the given prior (default: uniform)."""
-    S = theory.states() if states is None else np.atleast_2d(np.asarray(states, float))
-    if S.shape[1] != 3:
-        raise ValueError("states must be 3-vectors")
-    if np.abs(S[:, 2] - 1.0).max() > 1e-9:
-        raise ValueError("states must be normalised (third component 1)")
-    if prior is None:
-        prior = np.full(S.shape[0], 1.0 / S.shape[0])
-    prior = np.asarray(prior, float)
-    if prior.shape != (S.shape[0],):
-        raise ValueError("prior length does not match the number of states")
-    return Channel(prior, theory.channel_matrix(measurement, S))
-
-
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
     """Capacity of a polygon model with the maximising measurement.
@@ -491,12 +470,13 @@ def antipodal_pair_channel(theory: Theory) -> Channel:
         raise ValueError("the antipodal pair strategy requires even n")
     half = theory.n // 2
     m = theory.measurement((0, half))
-    return induced_channel(theory, m, theory.states()[[0, half]], prior=np.array([0.5, 0.5]))
+    return Channel(np.array([0.5, 0.5]), theory.channel_matrix(m, theory.states()[[0, half]]))
 
 
 def antipodal_pair_rate(theory: Theory) -> float:
     """Rate of the antipodal pair strategy: exactly one bit for every even n."""
-    return mutual_information(antipodal_pair_channel(theory))
+    channel = antipodal_pair_channel(theory)
+    return mutual_information_bits(channel.prior, channel.matrix)
 
 
 def odd_triple_channel(theory: Theory) -> Channel:
@@ -510,7 +490,7 @@ def odd_triple_channel(theory: Theory) -> Channel:
     m = (theory.n - 1) // 2
     meas = theory.measurement((0, m, m + 1))
     states = theory.states()[[0, m, m + 1]]
-    return induced_channel(theory, meas, states, prior=np.array([0.5, 0.25, 0.25]))
+    return Channel(np.array([0.5, 0.25, 0.25]), theory.channel_matrix(meas, states))
 
 
 def odd_triple_rate(theory: Theory, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> float:

@@ -179,9 +179,14 @@ class Theory:
             raise DegenerateTripleError(f"indices {idx} are not distinct mod {self.n}")
         if not _surrounds_centre(self.n, idx):
             raise InfeasibleMeasurementError(f"triple {idx} has an index gap above n/2")
-        mu = np.linalg.solve(rows.T, unit_effect())
-        # roundoff can leave the zero weight of a gap of exactly n/2 marginally negative
-        mu = np.clip(mu, 0.0, None)
+        # a gap of exactly n/2 spans an antipodal pair, whose effects already
+        # sum to the unit effect: weight 1 on the pair and exactly 0 elsewhere
+        off = [k for k in range(3) if 2 * ((idx[k - 1] - idx[k - 2]) % self.n) == self.n]
+        if off:
+            mu = np.ones(3)
+            mu[off[0]] = 0.0
+        else:
+            mu = np.linalg.solve(rows.T, unit_effect())
         return Measurement(idx, tuple(mu / self.effect_scale), self.effect_scale, mu[:, None] * rows)
 
 

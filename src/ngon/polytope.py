@@ -27,10 +27,16 @@ every basis of tight constraints:
    number; a threshold of 0.5 separates singular from nonsingular exactly,
    and one batched determinant decides all tuples of a candidate lam.
 
-Every coordinate is an integer affine form a + b*c and is evaluated from that
-form, so coordinates equal to 0, 1, c - 1 or c - 2 come out exact.  The work
-is at most 12 * 6^|X| candidate points, where the brute force over bases
-solves C(6|X| + 3, 2|X| + 2) square systems.
+Every coordinate and every slack is an integer affine form a + b*c.  With
+the float c written exactly as num/den, den * (a + b*c) = a*den + b*num is an
+int64 (below 2**56 for c in [2, 3]), so every decision is exact: its sign
+decides feasibility, its zeros are the tight constraints, and equal values
+are equal points.  Weight vectors and column vertices are kept once per
+value, which makes every candidate point distinct; there is no dedup step
+and no tolerance.  Coordinates are evaluated from their forms; for c in
+[2, 3] every value a vertex can hold (0, 1, c, c - 1, c - 2, 2 - c, 3 - c)
+comes out exact.  The work is at most 12 * 6^|X| candidate points, where
+the brute force over bases solves C(6|X| + 3, 2|X| + 2) square systems.
 """
 
 from __future__ import annotations
@@ -47,8 +53,6 @@ CANONICAL_FOUR = "CANONICAL_FOUR"
 UNCLASSIFIED = "UNCLASSIFIED"
 
 MAX_ALPHABET = 5
-FEASIBILITY_TOL = 1e-10
-DEDUP_TOL = 1e-8
 
 
 class ResourceBoundError(ValueError):
@@ -77,18 +81,16 @@ class VertexPoint:
         }
 
 
-def _constraint_system(alphabet_size: int, c: float):
-    """Equality matrix/rhs, inequality matrix (rows >= 0), and row names."""
+def _constraint_system(alphabet_size: int):
+    """Equality matrix (right-hand side 1 per column sum, c for the weights),
+    inequality matrix (rows >= 0), and inequality names."""
     X = alphabet_size
     dim = 3 * X + 3
     eq = np.zeros((X + 1, dim))
-    eq_rhs = np.empty(X + 1)
     for x in range(X):
         for y in range(3):
             eq[x, y * X + x] = 1.0
-        eq_rhs[x] = 1.0
     eq[X, 3 * X :] = 1.0
-    eq_rhs[X] = c
 
     rows = []
     names = []
@@ -110,7 +112,7 @@ def _constraint_system(alphabet_size: int, c: float):
         row[3 * X + y] = 1.0
         rows.append(row)
         names.append(f"lam[{y}]>=0")
-    return eq, eq_rhs, np.array(rows), names
+    return eq, np.array(rows), names
 
 
 def _validate_request(alphabet_size: int, c: float) -> None:
@@ -120,7 +122,7 @@ def _validate_request(alphabet_size: int, c: float) -> None:
         raise ResourceBoundError(
             f"alphabet_size {alphabet_size} exceeds the enumeration bound {MAX_ALPHABET}"
         )
-    if not 2.0 - 1e-12 <= c <= 3.0 + 1e-12:
+    if not 2.0 <= c <= 3.0:
         raise ValueError("c must lie in [2, 3]")
 
 
@@ -129,152 +131,116 @@ def _affine(coef: np.ndarray, c: float) -> np.ndarray:
     return coef[..., 0] + coef[..., 1] * c
 
 
-def _weight_candidates(c: float, tol: float) -> list[np.ndarray]:
-    """Forms (3, 2) of every lam >= -tol with two weights in {0, 1}."""
+def _scaled(coef: np.ndarray, num: int, den: int) -> np.ndarray:
+    """den * (a + b*c) for c = num/den, exact in int64: same sign, same zeros."""
+    return coef[..., 0] * den + coef[..., 1] * num
+
+
+def _weight_candidates(num: int, den: int) -> list[np.ndarray]:
+    """Forms (3, 2) of every lam >= 0 with two weights in {0, 1}, one per value."""
     found = {}
     for free in range(3):
         a, b = (y for y in range(3) if y != free)
         for wa, wb in itertools.product((0, 1), repeat=2):
-            coef = np.zeros((3, 2), int)
+            coef = np.zeros((3, 2), np.int64)
             coef[a, 0], coef[b, 0] = wa, wb
             coef[free] = (-wa - wb, 1)
-            lam = _affine(coef, c)
-            if lam.min() >= -tol:
+            lam = _scaled(coef, num, den)
+            if lam.min() >= 0:
                 found.setdefault(tuple(lam), coef)
     return list(found.values())
 
 
-def _column_vertices(lam_coef: np.ndarray, c: float, tol: float) -> np.ndarray:
-    """Vertices (k, 3) of Q(lam) = {p in the simplex : p <= lam}, within tol.
+def _column_vertices(lam_coef: np.ndarray, num: int, den: int) -> np.ndarray:
+    """Forms (k, 3, 2) of the vertices of Q(lam) = {p in the simplex : p <= lam},
+    one per value.
 
     Two entries sit at 0 or at their cap; the third closes the sum to 1 and
-    must lie in [-tol, lam + tol].
+    must lie in [0, lam].
     """
-    lam = _affine(lam_coef, c)
+    lam = _scaled(lam_coef, num, den)
     found = {}
     for free in range(3):
         a, b = (y for y in range(3) if y != free)
         for capped_a, capped_b in itertools.product((False, True), repeat=2):
-            coef = np.zeros((3, 2), int)
+            coef = np.zeros((3, 2), np.int64)
             coef[a] = lam_coef[a] * capped_a
             coef[b] = lam_coef[b] * capped_b
             coef[free] = (1, 0) - coef[a] - coef[b]
-            p = _affine(coef, c)
-            if -tol <= p[free] <= lam[free] + tol:
-                found.setdefault(tuple(p), p)
+            p = _scaled(coef, num, den)
+            if 0 <= p[free] <= lam[free]:
+                found.setdefault(tuple(p), coef)
     return np.array(list(found.values()))
 
 
-def enumerate_vertices(
-    alphabet_size: int,
-    c: float,
-    *,
-    feasibility_tol: float = FEASIBILITY_TOL,
-    dedup_tol: float = DEDUP_TOL,
-) -> list[VertexPoint]:
-    """All vertices of the polytope, deduplicated within ``dedup_tol``.
+def enumerate_vertices(alphabet_size: int, c: float) -> list[VertexPoint]:
+    """All vertices of the polytope, each once, sorted by their coordinates.
 
     Candidate points pair each of the at most 12 pinned weight vectors with
     every tuple of vertices of its column polygon (see the module
-    docstring).  A candidate is kept iff every inequality holds within
-    ``feasibility_tol`` and the equalities plus the inequalities tight
-    within ``10 * feasibility_tol`` have full rank.  Degenerate vertices
-    (more than the minimum tight) pass the same test.  The result is sorted
-    by the coordinates rounded to 9 decimals.
+    docstring).  Every candidate is feasible by construction and distinct
+    from every other, so no dedup step is needed.  A candidate is kept iff
+    the equalities plus its tight inequalities have full rank; degenerate
+    vertices (more than the minimum tight) pass the same test.
     """
     _validate_request(alphabet_size, c)
     X = alphabet_size
     dim = 3 * X + 3
-    eq, _, ineq, names = _constraint_system(X, c)
+    num, den = float(c).as_integer_ratio()
+    eq, ineq, names = _constraint_system(X)
     # Gram matrix of any row subset = mask @ outer, reshaped to dim x dim.
     rows = np.vstack([eq, ineq])
     outer = np.einsum("ri,rj->rij", rows, rows).reshape(len(rows), dim * dim)
 
-    points = []
-    for lam_coef in _weight_candidates(c, feasibility_tol):
-        cols = _column_vertices(lam_coef, c, feasibility_tol)
+    forms, tight = [], []
+    for lam_coef in _weight_candidates(num, den):
+        lam = _scaled(lam_coef, num, den)
+        cols = _column_vertices(lam_coef, num, den)
+        p = _scaled(cols, num, den)
+        # per column vertex (k, kind, y): P[y,x] >= 0 tight, then P[y,x] <= lam[y]
+        col_tight = np.stack([p == 0, p == lam], axis=1)
         picks = np.array(list(itertools.product(range(len(cols)), repeat=X)))
-        z = np.empty((len(picks), dim))
-        z[:, : 3 * X] = cols[picks].transpose(0, 2, 1).reshape(len(picks), 3 * X)
-        z[:, 3 * X :] = _affine(lam_coef, c)
-        slack = z @ ineq.T
-        mask = np.ones((len(z), len(rows)))
-        mask[:, len(eq) :] = np.abs(slack) <= 10 * feasibility_tol
-        gram = (mask @ outer).reshape(len(z), dim, dim)
-        keep = (slack >= -feasibility_tol).all(axis=1) & (np.abs(np.linalg.det(gram)) > 0.5)
-        points.extend(z[keep])
-
-    unique = np.empty((len(points), dim))
-    count = 0
-    seen = set()
-    for z in points:
-        key = tuple(np.round(z, 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        if count and np.abs(unique[:count] - z).max(axis=1).min() <= dedup_tol:
-            continue
-        unique[count] = z
-        count += 1
-    ordered = sorted(unique[:count], key=lambda z: tuple(np.round(z, 9)))
+        mask = np.ones((len(picks), len(rows)), bool)
+        mask[:, len(eq) : len(eq) + 6 * X] = (
+            col_tight[picks].transpose(0, 2, 3, 1).reshape(len(picks), 6 * X)
+        )
+        mask[:, len(eq) + 6 * X :] = lam == 0
+        gram = (mask @ outer).reshape(len(picks), dim, dim)
+        keep = np.abs(np.linalg.det(gram)) > 0.5
+        z = np.empty((keep.sum(), dim, 2), np.int64)
+        z[:, : 3 * X] = cols[picks[keep]].transpose(0, 2, 1, 3).reshape(-1, 3 * X, 2)
+        z[:, 3 * X :] = lam_coef
+        forms.append(z)
+        tight.append(mask[keep, len(eq) :])
+    forms = np.concatenate(forms)
+    tight = np.concatenate(tight)
+    coords = _affine(forms, float(c))
 
     vertices = []
-    for z in ordered:
-        slack = ineq @ z
-        saturated = tuple(
-            name for name, s in zip(names, slack) if abs(s) <= 10 * feasibility_tol
-        )
+    for i in np.lexsort(_scaled(forms, num, den).T[::-1]):
         vertices.append(
             VertexPoint(
-                P=z[: 3 * X].reshape(3, X),
-                lam=z[3 * X :].copy(),
+                P=coords[i, : 3 * X].reshape(3, X),
+                lam=coords[i, 3 * X :].copy(),
                 c=float(c),
-                saturated=saturated,
+                saturated=tuple(itertools.compress(names, tight[i])),
             )
         )
     return vertices
 
 
-def is_vertex(
-    P,
-    lam,
-    c: float,
-    *,
-    tol: float = 1e-8,
-) -> bool:
-    """Feasibility plus full-rank tight-constraint test at a single point.
-
-    Cheap spot check for alphabet sizes where full enumeration is costly:
-    the point is a vertex iff it satisfies every constraint and the
-    gradients of its tight constraints span the whole variable space.
-    """
-    P = np.asarray(P, float)
-    lam = np.asarray(lam, float)
-    if P.ndim != 2 or P.shape[0] != 3 or lam.shape != (3,):
-        raise ValueError("P must be 3 x alphabet and lam a 3-vector")
-    X = P.shape[1]
-    eq, eq_rhs, ineq, _ = _constraint_system(X, c)
-    z = np.concatenate([P.reshape(-1), lam])
-    if np.abs(eq @ z - eq_rhs).max() > tol:
-        return False
-    slack = ineq @ z
-    if slack.min() < -tol:
-        return False
-    active = ineq[np.abs(slack) <= tol]
-    basis = np.vstack([eq, active])
-    return np.linalg.matrix_rank(basis) == 3 * X + 3
-
-
-def classify_vertex(v: VertexPoint, *, tol: float = 1e-8) -> str:
+def classify_vertex(v: VertexPoint) -> str:
     """Tag a vertex by its weight pattern.
 
     ZERO_WEIGHT: some outcome weight vanishes.  CANONICAL_FOUR: weights are
     a permutation of (c-2, 1, 1) and, in that permuted frame, every column
     is one of the four distributions (0,0,1), (0,1,0), (c-2,0,3-c),
-    (c-2,3-c,0).  Anything else is UNCLASSIFIED.
+    (c-2,3-c,0).  Anything else is UNCLASSIFIED.  The comparisons are exact:
+    for c in [2, 3], c - 2 and 3 - c carry no rounding error, and neither
+    does any coordinate of an enumerated vertex.
     """
     lam = np.asarray(v.lam, float)
-    if lam.min() <= 1e-10:
+    if lam.min() <= 0.0:
         return ZERO_WEIGHT
     c = float(v.c)
     target = np.array([c - 2.0, 1.0, 1.0])
@@ -287,15 +253,10 @@ def classify_vertex(v: VertexPoint, *, tol: float = 1e-8) -> str:
         ]
     )
     for perm in itertools.permutations(range(3)):
-        if np.abs(lam[list(perm)] - target).max() > tol:
+        if (lam[list(perm)] != target).any():
             continue
         Pp = v.P[list(perm), :]
-        ok = True
-        for x in range(Pp.shape[1]):
-            if np.abs(columns - Pp[:, x]).max(axis=1).min() > tol:
-                ok = False
-                break
-        if ok:
+        if all((columns == Pp[:, x]).all(axis=1).any() for x in range(Pp.shape[1])):
             return CANONICAL_FOUR
     return UNCLASSIFIED
 

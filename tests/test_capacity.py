@@ -19,8 +19,6 @@ from ngon.capacity import (
     binary_entropy,
     blahut_arimoto,
     capacity_candidates,
-    induced_channel,
-    mutual_information,
     mutual_information_bits,
     odd_triple_channel,
     odd_triple_rate,
@@ -213,10 +211,8 @@ def test_binary_entropy_endpoints():
 
 
 def test_mutual_information_extremes():
-    perfect = Channel([0.5, 0.5], np.eye(2))
-    assert abs(mutual_information(perfect) - 1.0) < 1e-12
-    noise = Channel([0.5, 0.5], np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert abs(mutual_information(noise)) < 1e-12
+    assert abs(mutual_information_bits([0.5, 0.5], np.eye(2)) - 1.0) < 1e-12
+    assert abs(mutual_information_bits([0.5, 0.5], np.full((2, 2), 0.5))) < 1e-12
 
 
 def test_channel_validation():
@@ -224,15 +220,6 @@ def test_channel_validation():
         Channel([0.6, 0.6], np.eye(2))
     with pytest.raises(ValueError):
         Channel([0.5, 0.5], np.array([[0.9, 0.2], [0.5, 0.5]]))
-
-
-def test_induced_channel_rows():
-    t = Theory(6)
-    m = t.measurement((0, 2, 4))
-    ch = induced_channel(t, m)
-    assert ch.matrix.shape == (6, 3)
-    assert np.abs(ch.matrix.sum(axis=1) - 1.0).max() < 1e-12
-    assert np.abs(ch.prior - 1.0 / 6.0).max() < 1e-15
 
 
 def test_antipodal_pair_rate_is_one_bit():
@@ -275,7 +262,7 @@ def test_odd_triple_rate_sequence():
 
 def test_fixed_prior_is_suboptimal_for_n5():
     ch = odd_triple_channel(Theory(5))
-    fixed = mutual_information(ch)
+    fixed = mutual_information_bits(ch.prior, ch.matrix)
     best = odd_triple_rate(Theory(5))
     assert best > fixed + 1e-6
 

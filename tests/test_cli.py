@@ -102,6 +102,20 @@ def test_vertices_summary_and_csv(capsys):
     assert len(lines) == 28
 
 
+def test_vertices_next_to_c_2_keep_the_interior_census(capsys):
+    code, out, _ = run(capsys, "vertices", "--alphabet-size", "2", "--c", "2.000000001")
+    assert code == 0
+    s = json.loads(out)["summary"]
+    counts = ("vertex_count", "zero_weight_count", "canonical_count", "unclassified_count")
+    assert tuple(s[k] for k in counts) == (27, 21, 6, 0)
+
+
+@pytest.mark.parametrize("c", ["1.9999999999999", "3.0000000000001"])
+def test_vertices_c_outside_the_range_exits_two(capsys, c):
+    code, _, err = run(capsys, "vertices", "--c", c)
+    assert code == 2 and "c must lie in [2, 3]" in err
+
+
 def test_ic_search_agreement_flips_at_eight(capsys):
     code, out, _ = run(capsys, "ic", "--n", "6", "--search")
     assert code == 0

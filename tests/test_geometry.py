@@ -308,9 +308,8 @@ def test_antipodal_gap_puts_one_weight_at_zero(n):
     for b in range(1, n):
         if b == half:
             continue
-        w = t.measurement((0, half, b)).realized_weights
-        assert min(w) <= 1e-12 and w[2] <= 1e-12
-        assert abs(w[0] - 1.0) <= 1e-12 and abs(w[1] - 1.0) <= 1e-12
+        assert t.measurement((0, half, b)).realized_weights == (1.0, 1.0, 0.0)
+        assert t.measurement((half, b, 0)).realized_weights == (1.0, 0.0, 1.0)
 
 
 def test_state_and_effect_tables_are_built_once(monkeypatch):

@@ -9,14 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ngon.polytope import (
     CANONICAL_FOUR,
-    DEDUP_TOL,
-    FEASIBILITY_TOL,
     UNCLASSIFIED,
     ZERO_WEIGHT,
     ResourceBoundError,
@@ -24,7 +22,6 @@ from ngon.polytope import (
     _constraint_system,
     classify_vertex,
     enumerate_vertices,
-    is_vertex,
     max_vertex_capacity,
     vertex_summary,
 )
@@ -40,53 +37,57 @@ def flatten(v):
 
 
 def census(vertices):
-    """(rounded coordinates, saturated names) per vertex, in returned order."""
-    return [(tuple(np.round(flatten(v), 9)), v.saturated) for v in vertices]
+    """(coordinates, saturated names) per vertex, in returned order."""
+    return [(tuple(flatten(v)), v.saturated) for v in vertices]
 
 
 @functools.lru_cache(maxsize=None)
-def brute_force_census(alphabet_size, c):
-    """Oracle: solve every choice of 2|X| + 2 tight inequalities.
+def brute_force_forms(alphabet_size):
+    """Oracle: solve every choice of 2|X| + 2 tight inequalities, once.
 
-    Tries C(6|X| + 3, 2|X| + 2) square systems (203,490 at |X| = 3), keeps
-    the nonsingular, feasible solutions, deduplicates within 1e-8 and sorts
-    by the coordinates rounded to 9 decimals.
+    Tries C(6|X| + 3, 2|X| + 2) square systems (203,490 at |X| = 3).  Every
+    nonsingular one has |det| = 1, so its solution is an integer form u + c*v
+    for every c.  Returns the forms (bases, 3|X| + 3, 2) holding (u, v).
     """
     assert alphabet_size <= 3, "the brute force is only an oracle for small alphabets"
     X = alphabet_size
     dim = 3 * X + 3
-    eq, eq_rhs, ineq, names = _constraint_system(X, c)
+    eq, ineq, _ = _constraint_system(X)
     need = dim - (X + 1)
     combos = np.array(list(itertools.combinations(range(len(ineq)), need)))
-    rhs = np.concatenate([eq_rhs, np.zeros(need)])
-    points = []
+    rhs = np.zeros((dim, 2))
+    rhs[:X, 0] = 1.0
+    rhs[X, 1] = 1.0
+    forms = []
     for start in range(0, len(combos), 32768):
         batch = combos[start : start + 32768]
         systems = np.empty((len(batch), dim, dim))
         systems[:, : X + 1] = eq
         systems[:, X + 1 :] = ineq[batch]
-        good = np.abs(np.linalg.det(systems)) > 0.5
-        if not good.any():
-            continue
+        det = np.abs(np.linalg.det(systems))
+        good = det > 0.5
+        assert np.abs(det[good] - 1.0).max() < 1e-9
         sols = np.linalg.solve(systems[good], rhs)
-        feasible = (sols @ ineq.T >= -FEASIBILITY_TOL).all(axis=1)
-        points.extend(sols[feasible])
-    unique = []
-    seen = set()
-    for z in points:
-        key = tuple(np.round(z, 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        if not any(np.abs(z - u).max() <= 1e-8 for u in unique):
-            unique.append(z)
-    unique.sort(key=lambda z: tuple(np.round(z, 9)))
+        assert np.abs(sols - np.rint(sols)).max() < 1e-9
+        forms.append(np.rint(sols).astype(np.int64))
+    return np.concatenate(forms)
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_census(alphabet_size, c):
+    """The basis solutions feasible at c, each once, sorted by coordinates,
+    with their tight inequalities: decided exactly on den * (u + c*v) for
+    c = num/den."""
+    forms = brute_force_forms(alphabet_size)
+    _, ineq, names = _constraint_system(alphabet_size)
+    num, den = float(c).as_integer_ratio()
+    values, first = np.unique(forms[..., 0] * den + forms[..., 1] * num, axis=0, return_index=True)
+    slack = values @ ineq.astype(np.int64).T
+    order = [i for i in np.lexsort(values.T[::-1]) if (slack[i] >= 0).all()]
+    coords = forms[first, :, 0] + forms[first, :, 1] * c
     return [
-        (
-            tuple(np.round(z, 9)),
-            tuple(n for n, s in zip(names, ineq @ z) if abs(s) <= 10 * FEASIBILITY_TOL),
-        )
-        for z in unique
+        (tuple(coords[i]), tuple(n for n, s in zip(names, slack[i]) if s == 0))
+        for i in order
     ]
 
 
@@ -200,29 +201,32 @@ def test_matches_brute_force_oracle(alphabet_size, c):
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=2.0, max_value=3.0))
+@example(math.nextafter(2.0, 3.0))
+@example(math.nextafter(3.0, 2.0))
 def test_matches_brute_force_oracle_for_any_c(c):
-    got, want = census(enumerate_vertices(2, c)), brute_force_census(2, c)
-    if 2.0 + 1e-7 < c < 3.0 - 1e-7:
-        assert got == want
-        return
-    # Within about DEDUP_TOL of c = 2 or c = 3 distinct vertices lie within
-    # DEDUP_TOL of each other; each enumeration keeps one per cluster, the
-    # first in its own order.
-    assert len(got) == len(want)
-    A = np.array([k for k, _ in got])
-    B = np.array([k for k, _ in want])
-    gap = np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
-    assert gap.min(axis=1).max() <= DEDUP_TOL + 1e-9
-    assert gap.min(axis=0).max() <= DEDUP_TOL + 1e-9
+    assert census(enumerate_vertices(2, c)) == brute_force_census(2, c)
 
 
-@pytest.mark.parametrize(
-    "c", [Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(2.3456), Fraction(3)]
-)
-@pytest.mark.parametrize("alphabet_size", [2, 3])
-def test_vertices_certified_in_rationals(alphabet_size, c):
-    X = alphabet_size
-    eq, _, ineq, names = _constraint_system(X, float(c))
+# (vertices, ZERO_WEIGHT, CANONICAL_FOUR) for c strictly between 2 and 3
+INTERIOR_CENSUS = {2: (27, 21, 6), 3: (99, 45, 54), 4: (423, 93, 330)}
+
+
+@pytest.mark.parametrize("c", [2.0 + 1e-11, 2.0 + 1e-9, 2.5, 3.0 - 1e-9])
+@pytest.mark.parametrize("alphabet_size", [2, 3, 4])
+def test_census_next_to_c_2_and_3_equals_the_interior_census(alphabet_size, c):
+    tags = Counter(classify_vertex(v) for v in verts(alphabet_size, c))
+    got = (sum(tags.values()), tags[ZERO_WEIGHT], tags[CANONICAL_FOUR])
+    assert got == INTERIOR_CENSUS[alphabet_size]
+
+
+RATIONAL_CS = [Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(2.3456), Fraction(3)]
+CERTIFIED = [(X, k) for X in (2, 3) for k in range(len(RATIONAL_CS))] + [(4, 2)]
+
+
+@pytest.mark.parametrize("alphabet_size, k", CERTIFIED, ids=[f"{X}-c{k}" for X, k in CERTIFIED])
+def test_vertices_certified_in_rationals(alphabet_size, k):
+    X, c = alphabet_size, RATIONAL_CS[k]
+    eq, ineq, names = _constraint_system(X)
     eq_rhs = [Fraction(1)] * X + [c]
     as_fractions = lambda A: [[Fraction(int(a)) for a in row] for row in A]
     eq_q, ineq_q = as_fractions(eq), as_fractions(ineq)
@@ -242,7 +246,6 @@ def test_alphabet_four_census_is_fast():
     elapsed = time.perf_counter() - t0
     assert len(vs) == 423
     assert all(classify_vertex(v) != UNCLASSIFIED for v in vs)
-    assert all(is_vertex(v.P, v.lam, 2.5) for v in vs)
     assert elapsed < 1.0
 
 
@@ -251,26 +254,6 @@ def test_saturated_constraints_recorded():
     for v in vs:
         assert len(v.saturated) >= 6  # at least the basis count beyond equalities
         assert all(isinstance(s, str) for s in v.saturated)
-
-
-def test_is_vertex_on_canonical_four_columns():
-    for c in (2.25, 2.5):
-        lam = np.array([c - 2.0, 1.0, 1.0])
-        P = np.array(
-            [
-                [0.0, 0.0, c - 2.0, c - 2.0],
-                [0.0, 1.0, 0.0, 3.0 - c],
-                [1.0, 0.0, 3.0 - c, 0.0],
-            ]
-        )
-        assert is_vertex(P, lam, c)
-        assert not is_vertex(np.full((3, 4), 1.0 / 3.0), np.full(3, c / 3.0), c)
-
-
-def test_is_vertex_rejects_infeasible():
-    lam = np.array([0.0, 1.0, 1.0])
-    P = np.array([[0.5], [0.5], [0.0]])  # violates P <= lam on outcome 0
-    assert not is_vertex(P, lam, 2.0)
 
 
 def test_classify_negative_control():
