@@ -9,19 +9,12 @@ that separate decodable information from capacity.
 """
 
 from .capacity import (
-    BA_MAX_ITER,
-    BA_TOL,
     BAResult,
     CapacityResult,
-    Channel,
     ConvergenceError,
-    antipodal_pair_channel,
     antipodal_pair_rate,
-    binary_entropy,
     blahut_arimoto,
     capacity_candidates,
-    mutual_information_bits,
-    odd_triple_channel,
     odd_triple_rate,
     theory_capacity,
 )
@@ -35,7 +28,6 @@ from .decomposition import (
     trace_information,
 )
 from .geometry import (
-    GEOM_TOL,
     DegenerateTripleError,
     InfeasibleMeasurementError,
     InvalidStateError,
@@ -44,12 +36,8 @@ from .geometry import (
     closed_form_triple_weights,
     extremal_decomposition,
     min_effect_weight,
-    unit_effect,
 )
 from .polytope import (
-    CANONICAL_FOUR,
-    UNCLASSIFIED,
-    ZERO_WEIGHT,
     ResourceBoundError,
     VertexPoint,
     classify_vertex,
@@ -62,9 +50,7 @@ from .protocols import (
     NEReport,
     SimulationReport,
     best_ic_encoding,
-    even_full_alphabet_ne_matrix,
     ic_bound_check,
-    ic_encoding,
     ne_matrix,
     run_ic,
     simulate_transmission,
@@ -73,17 +59,12 @@ from .protocols import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BA_MAX_ITER",
-    "BA_TOL",
     "BAResult",
-    "CANONICAL_FOUR",
     "CapacityResult",
-    "Channel",
     "ConvergenceError",
     "DecompositionError",
     "DecompositionResult",
     "DegenerateTripleError",
-    "GEOM_TOL",
     "ICReport",
     "InfeasibleChannelError",
     "InfeasibleMeasurementError",
@@ -94,13 +75,9 @@ __all__ = [
     "ResourceBoundError",
     "SimulationReport",
     "Theory",
-    "UNCLASSIFIED",
     "VertexPoint",
-    "ZERO_WEIGHT",
-    "antipodal_pair_channel",
     "antipodal_pair_rate",
     "best_ic_encoding",
-    "binary_entropy",
     "blahut_arimoto",
     "capacity_candidates",
     "caratheodory_reduce",
@@ -108,20 +85,15 @@ __all__ = [
     "closed_form_triple_weights",
     "decompose_into_binary_channels",
     "enumerate_vertices",
-    "even_full_alphabet_ne_matrix",
     "extremal_decomposition",
     "ic_bound_check",
-    "ic_encoding",
     "max_vertex_capacity",
     "min_effect_weight",
-    "mutual_information_bits",
     "ne_matrix",
-    "odd_triple_channel",
     "odd_triple_rate",
     "run_ic",
     "simulate_transmission",
     "theory_capacity",
     "trace_information",
-    "unit_effect",
     "vertex_summary",
 ]

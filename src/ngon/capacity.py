@@ -61,34 +61,6 @@ class BAResult(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True, eq=False)
-class Channel:
-    """Discrete channel: input prior and row-stochastic matrix (inputs, outcomes)."""
-
-    prior: np.ndarray
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        prior = np.asarray(self.prior, float)
-        matrix = np.asarray(self.matrix, float)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "matrix", matrix)
-        if matrix.ndim != 2 or not 1 <= matrix.shape[1] <= 3:
-            raise ValueError("channel matrix must be 2-d with at most 3 outcomes")
-        if prior.shape != (matrix.shape[0],):
-            raise ValueError("prior length does not match the number of inputs")
-        if (prior < -1e-12).any() or abs(prior.sum() - 1.0) > 1e-12:
-            raise ValueError("prior is not a probability vector")
-        if (matrix < -1e-12).any() or np.abs(matrix.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ValueError("matrix rows must be probability vectors")
-
-    def to_dict(self) -> dict:
-        return {
-            "prior": [float(p) for p in self.prior],
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-        }
-
-
 def binary_entropy(p) -> np.ndarray | float:
     """Binary entropy in bits, elementwise, with 0 log 0 = 0."""
     p = np.asarray(p, float)
@@ -464,41 +436,26 @@ def theory_capacity(
     )
 
 
-def antipodal_pair_channel(theory: Theory) -> Channel:
-    """Even-n strategy: two antipodal states against the matching effect pair."""
+def antipodal_pair_rate(theory: Theory) -> float:
+    """Rate of the even-n strategy at the uniform prior: states 0 and n/2
+    against the matching antipodal effect pair carry exactly one bit."""
     if not theory.even:
         raise ValueError("the antipodal pair strategy requires even n")
     half = theory.n // 2
-    m = theory.measurement((0, half))
-    return Channel(np.array([0.5, 0.5]), theory.channel_matrix(m, theory.states()[[0, half]]))
+    matrix = theory.channel_matrix(theory.measurement((0, half)), theory.states()[[0, half]])
+    return mutual_information_bits(np.array([0.5, 0.5]), matrix)
 
 
-def antipodal_pair_rate(theory: Theory) -> float:
-    """Rate of the antipodal pair strategy: exactly one bit for every even n."""
-    channel = antipodal_pair_channel(theory)
-    return mutual_information_bits(channel.prior, channel.matrix)
+def odd_triple_rate(theory: Theory) -> float:
+    """Capacity of the odd-n strategy: states 0, (n-1)/2, (n+1)/2 against the
+    completed measurement on the same three indices, prior optimised.
 
-
-def odd_triple_channel(theory: Theory) -> Channel:
-    """Odd-n strategy: states 0, (n-1)/2, (n+1)/2 against the completed triple.
-
-    The measurement is the unique nonnegative weight completion on the same
-    three indices; the stored prior is (1/2, 1/4, 1/4).
+    Equals log2(3) at n=3 and decreases strictly towards one bit; always
+    strictly above one bit.
     """
     if theory.even:
         raise ValueError("the triple strategy requires odd n")
     m = (theory.n - 1) // 2
-    meas = theory.measurement((0, m, m + 1))
-    states = theory.states()[[0, m, m + 1]]
-    return Channel(np.array([0.5, 0.25, 0.25]), theory.channel_matrix(meas, states))
-
-
-def odd_triple_rate(theory: Theory, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> float:
-    """Capacity of the odd-n triple strategy channel (prior optimised).
-
-    Equals log2(3) at n=3 and decreases strictly towards one bit; always
-    strictly above one bit.  The mutual information at the stored prior of
-    ``odd_triple_channel`` is strictly smaller for n > 3.
-    """
-    channel = odd_triple_channel(theory)
-    return blahut_arimoto(channel.matrix, tol=tol, max_iter=max_iter).capacity_bits
+    idx = [0, m, m + 1]
+    matrix = theory.channel_matrix(theory.measurement(idx), theory.states()[idx])
+    return blahut_arimoto(matrix).capacity_bits

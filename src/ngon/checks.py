@@ -275,8 +275,7 @@ def check_ne(max_n: int = 64) -> CheckResult:
     for n in _sweep("ne", range(3, max_n + 1)):
         r = ne_matrix(Theory(n))
         worst_diag = max(worst_diag, r.max_diag)
-        if r.effective_alphabet > 1:
-            min_off = min(min_off, r.min_offdiag)
+        min_off = min(min_off, r.min_offdiag)
     raw = even_full_alphabet_ne_matrix(Theory(8))
     witness = all(abs(raw.matrix[(y - 1) % 8, y]) <= 1e-14 for y in range(8))
     passed = worst_diag <= 1e-14 and min_off > 1e-12 and witness

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import Channel, mutual_information_bits
+from .capacity import mutual_information_bits
 from .geometry import Measurement, Theory, extremal_decomposition
 
 _QTINY = 1e-12
@@ -53,13 +53,6 @@ class DecompositionResult:
 
     def reconstruct(self) -> np.ndarray:
         return np.einsum("k,kyx->yx", self.q, self.components)
-
-    def to_dict(self) -> dict:
-        return {
-            "q": [float(v) for v in self.q],
-            "components": [[[float(v) for v in row] for row in comp] for comp in self.components],
-            "free": [[float(v) for v in row] for row in self.free],
-        }
 
 
 def decompose_into_binary_channels(matrix, weights) -> DecompositionResult:
@@ -139,27 +132,12 @@ class ReductionTrace:
 
     ``stages`` holds (stage_weight, letter_indices, letter_distribution)
     with every stage reproducing the global average state; ``selected``
-    indexes the stage whose conditional mutual information is largest, and
-    ``reduced_channel`` is that stage's ensemble against the measurement.
+    indexes the stage whose conditional mutual information against the
+    measurement is largest (the lowest such stage on ties).
     """
 
     stages: tuple
     selected: int
-    reduced_channel: Channel
-
-    def to_dict(self) -> dict:
-        return {
-            "stages": [
-                {
-                    "weight": float(qk),
-                    "letters": [int(j) for j in J],
-                    "distribution": [float(b) for b in beta],
-                }
-                for qk, J, beta in self.stages
-            ],
-            "selected": self.selected,
-            "reduced_channel": self.reduced_channel.to_dict(),
-        }
 
 
 def _barycentric_triple(support: list[int], verts: np.ndarray, mean: np.ndarray):
@@ -232,16 +210,13 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement: Measuremen
     # stage channels against the measurement; ties resolved to the lowest stage
     best_idx = 0
     best_info = -math.inf
-    channels = []
-    for qk, J, beta in stages:
-        rows = theory.channel_matrix(measurement, verts[list(J)])
-        channels.append(Channel(beta, rows))
-        info = mutual_information_bits(beta, rows)
+    for k, (_, J, beta) in enumerate(stages):
+        info = mutual_information_bits(beta, theory.channel_matrix(measurement, verts[list(J)]))
         if info > best_info + 1e-15:
             best_info = info
-            best_idx = len(channels) - 1
+            best_idx = k
 
-    return ReductionTrace(tuple(stages), best_idx, channels[best_idx])
+    return ReductionTrace(tuple(stages), best_idx)
 
 
 def trace_information(trace: ReductionTrace, theory: Theory, measurement: Measurement) -> dict:

@@ -75,14 +75,6 @@ class Measurement:
         """Coefficients of the extremal effects in the realised outcomes."""
         return tuple(w * self.scale for w in self.weights)
 
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "weights": [float(w) for w in self.weights],
-            "scale": float(self.scale),
-            "effects": [[float(c) for c in e] for e in self.effects],
-        }
-
 
 @dataclass(frozen=True)
 class Theory:
@@ -91,7 +83,7 @@ class Theory:
     n: int
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 3:
+        if not isinstance(self.n, (int, np.integer)) or self.n < 3:
             raise ValueError(f"polygon model needs an integer n >= 3, got {self.n!r}")
 
     @property
@@ -111,11 +103,6 @@ class Theory:
     def effect_scale(self) -> float:
         """Parity scale a relating canonical and realised triple weights."""
         return 1.0 if self.even else (1.0 + self.r**2) / 2.0
-
-    @property
-    def total_weight(self) -> float:
-        """Sum of realised weights of any canonical measurement: 2 or 1+R^2."""
-        return 2.0 if self.even else 1.0 + self.r**2
 
     def state(self, i: int) -> np.ndarray:
         """Extremal state at vertex i (index reduced mod n)."""

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import BA_TOL, blahut_arimoto
+from .capacity import blahut_arimoto
 
 ZERO_WEIGHT = "ZERO_WEIGHT"
 CANONICAL_FOUR = "CANONICAL_FOUR"
@@ -261,14 +261,14 @@ def classify_vertex(v: VertexPoint) -> str:
     return UNCLASSIFIED
 
 
-def _max_capacity(vertices, tol: float) -> float:
+def _max_capacity(vertices) -> float:
     """Largest Blahut-Arimoto capacity over the channels of a vertex list."""
-    return blahut_arimoto(np.stack([v.P.T for v in vertices]), tol=tol).capacity_bits
+    return blahut_arimoto(np.stack([v.P.T for v in vertices])).capacity_bits
 
 
-def max_vertex_capacity(alphabet_size: int, c: float, *, tol: float = 1e-10) -> float:
+def max_vertex_capacity(alphabet_size: int, c: float) -> float:
     """Largest channel capacity attained at any vertex of the polytope."""
-    return _max_capacity(enumerate_vertices(alphabet_size, c), tol)
+    return _max_capacity(enumerate_vertices(alphabet_size, c))
 
 
 def vertex_summary(alphabet_size: int, c: float) -> dict:
@@ -282,5 +282,5 @@ def vertex_summary(alphabet_size: int, c: float) -> dict:
         "zero_weight_count": tags.count(ZERO_WEIGHT),
         "canonical_count": tags.count(CANONICAL_FOUR),
         "unclassified_count": tags.count(UNCLASSIFIED),
-        "max_capacity_bits": _max_capacity(vertices, BA_TOL),
+        "max_capacity_bits": _max_capacity(vertices),
     }

@@ -242,6 +242,31 @@ def best_ic_encoding(theory: Theory):
     return enc, (a0, a1), info_sum
 
 
+def _ne_report(n: int, matrix: np.ndarray) -> NEReport:
+    off = matrix[~np.eye(len(matrix), dtype=bool)]
+    return NEReport(
+        n=n,
+        effective_alphabet=len(matrix),
+        matrix=matrix,
+        min_offdiag=float(off.min()),
+        max_diag=float(np.diag(matrix).max()),
+    )
+
+
+def _pair_ne_report(theory: Theory, stride: int) -> NEReport:
+    """The even-n witness on the inputs 0, stride, 2*stride, ...: the receiver
+    measures the antipodal pair (stride*y, stride*y + n/2) and answers 1 on
+    the far outcome."""
+    n = theory.n
+    size = n // stride
+    states = theory.states()
+    matrix = np.empty((size, size))
+    for y in range(size):
+        pair = theory.measurement((stride * y, stride * y + n // 2))
+        matrix[:, y] = theory.channel_matrix(pair, states)[::stride, 1]
+    return _ne_report(n, matrix)
+
+
 def ne_matrix(theory: Theory) -> NEReport:
     """NOT-EQUAL witness over the theory's effective alphabet.
 
@@ -250,32 +275,19 @@ def ne_matrix(theory: Theory) -> NEReport:
     the answer probability is assembled from the two non-anchor outcomes,
     whose overlaps vanish identically at x = y.  Even n: inputs index every
     second vertex and the receiver uses the antipodal pair (2y, 2y+n/2),
-    answering 1 on the far outcome; the effective alphabet halves.
+    answering 1 on the far outcome; the effective alphabet halves.  Since
+    n >= 3, the alphabet has at least two letters.
     """
-    n = theory.n
-    states = theory.states()
     if theory.even:
-        size = n // 2
-        matrix = np.empty((size, size))
-        for y in range(size):
-            pair = theory.measurement((2 * y, 2 * y + n // 2))
-            matrix[:, y] = theory.channel_matrix(pair, states)[::2, 1]
-    else:
-        size = n
-        m = (n - 1) // 2
-        matrix = np.empty((size, size))
-        for y in range(size):
-            triple = theory.measurement((y, y + m, y + m + 1))
-            matrix[:, y] = theory.channel_matrix(triple, states)[:, 1:].sum(axis=1)
-    diag = np.diag(matrix)
-    off = matrix[~np.eye(size, dtype=bool)]
-    return NEReport(
-        n=n,
-        effective_alphabet=size,
-        matrix=matrix,
-        min_offdiag=float(off.min()) if size > 1 else float("nan"),
-        max_diag=float(diag.max()),
-    )
+        return _pair_ne_report(theory, 2)
+    n = theory.n
+    m = (n - 1) // 2
+    states = theory.states()
+    matrix = np.empty((n, n))
+    for y in range(n):
+        triple = theory.measurement((y, y + m, y + m + 1))
+        matrix[:, y] = theory.channel_matrix(triple, states)[:, 1:].sum(axis=1)
+    return _ne_report(n, matrix)
 
 
 def even_full_alphabet_ne_matrix(theory: Theory) -> NEReport:
@@ -287,21 +299,7 @@ def even_full_alphabet_ne_matrix(theory: Theory) -> NEReport:
     negative control; ``ne_matrix`` halves the alphabet instead.
     """
     _require_even(theory)
-    n = theory.n
-    states = theory.states()
-    matrix = np.empty((n, n))
-    for y in range(n):
-        pair = theory.measurement((y, y + n // 2))
-        matrix[:, y] = theory.channel_matrix(pair, states)[:, 1]
-    diag = np.diag(matrix)
-    off = matrix[~np.eye(n, dtype=bool)]
-    return NEReport(
-        n=n,
-        effective_alphabet=n,
-        matrix=matrix,
-        min_offdiag=float(off.min()),
-        max_diag=float(diag.max()),
-    )
+    return _pair_ne_report(theory, 1)
 
 
 def simulate_transmission(
@@ -352,29 +350,21 @@ def _even_vertex_bound() -> float:
     return max_vertex_capacity(3, 2.0)
 
 
-def ic_bound_check(
-    theory: Theory,
-    *,
-    info_threshold: float = 1e-9,
-    capacity_tol: float = 1e-6,
-    enumeration_max: int = 64,
-) -> bool:
+def ic_bound_check(theory: Theory) -> bool:
     """Witness that decodable information beats the one-shot capacity.
 
-    True iff the random access code's information sum exceeds
-    1 + info_threshold while the theory's capacity equals 1 within
-    capacity_tol.  Up to ``enumeration_max`` the capacity comes from the
-    full measurement enumeration; beyond it the antipodal pair provides the
-    achievability side and the channel-polytope vertex bound (computed once
-    and cached) certifies the converse, so the check stays exact at sizes
-    where enumeration is impractical.
+    True iff the random access code's information sum exceeds 1 + 1e-9
+    while the theory's capacity equals 1 within 1e-6.  Up to n = 64 the
+    capacity comes from the full measurement enumeration; beyond it the
+    antipodal pair provides the achievability side and the channel-polytope
+    vertex bound (computed once and cached) certifies the converse, so the
+    check stays exact at sizes where enumeration is impractical.
     """
     _require_even(theory)
     info = run_ic(theory).info_sum_bits
-    if not info > 1.0 + info_threshold:
+    if not info > 1.0 + 1e-9:
         return False
-    if theory.n <= enumeration_max:
-        cap = theory_capacity(theory, enumeration_max=enumeration_max).capacity_bits
-        return abs(cap - 1.0) <= capacity_tol
+    if theory.n <= 64:
+        return abs(theory_capacity(theory).capacity_bits - 1.0) <= 1e-6
     lower = antipodal_pair_rate(theory)
-    return abs(lower - 1.0) <= capacity_tol and _even_vertex_bound() <= 1.0 + capacity_tol
+    return abs(lower - 1.0) <= 1e-6 and _even_vertex_bound() <= 1.0 + 1e-6

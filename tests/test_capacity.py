@@ -12,15 +12,12 @@ from ngon import capacity
 from ngon.capacity import (
     BAResult,
     CapacityResult,
-    Channel,
     ConvergenceError,
-    antipodal_pair_channel,
     antipodal_pair_rate,
     binary_entropy,
     blahut_arimoto,
     capacity_candidates,
     mutual_information_bits,
-    odd_triple_channel,
     odd_triple_rate,
     theory_capacity,
 )
@@ -215,13 +212,6 @@ def test_mutual_information_extremes():
     assert abs(mutual_information_bits([0.5, 0.5], np.full((2, 2), 0.5))) < 1e-12
 
 
-def test_channel_validation():
-    with pytest.raises(ValueError):
-        Channel([0.6, 0.6], np.eye(2))
-    with pytest.raises(ValueError):
-        Channel([0.5, 0.5], np.array([[0.9, 0.2], [0.5, 0.5]]))
-
-
 def test_antipodal_pair_rate_is_one_bit():
     for n in (4, 8, 32, 64):
         assert abs(antipodal_pair_rate(Theory(n)) - 1.0) < 1e-12
@@ -230,21 +220,21 @@ def test_antipodal_pair_rate_is_one_bit():
 
 
 def test_antipodal_pair_nonuniform_prior_loses():
-    ch = antipodal_pair_channel(Theory(6))
-    skew = mutual_information_bits(np.array([0.6, 0.4]), ch.matrix)
+    t = Theory(6)
+    matrix = t.channel_matrix(t.measurement((0, 3)), t.states()[[0, 3]])
+    skew = mutual_information_bits(np.array([0.6, 0.4]), matrix)
     assert skew < 1.0 - 1e-6
 
 
 def test_odd_triple_channel_structure():
     t = Theory(5)
-    ch = odd_triple_channel(t)
+    matrix = t.channel_matrix(t.measurement((0, 2, 3)), t.states()[[0, 2, 3]])
     mu = (1.0 + 1.0 / math.cos(math.pi / 5)) / (2.0 * (1.0 + math.cos(math.pi / 5)))
     expected = np.array([[1.0, 0.0, 0.0], [0.0, mu, 1.0 - mu], [0.0, 1.0 - mu, mu]])
-    assert np.abs(ch.matrix - expected).max() < 1e-12
+    assert np.abs(matrix - expected).max() < 1e-12
     assert abs(mu - 0.6180339887498949) < 1e-12
-    assert np.abs(ch.prior - [0.5, 0.25, 0.25]).max() < 1e-15
     with pytest.raises(ValueError):
-        odd_triple_channel(Theory(4))
+        odd_triple_rate(Theory(4))
 
 
 def test_odd_triple_rate_matches_closed_form():
@@ -261,9 +251,10 @@ def test_odd_triple_rate_sequence():
 
 
 def test_fixed_prior_is_suboptimal_for_n5():
-    ch = odd_triple_channel(Theory(5))
-    fixed = mutual_information_bits(ch.prior, ch.matrix)
-    best = odd_triple_rate(Theory(5))
+    t = Theory(5)
+    matrix = t.channel_matrix(t.measurement((0, 2, 3)), t.states()[[0, 2, 3]])
+    fixed = mutual_information_bits([0.5, 0.25, 0.25], matrix)
+    best = odd_triple_rate(t)
     assert best > fixed + 1e-6
 
 

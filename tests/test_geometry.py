@@ -51,6 +51,17 @@ def test_bad_constructions():
         Theory(3.5)
 
 
+@pytest.mark.parametrize("n", [4.0, np.float64(6.0)])
+def test_float_n_is_rejected_even_when_integral(n):
+    # accepting it would leave states() to fail with a TypeError
+    with pytest.raises(ValueError):
+        Theory(n)
+
+
+def test_numpy_integer_n_is_accepted():
+    assert Theory(np.int64(6)).states().shape == (6, 3)
+
+
 def test_unit_effect_pairing():
     u = unit_effect()
     for n in (3, 4, 9):
@@ -364,7 +375,7 @@ def test_closed_form_matches_solver():
         assert np.abs(np.asarray(m.weights) - [l1, l2, l3]).max() < 1e-9
         assert abs(m.scale - scale) < 1e-12
         total = sum(m.realized_weights)
-        assert abs(total - t.total_weight) < 1e-9
+        assert abs(total - (2.0 if t.even else 1.0 + t.r**2)) < 1e-9
         checked += 1
 
 

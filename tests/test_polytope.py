@@ -150,7 +150,7 @@ def test_max_vertex_capacity_endpoints():
 
 
 def test_max_vertex_capacity_approaches_one():
-    near = max_vertex_capacity(3, 2.01, tol=1e-8)
+    near = max_vertex_capacity(3, 2.01)
     assert 1.0 < near < 1.01
 
 
