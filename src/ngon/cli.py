@@ -226,12 +226,12 @@ def cmd_vertices(args) -> int:
 
 def cmd_ic(args) -> int:
     t = Theory(args.n)
+    if args.search and t.n > IC_SEARCH_MAX:
+        raise ValueError(f"exhaustive search is capped at n={IC_SEARCH_MAX}")
     report = run_ic(t)
     payload = report.to_dict()
     payload["one_bit_bound"] = bool(ic_bound_check(t))
     if args.search:
-        if t.n > IC_SEARCH_MAX:
-            raise ValueError(f"exhaustive search is capped at n={IC_SEARCH_MAX}")
         encoding, anchors, best = best_ic_encoding(t)
         payload["search"] = {
             "encoding": {f"{x0}{x1}": int(v) for (x0, x1), v in encoding.items()},

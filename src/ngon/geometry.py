@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -111,10 +111,10 @@ class Theory:
 
     @cached_property
     def _state_table(self) -> np.ndarray:
-        return np.stack([self.state(i) for i in range(self.n)])
+        return _tables(int(self.n))[0]
 
     def states(self) -> np.ndarray:
-        """All n extremal states, shape (n, 3); a copy of a table built once."""
+        """All n extremal states, shape (n, 3); a copy of a table built once per n."""
         return self._state_table.copy()
 
     def effect(self, j: int) -> np.ndarray:
@@ -128,21 +128,21 @@ class Theory:
 
     @cached_property
     def _effect_table(self) -> np.ndarray:
-        return np.stack([self.effect(j) for j in range(self.n)])
+        return _tables(int(self.n))[1]
 
     def effects(self) -> np.ndarray:
-        """All n extremal effects, shape (n, 3); a copy of a table built once."""
+        """All n extremal effects, shape (n, 3); a copy of a table built once per n."""
         return self._effect_table.copy()
 
     def in_state_cone(self, v, tol: float = GEOM_TOL) -> bool:
         """Whether v lies in the state cone: nonnegative on every extremal effect."""
         v = np.asarray(v, float)
-        return bool(v[2] >= -tol and (self.effects() @ v >= -tol).all())
+        return bool(v[2] >= -tol and (self._effect_table @ v >= -tol).all())
 
     def channel_matrix(self, measurement: Measurement, states=None) -> np.ndarray:
         """P(outcome | state), shape (inputs, outcomes), for the given states
         (default: all n extremal states), clipped to [0, 1] against roundoff."""
-        S = self.states() if states is None else states
+        S = self._state_table if states is None else states
         return np.clip(S @ measurement.effects.T, 0.0, 1.0)
 
     def measurement(self, indices) -> Measurement:
@@ -175,6 +175,17 @@ class Theory:
         else:
             mu = np.linalg.solve(rows.T, unit_effect())
         return Measurement(idx, tuple(mu / self.effect_scale), self.effect_scale, mu[:, None] * rows)
+
+
+@cache
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (states, effects) tables of the n-gon, shape (n, 3) each,
+    built once per process and shared by every ``Theory(n)``."""
+    t = Theory(n)
+    tables = (np.stack([t.state(i) for i in range(n)]), np.stack([t.effect(j) for j in range(n)]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _surrounds_centre(n: int, indices) -> bool:

@@ -9,9 +9,10 @@ Four executable constructions:
   summed over both bits exceeds 1 bit even though the theory's one-shot
   classical capacity is exactly 1 bit.
 
-* ``best_ic_encoding`` is the brute-force oracle for the same game: all
-  encodings of the two bits into extremal states, against all antipodal
-  pair measurements per requested bit.
+* ``best_ic_encoding`` is the exhaustive oracle for the same game: all
+  encodings of the two bits into extremal states up to rotation (the
+  first state is fixed at vertex 0), against all antipodal pair
+  measurements per requested bit.
 
 * ``ne_matrix`` builds the nondeterministic NOT-EQUAL witness: the answer
   bit is never 1 when the inputs agree, and has strictly positive
@@ -191,13 +192,18 @@ def run_ic(theory: Theory) -> ICReport:
 
 
 def best_ic_encoding(theory: Theory):
-    """Exhaustive random-access-code search over an even polygon.
+    """Exhaustive random-access-code search over an even polygon, up to rotation.
 
-    Scans all n^4 encodings of two bits into extremal states and, for each
-    requested bit, all n/2 antipodal pair measurements, maximizing the sum
-    of the two exact information terms.  Outcome relabelings are absorbed
-    by the information quantity, so guess rules need not be searched.
-    Returns (encoding, (anchor_bit0, anchor_bit1), info_sum_bits).
+    Maximizes the sum of the two exact information terms over every encoding
+    of two bits into extremal states and, for each requested bit, every
+    antipodal pair measurement.  Rotating all four states by one vertex maps
+    the pair anchored at a to the pair anchored at a + 1, and the anchor
+    a + n/2 is anchor a with its outcomes swapped, which leaves the
+    information unchanged; so the best-anchor sum is rotation invariant and
+    the search fixes e00 = 0, scanning the n^3 remaining encodings.  Outcome
+    relabelings are absorbed by the information quantity, so guess rules
+    need not be searched.  Returns (encoding, (anchor_bit0, anchor_bit1),
+    info_sum_bits) with encoding[(0, 0)] == 0.
     """
     _require_even(theory)
     n = theory.n
@@ -214,22 +220,20 @@ def best_ic_encoding(theory: Theory):
     # bit picks state i or k equiprobably
     PA = 0.5 * (G[:, :, None] + G[:, None, :])
     HPA = hb(PA)
-    # info for (pairA, pairB) under anchor a, then best anchor per pair-pair
-    best = np.full((n * n, n * n), -1.0)
+    # best[k, (r, s)] = best-anchor info for the pairs (0, k) and (r, s)
+    best = np.full((n, n * n), -1.0)
     flatPA = PA.reshape(half, n * n)
     flatH = HPA.reshape(half, n * n)
     for a in range(half):
-        mix = hb(0.5 * (flatPA[a][:, None] + flatPA[a][None, :]))
-        info = mix - 0.5 * (flatH[a][:, None] + flatH[a][None, :])
+        mix = hb(0.5 * (flatPA[a][:n, None] + flatPA[a][None, :]))
+        info = mix - 0.5 * (flatH[a][:n, None] + flatH[a][None, :])
         np.maximum(best, info, out=best)
-    q0 = best.reshape(n, n, n, n)  # axes (e00, e01, e10, e11)
-    q1 = best.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # pairs (e00,e10),(e01,e11)
-    total = q0 + q1
-    flat_idx = int(np.argmax(total))
-    e00, e01, e10, e11 = np.unravel_index(flat_idx, (n, n, n, n))
-    info_sum = float(total[e00, e01, e10, e11])
+    B = best.reshape(n, n, n)  # axes (e01, e10, e11): pairs (0,e01),(e10,e11)
+    total = B + B.transpose(1, 0, 2)  # plus pairs (0,e10),(e01,e11)
+    e01, e10, e11 = (int(e) for e in np.unravel_index(int(np.argmax(total)), (n, n, n)))
+    info_sum = float(total[e01, e10, e11])
 
-    enc = {(0, 0): int(e00), (0, 1): int(e01), (1, 0): int(e10), (1, 1): int(e11)}
+    enc = {(0, 0): 0, (0, 1): e01, (1, 0): e10, (1, 1): e11}
     # recover the winning anchors for the report
     def best_anchor(i, k, r, s):
         vals = []
@@ -237,8 +241,8 @@ def best_ic_encoding(theory: Theory):
             vals.append(_binary_info(float(PA[a, i, k]), float(PA[a, r, s])))
         return int(np.argmax(vals))
 
-    a0 = best_anchor(e00, e01, e10, e11)
-    a1 = best_anchor(e00, e10, e01, e11)
+    a0 = best_anchor(0, e01, e10, e11)
+    a1 = best_anchor(0, e10, e01, e11)
     return enc, (a0, a1), info_sum
 
 

@@ -131,11 +131,26 @@ def test_ic_search_agreement_flips_at_eight(capsys):
     assert d["search"]["info_sum_bits"] > d["info_sum_bits"]
 
 
-def test_ic_rejects_odd_and_oversized_search(capsys):
+def test_ic_search_at_24_is_pinned(capsys):
+    code, out, _ = run(capsys, "ic", "--n", "24", "--search")
+    assert code == 0
+    search = json.loads(out)["search"]
+    assert search["encoding"] == {"00": 0, "01": 1, "10": 13, "11": 12}
+    assert search["anchors"] == [1, 7]
+    assert search["info_sum_bits"] == 1.01253904
+
+
+def test_ic_rejects_odd_and_oversized_search(capsys, monkeypatch):
     code, _, err = run(capsys, "ic", "--n", "5")
     assert code == 2 and "even" in err
+
+    def unreachable(*_):
+        raise AssertionError("an oversized search must fail before the protocol runs")
+
+    monkeypatch.setattr(cli, "run_ic", unreachable)
+    monkeypatch.setattr(cli, "ic_bound_check", unreachable)
     code, _, err = run(capsys, "ic", "--n", "26", "--search")
-    assert code == 2 and "search" in err
+    assert code == 2 and "exhaustive search is capped at n=24" in err
 
 
 def test_ne_csv_matrix(capsys):

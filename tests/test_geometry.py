@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngon import capacity
+from ngon import capacity, geometry
 from ngon.capacity import capacity_candidates, theory_capacity
 from ngon.geometry import (
     DegenerateTripleError,
@@ -324,6 +324,7 @@ def test_antipodal_gap_puts_one_weight_at_zero(n):
 
 
 def test_state_and_effect_tables_are_built_once(monkeypatch):
+    geometry._tables.cache_clear()
     t = Theory(7)
     expected = {"state": np.stack([t.state(i) for i in range(7)]),
                 "effect": np.stack([t.effect(j) for j in range(7)])}
@@ -336,13 +337,17 @@ def test_state_and_effect_tables_are_built_once(monkeypatch):
             return original(self, i)
 
         monkeypatch.setattr(Theory, name, counted)
-    for table, name in ((t.states, "state"), (t.effects, "effect")):
-        first = table()
-        assert np.array_equal(first, expected[name])
-        first[0, 0] = 99.0  # callers get a copy; the table stays intact
-        assert np.array_equal(table(), expected[name])
-    t.measurement((0, 2, 4))
+    for t in (Theory(7), Theory(7)):
+        for table, name in ((t.states, "state"), (t.effects, "effect")):
+            first = table()
+            assert np.array_equal(first, expected[name])
+            first[0, 0] = 99.0  # callers get a writable copy; the table stays intact
+            assert np.array_equal(table(), expected[name])
+        t.measurement((0, 2, 4))
     assert built == {"state": 7, "effect": 7}
+    for cached in geometry._tables(7):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 99.0
 
 
 def test_triangle_measurement_weights_n3():

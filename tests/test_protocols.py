@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngon.capacity import binary_entropy
 from ngon.geometry import InvalidStateError, Theory
 from ngon.polytope import ResourceBoundError
 from ngon.protocols import (
+    _binary_info,
+    _pair_outcome_table,
     best_ic_encoding,
     even_full_alphabet_ne_matrix,
     ic_bound_check,
@@ -80,6 +84,47 @@ def test_exhaustive_search_dominates_protocol():
         assert best > run + 1e-3
     _, _, best8 = best_ic_encoding(Theory(8))
     assert abs(best8 - 1.127570660143532) < 1e-9
+
+
+def _pair_average_tables(t):
+    """PA[a, i, k]: first-outcome law of the pair at anchor a, states i and k equiprobable."""
+    G = np.stack([_pair_outcome_table(t, a) for a in range(t.n // 2)])
+    return 0.5 * (G[:, :, None] + G[:, None, :])
+
+
+def _best_anchor_sum(PA, e00, e01, e10, e11):
+    """Best-anchor information of bit 0 plus that of bit 1 for one encoding."""
+    return (max(_binary_info(PA[a, e00, e01], PA[a, e10, e11]) for a in range(len(PA)))
+            + max(_binary_info(PA[a, e00, e10], PA[a, e01, e11]) for a in range(len(PA))))
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_rotation_reduced_search_matches_a_full_scan(n):
+    t = Theory(n)
+    enc, (a0, a1), best = best_ic_encoding(t)
+    # brute force over all n^4 encodings and every anchor, vectorized per anchor
+    PA = _pair_average_tables(t).reshape(n // 2, n * n)
+    hb = lambda p: binary_entropy(np.clip(p, 0.0, 1.0))
+    info = np.max([hb(0.5 * (row[:, None] + row[None, :])) - 0.5 * (hb(row)[:, None] + hb(row)[None, :])
+                   for row in PA], axis=0).reshape(n, n, n, n)
+    full = info + info.transpose(0, 2, 1, 3)
+    assert abs(best - full.max()) <= 1e-12
+    assert enc[(0, 0)] == 0
+    e = [enc[(0, 0)], enc[(0, 1)], enc[(1, 0)], enc[(1, 1)]]
+    PA = PA.reshape(n // 2, n, n)
+    info0 = _binary_info(PA[a0, e[0], e[1]], PA[a0, e[2], e[3]])
+    info1 = _binary_info(PA[a1, e[0], e[2]], PA[a1, e[1], e[3]])
+    assert abs(info0 + info1 - best) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12).map(lambda h: 2 * h), st.data())
+def test_best_anchor_sum_is_rotation_invariant(n, data):
+    PA = _pair_average_tables(Theory(n))
+    enc = data.draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=4))
+    s = data.draw(st.integers(0, n - 1))
+    rotated = [(e + s) % n for e in enc]
+    assert abs(_best_anchor_sum(PA, *rotated) - _best_anchor_sum(PA, *enc)) <= 1e-12
 
 
 def test_exhaustive_search_beats_uncorrected_index_formula():
