@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Measurement, Theory, triple_representatives
+from .geometry import Measurement, Theory, _realize_triples, triple_representatives
 
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
@@ -389,7 +389,10 @@ def capacity_candidates(theory: Theory) -> list[Measurement]:
     pair = [theory.measurement((0, n // 2))] if theory.even else []
     # n - t[2] is the largest gap of a representative (0, g1, g1 + g2)
     triples = [t for t in triple_representatives(theory) if 2 * (n - t[2]) < n]
-    return pair + [theory.measurement(t) for t in triples]
+    mu, effects = _realize_triples(n, triples)
+    scale = theory.effect_scale
+    weights = (mu / scale).tolist()
+    return pair + [Measurement(t, tuple(w), scale, e) for t, w, e in zip(triples, weights, effects)]
 
 
 def theory_capacity(
@@ -419,7 +422,7 @@ def theory_capacity(
         pair = blahut_arimoto(theory.channel_matrix(cands[0], S), tol, max_iter)
         best, winner, floor = pair, cands[0], pair.capacity_bits
     if triples:
-        W = np.stack([theory.channel_matrix(m, S) for m in triples])
+        W = theory.channel_matrix(np.stack([m.effects for m in triples]), S)
         stack = blahut_arimoto(W, tol, max_iter, _floor=floor)
         if stack.capacity_bits > floor:
             best, winner = stack, triples[stack.index]

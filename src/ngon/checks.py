@@ -1,9 +1,19 @@
 """Acceptance checks: every headline claim as a pass/fail computation.
 
 Each check is a pure function returning a CheckResult; the registry maps
-stable keys to checks so the command line can run any subset.  ``notes``
+stable keys to checks so the command line can run any subset, and
+``run_checks`` rejects an unknown key before any check runs.  ``notes``
 lists construction pitfalls that the library corrects by design; they are
 informational, not failures.
+
+The simulation and weights checks work on stacks, one solve per polygon
+size.  ``check_simulation`` draws its 100 states per n with one Dirichlet
+call and its triples uniformly from the list of feasible sorted triples; a
+uniform 3-subset kept only when feasible, as a redraw loop does, has that
+same law.  ``check_weights`` draws i.i.d. candidates in chunks and keeps the
+first ``trials`` accepted ones, which is the law of drawing one candidate at
+a time until it is accepted.  The draws differ from a per-item loop, so the
+worst gaps they report move at the level of roundoff.
 """
 
 from __future__ import annotations
@@ -27,7 +37,10 @@ from .decomposition import caratheodory_reduce, decompose_into_binary_channels, 
 from .geometry import (
     InfeasibleMeasurementError,
     Theory,
+    _feasible_triples,
+    _realize_triples,
     closed_form_triple_weights,
+    extremal_decomposition,
     min_effect_weight,
 )
 from .polytope import (
@@ -291,19 +304,31 @@ def check_ne(max_n: int = 64) -> CheckResult:
 
 
 def check_simulation(seed: int = 99) -> CheckResult:
-    """Classical simulation: exact marginals and Monte Carlo concentration."""
+    """Classical simulation: exact marginals and Monte Carlo concentration.
+
+    Per n, 100 random states and 100 triples drawn uniformly from the
+    feasible sorted triples are decomposed and measured as one stack;
+    ``simulate_transmission`` reproduces the first row of each stack.
+    """
     t0 = time.time()
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     for n in range(4, 17):
         t = Theory(n)
-        for _ in range(100):
-            p = rng.dirichlet(np.ones(n))
-            w = p @ t.states()
-            tri = _random_measurement(t, rng)
-            rep = simulate_transmission(t, w, tri, samples=1, seed=1)
-            direct = np.clip(tri.effects @ w, 0.0, 1.0)
-            worst_gap = max(worst_gap, float(np.abs(rep.analytic_dist - direct).max()))
+        feasible = _feasible_triples(n)
+        w = rng.dirichlet(np.ones(n), size=100) @ t.states()
+        picked = feasible[rng.integers(len(feasible), size=100)]
+        _, effects = _realize_triples(n, picked)
+        # the sender's vertex weights against the receiver's outcome law per vertex
+        split = extremal_decomposition(t, w)
+        analytic = (split[:, None, :] @ t.channel_matrix(effects))[:, 0]
+        direct = t.channel_matrix(effects, w[:, None, :])[:, 0]
+        rep = simulate_transmission(t, w[0], t.measurement(picked[0]), samples=1, seed=1)
+        worst_gap = max(
+            worst_gap,
+            float(np.abs(analytic - direct).max()),
+            float(np.abs(rep.analytic_dist - analytic[0]).max()),
+        )
     t8 = Theory(8)
     state = t8.states().mean(axis=0)
     rep = simulate_transmission(t8, state, t8.measurement((0, 3, 6)), samples=100_000, seed=2024)
@@ -320,23 +345,43 @@ def check_simulation(seed: int = 99) -> CheckResult:
 
 
 def check_weights(trials: int = 1000, seed: int = 2024) -> CheckResult:
-    """Closed-form triple weights agree with the solver; minima behave."""
+    """Closed-form triple weights agree with the solver; minima behave.
+
+    Candidates (n, uniform 3-subset of range(n)) are drawn i.i.d. in chunks
+    and the first ``trials`` whose closed-form weights are all positive are
+    kept, the law of a loop that redraws until it accepts; the solver then
+    builds each n's kept triples as one stack.
+    """
     t0 = time.time()
     rng = np.random.default_rng(seed)
+    chunks = []
+    accepted = 0
+    while accepted < trials:
+        ns = rng.integers(3, 33, size=1024)
+        # a uniform 3-subset: each draw skips the indices already taken
+        a = rng.integers(0, ns)
+        b = rng.integers(0, ns - 1)
+        b += b >= a
+        c = rng.integers(0, ns - 2)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        c += c >= lo
+        c += c >= hi
+        idx = np.sort(np.stack([a, b, c], axis=1), axis=1)
+        closed = np.empty(idx.shape)
+        for n in range(3, 33):
+            at = ns == n
+            closed[at] = np.column_stack(closed_form_triple_weights(Theory(n), *idx[at].T)[:3])
+        ok = closed.min(axis=1) >= 1e-9
+        chunks.append((ns[ok], idx[ok], closed[ok]))
+        accepted += int(ok.sum())
+    ns, idx, closed = (np.concatenate(part)[:trials] for part in zip(*chunks))
     worst = 0.0
-    done = 0
-    while done < trials:
-        n = int(rng.integers(3, 33))
-        t = Theory(n)
-        idx = np.sort(rng.choice(n, size=3, replace=False))
-        j1, j2, j3 = (int(v) for v in idx)
-        l1, l2, l3, _ = closed_form_triple_weights(t, j1, j2, j3)
-        if min(l1, l2, l3) < 1e-9:
-            continue
-        # all three weights positive, so the triple is a measurement
-        m = t.measurement((j1, j2, j3))
-        worst = max(worst, float(np.abs(np.asarray(m.weights) - [l1, l2, l3]).max()))
-        done += 1
+    for n in range(3, 33):
+        at = ns == n
+        # all three weights positive, so every kept triple is a measurement
+        mu, _ = _realize_triples(n, idx[at])
+        gap = np.abs(mu / Theory(n).effect_scale - closed[at]).max(initial=0.0)
+        worst = max(worst, float(gap))
     minima = [min_effect_weight(Theory(n)) for n in range(3, 64, 2)]
     positive = all(v > 0 for v in minima)
     family = []
@@ -409,10 +454,11 @@ NOTES = (
 def run_checks(only=None, max_n: int = 64):
     """Run all (or selected) checks; max_n goes to the checks that take it."""
     keys = list(REGISTRY) if not only else list(only)
+    unknown = [key for key in keys if key not in REGISTRY]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}; known: {', '.join(REGISTRY)}")
     results = []
     for key in keys:
-        if key not in REGISTRY:
-            raise ValueError(f"unknown check {key!r}; known: {', '.join(REGISTRY)}")
         fn = REGISTRY[key]
         takes_max_n = "max_n" in inspect.signature(fn).parameters
         results.append(fn(max_n=max_n) if takes_max_n else fn())

@@ -175,8 +175,8 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement: Measuremen
 
     n = theory.n
     rho = np.zeros(n)
-    for state, weight in zip(S, p):
-        rho += weight * extremal_decomposition(theory, state)
+    for split, weight in zip(extremal_decomposition(theory, S), p):
+        rho += weight * split
     verts = theory.states()
     mean = rho @ verts
 

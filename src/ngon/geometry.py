@@ -26,10 +26,19 @@ b - a, c - b, n - c + a of sorted indices a < b < c is at most n/2.
 
 Index arithmetic is cyclic: state and effect indices are reduced mod n
 everywhere, with canonical representatives in [0, n).
+
+Stacks: every triple measurement is built by one private builder that maps
+a (k, 3) array of indices to weights (k, 3) and realised effects (k, 3, 3)
+with one batched solve; ``Theory.measurement`` is a stack of one.
+``channel_matrix`` takes a Measurement or an effect stack (..., outcomes, 3)
+and ``extremal_decomposition`` a state (3,) or a stack (k, 3).  Each row of a
+stack has the same bits as the single call on that row, so callers may
+batch per n without changing any printed number.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -37,6 +46,8 @@ from functools import cache, cached_property
 import numpy as np
 
 GEOM_TOL = 1e-12
+# the unit effect as a column, the right-hand side of every triple solve
+_UNIT_COLUMN = np.array([[0.0], [0.0], [1.0]])
 
 
 class DegenerateTripleError(ValueError):
@@ -135,46 +146,44 @@ class Theory:
         return self._effect_table.copy()
 
     def in_state_cone(self, v, tol: float = GEOM_TOL) -> bool:
-        """Whether v lies in the state cone: nonnegative on every extremal effect."""
+        """Whether v, or every row of a stack v of shape (k, 3), lies in the
+        state cone: nonnegative on every extremal effect."""
         v = np.asarray(v, float)
-        return bool(v[2] >= -tol and (self._effect_table @ v >= -tol).all())
+        return bool((v[..., 2] >= -tol).all() and (v @ self._effect_table.T >= -tol).all())
 
-    def channel_matrix(self, measurement: Measurement, states=None) -> np.ndarray:
-        """P(outcome | state), shape (inputs, outcomes), for the given states
-        (default: all n extremal states), clipped to [0, 1] against roundoff."""
+    def channel_matrix(self, measurement, states=None) -> np.ndarray:
+        """P(outcome | state), shape (..., inputs, outcomes), clipped to [0, 1]
+        against roundoff.
+
+        ``measurement`` is a Measurement or a stack of realised effects of
+        shape (..., outcomes, 3); ``states`` defaults to all n extremal
+        states and broadcasts against the stack.
+        """
         S = self._state_table if states is None else states
-        return np.clip(S @ measurement.effects.T, 0.0, 1.0)
+        E = measurement.effects if isinstance(measurement, Measurement) else measurement
+        P = S @ np.swapaxes(E, -1, -2)
+        return np.clip(P, 0.0, 1.0, out=P)
 
     def measurement(self, indices) -> Measurement:
         """Build the canonical measurement on 2 or 3 effect indices.
 
         Two indices require even n and an antipodal pair.  Three distinct
         indices must pass the arc-gap rule; their weights mu_k then solve
-        sum_k mu_k * effect(j_k) = u.
+        sum_k mu_k * effect(j_k) = u, built by ``_realize_triples`` as a
+        stack of one.
         """
         idx = tuple(int(j) % self.n for j in indices)
-        rows = self._effect_table[list(idx)]
         if len(idx) == 2:
             if not self.even:
                 raise InfeasibleMeasurementError("two-outcome measurements require even n")
             if (idx[1] - idx[0]) % self.n != self.n // 2:
                 raise InfeasibleMeasurementError(f"pair {idx} is not antipodal for n={self.n}")
-            return Measurement(idx, (1.0, 1.0), 1.0, rows)
+            return Measurement(idx, (1.0, 1.0), 1.0, self._effect_table[list(idx)])
         if len(idx) != 3:
             raise ValueError("a canonical measurement has 2 or 3 outcomes")
-        if len(set(idx)) != 3:
-            raise DegenerateTripleError(f"indices {idx} are not distinct mod {self.n}")
-        if not _surrounds_centre(self.n, idx):
-            raise InfeasibleMeasurementError(f"triple {idx} has an index gap above n/2")
-        # a gap of exactly n/2 spans an antipodal pair, whose effects already
-        # sum to the unit effect: weight 1 on the pair and exactly 0 elsewhere
-        off = [k for k in range(3) if 2 * ((idx[k - 1] - idx[k - 2]) % self.n) == self.n]
-        if off:
-            mu = np.ones(3)
-            mu[off[0]] = 0.0
-        else:
-            mu = np.linalg.solve(rows.T, unit_effect())
-        return Measurement(idx, tuple(mu / self.effect_scale), self.effect_scale, mu[:, None] * rows)
+        mu, effects = _realize_triples(self.n, [idx])
+        scale = self.effect_scale
+        return Measurement(idx, tuple((mu[0] / scale).tolist()), scale, effects[0])
 
 
 @cache
@@ -188,10 +197,50 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _surrounds_centre(n: int, indices) -> bool:
-    """The arc-gap rule for three distinct effect indices mod n."""
-    a, b, c = sorted(j % n for j in indices)
-    return 2 * max(b - a, c - b, n - c + a) <= n
+def _cyclic_gaps(n: int, idx: np.ndarray) -> np.ndarray:
+    """Cyclic gaps b - a, c - b, n - c + a of each row's sorted indices,
+    shape (k, 3) for index rows of shape (k, 3) reduced mod n."""
+    s = np.sort(idx, axis=1)
+    gaps = s[:, [1, 2, 0]] - s
+    gaps[:, 2] += n
+    return gaps
+
+
+def _realize_triples(n: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Completion weights mu, shape (k, 3), and realised effects
+    mu_k * effect(j_k), shape (k, 3, 3), of a stack of index triples.
+
+    Every row must hold three indices distinct mod n that pass the arc-gap
+    rule; the first row that does not raises DegenerateTripleError or
+    InfeasibleMeasurementError.  A row with a gap of exactly n/2 spans an
+    antipodal pair, whose effects already sum to the unit effect: weight 1
+    on the pair and exactly 0 on the third index.  The other rows solve
+    sum_k mu_k * effect(j_k) = u in one batched solve.
+    """
+    idx = np.asarray(indices, dtype=np.intp).reshape(-1, 3) % n
+    gaps = _cyclic_gaps(n, idx)
+    degenerate = gaps.min(axis=1) == 0
+    bad = degenerate | (2 * gaps.max(axis=1) > n)
+    if bad.any():
+        row = int(np.argmax(bad))
+        triple = tuple(int(j) for j in idx[row])
+        if degenerate[row]:
+            raise DegenerateTripleError(f"indices {triple} are not distinct mod {n}")
+        raise InfeasibleMeasurementError(f"triple {triple} has an index gap above n/2")
+    rows = _tables(n)[1][idx]
+    # off[:, k]: the two indices other than k form an antipodal pair
+    off = 2 * ((idx[:, [1, 2, 0]] - idx[:, [2, 0, 1]]) % n) == n
+    solve = ~off.any(axis=1)
+    mu = np.where(off, 0.0, 1.0)
+    if solve.any():
+        mu[solve] = np.linalg.solve(rows[solve].transpose(0, 2, 1), _UNIT_COLUMN)[..., 0]
+    return mu, mu[:, :, None] * rows
+
+
+def _feasible_triples(n: int) -> np.ndarray:
+    """Every sorted triple a < b < c that passes the arc-gap rule, shape (k, 3)."""
+    idx = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
+    return idx[2 * _cyclic_gaps(n, idx).max(axis=1) <= n]
 
 
 def triple_representatives(theory: Theory) -> list[tuple[int, int, int]]:
@@ -217,16 +266,15 @@ def closed_form_triple_weights(theory: Theory, j1: int, j2: int, j3: int):
 
     Returns (l1, l2, l3, scale).  When every l_k lies in [0, 1] the triple is
     a measurement whose realised outcome effects are scale*l_k*effect(j_k);
-    the values agree with the linear-solve construction.  Index differences
+    the values agree with the linear-solve construction.  The indices may be
+    integer arrays of one shape, giving l_k of that shape.  Index differences
     that vanish mod n leave the cotangents undefined.
     """
     n = theory.n
-    d12, d23, d31 = j1 - j2, j2 - j3, j3 - j1
-    if any(d % n == 0 for d in (d12, d23, d31)):
+    diffs = (np.subtract(j1, j2), np.subtract(j2, j3), np.subtract(j3, j1))
+    if any((d % n == 0).any() for d in diffs):
         raise DegenerateTripleError(f"triple ({j1}, {j2}, {j3}) has coincident indices mod {n}")
-    c12 = 1.0 / math.tan(d12 * math.pi / n)
-    c23 = 1.0 / math.tan(d23 * math.pi / n)
-    c31 = 1.0 / math.tan(d31 * math.pi / n)
+    c12, c23, c31 = (1.0 / np.tan(d * math.pi / n) for d in diffs)
     return 1.0 - c12 * c31, 1.0 - c12 * c23, 1.0 - c23 * c31, theory.effect_scale
 
 
@@ -239,36 +287,45 @@ def min_effect_weight(theory: Theory) -> float:
     """
     if theory.even:
         raise ValueError("minimum effect weight is defined for odd n")
-    triples = triple_representatives(theory)
-    return min(min(theory.measurement(t).realized_weights) for t in triples)
+    mu, _ = _realize_triples(theory.n, triple_representatives(theory))
+    scale = theory.effect_scale
+    return float((mu / scale * scale).min())
 
 
 def extremal_decomposition(theory: Theory, state) -> np.ndarray:
-    """Deterministic convex decomposition of a normalised state over vertices.
+    """Deterministic convex decomposition of normalised states over vertices.
 
     Exact vertices map to a point mass.  Any other state falls in the slice
     triangle spanned by the two vertices whose arc contains its angular
     coordinate and by the polygon centre; the centre component is expanded
-    uniformly, weight 1/n per vertex.  Returns the length-n weight vector.
+    uniformly, weight 1/n per vertex.  Takes one state, shape (3,), or a
+    stack, shape (k, 3), and returns the length-n weight vector of each,
+    shape (n,) or (k, n); a stack solves its slice triangles in one batch.
     """
     v = np.asarray(state, float)
-    if abs(v[2] - 1.0) > 1e-9 or not theory.in_state_cone(v, tol=1e-9):
+    V = v.reshape(-1, 3)
+    if (np.abs(V[:, 2] - 1.0) > 1e-9).any() or not theory.in_state_cone(V, tol=1e-9):
         raise InvalidStateError("not a normalised state of the model")
     n = theory.n
-    verts = theory.states()
-    gaps = np.abs(verts - v).max(axis=1)
-    nearest = int(np.argmin(gaps))
-    if gaps[nearest] <= GEOM_TOL:
-        p = np.zeros(n)
-        p[nearest] = 1.0
-        return p
-    theta = math.atan2(v[1], v[0]) % (2.0 * math.pi)
-    i = int(theta * n / (2.0 * math.pi)) % n
-    basis = np.column_stack([verts[i], verts[(i + 1) % n], unit_effect()])
-    coeff = np.linalg.solve(basis, v)
+    verts = theory._state_table
+    rows = np.arange(len(V))
+    # the slice of each state: the arc that holds its angle, in [0, 2*pi)
+    theta = np.array([math.atan2(y, x) % (2.0 * math.pi) for x, y in V[:, :2].tolist()])
+    i = (theta * n / (2.0 * math.pi)).astype(np.intp) % n
+    basis = np.empty((len(V), 3, 3))
+    basis[:, :, 0] = verts[i]
+    basis[:, :, 1] = verts[(i + 1) % n]
+    basis[:, :, 2] = unit_effect()
+    coeff = np.linalg.solve(basis, V[:, :, None])[..., 0]
     # roundoff can leave barycentric coordinates marginally negative
     coeff = np.clip(coeff, 0.0, None)
-    p = np.full(n, coeff[2] / n)
-    p[i] += coeff[0]
-    p[(i + 1) % n] += coeff[1]
-    return p / p.sum()
+    p = np.repeat(coeff[:, 2:] / n, n, axis=1)
+    p[rows, i] += coeff[:, 0]
+    p[rows, (i + 1) % n] += coeff[:, 1]
+    p /= p.sum(axis=1, keepdims=True)
+    gaps = np.abs(verts - V[:, None, :]).max(axis=2)
+    nearest = gaps.argmin(axis=1)
+    at_vertex = gaps[rows, nearest] <= GEOM_TOL
+    p[at_vertex] = 0.0
+    p[at_vertex, nearest[at_vertex]] = 1.0
+    return p.reshape(v.shape[:-1] + (n,))

@@ -16,7 +16,9 @@ Four executable constructions:
 
 * ``ne_matrix`` builds the nondeterministic NOT-EQUAL witness: the answer
   bit is never 1 when the inputs agree, and has strictly positive
-  probability of being 1 whenever they differ.
+  probability of being 1 whenever they differ.  The receiver's measurements
+  for all y are built as one effect stack and turned into the matrix by one
+  stacked ``channel_matrix`` call, with the bits of a per-y loop.
 
 * ``simulate_transmission`` reproduces one polygon transmission with
   classical messages: the sender splits the state into extremal vertices,
@@ -33,7 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import antipodal_pair_rate, binary_entropy, theory_capacity
-from .geometry import InvalidStateError, Measurement, Theory, extremal_decomposition
+from .geometry import (
+    InvalidStateError,
+    Measurement,
+    Theory,
+    _realize_triples,
+    extremal_decomposition,
+)
 from .polytope import ResourceBoundError, max_vertex_capacity
 
 IC_SEARCH_MAX = 24
@@ -260,15 +268,14 @@ def _ne_report(n: int, matrix: np.ndarray) -> NEReport:
 def _pair_ne_report(theory: Theory, stride: int) -> NEReport:
     """The even-n witness on the inputs 0, stride, 2*stride, ...: the receiver
     measures the antipodal pair (stride*y, stride*y + n/2) and answers 1 on
-    the far outcome."""
+    the far outcome.  An antipodal pair's realised effects are the two
+    extremal effects, so the pairs of all y form one stack of effects."""
     n = theory.n
-    size = n // stride
-    states = theory.states()
-    matrix = np.empty((size, size))
-    for y in range(size):
-        pair = theory.measurement((stride * y, stride * y + n // 2))
-        matrix[:, y] = theory.channel_matrix(pair, states)[::stride, 1]
-    return _ne_report(n, matrix)
+    ys = stride * np.arange(n // stride)
+    pairs = theory.effects()[np.stack([ys, ys + n // 2], axis=1) % n]
+    # channels[y, x, k]: outcome k of pair y on vertex x
+    channels = theory.channel_matrix(pairs)
+    return _ne_report(n, channels[:, ::stride, 1].T)
 
 
 def ne_matrix(theory: Theory) -> NEReport:
@@ -280,18 +287,18 @@ def ne_matrix(theory: Theory) -> NEReport:
     whose overlaps vanish identically at x = y.  Even n: inputs index every
     second vertex and the receiver uses the antipodal pair (2y, 2y+n/2),
     answering 1 on the far outcome; the effective alphabet halves.  Since
-    n >= 3, the alphabet has at least two letters.
+    n >= 3, the alphabet has at least two letters.  The measurements of all
+    y are built and applied as one stack.
     """
     if theory.even:
         return _pair_ne_report(theory, 2)
     n = theory.n
     m = (n - 1) // 2
-    states = theory.states()
-    matrix = np.empty((n, n))
-    for y in range(n):
-        triple = theory.measurement((y, y + m, y + m + 1))
-        matrix[:, y] = theory.channel_matrix(triple, states)[:, 1:].sum(axis=1)
-    return _ne_report(n, matrix)
+    ys = np.arange(n)
+    _, triples = _realize_triples(n, np.stack([ys, ys + m, ys + m + 1], axis=1))
+    # channels[y, x, k]: non-anchor outcome k + 1 of triple y on vertex x
+    channels = theory.channel_matrix(triples[:, 1:])
+    return _ne_report(n, channels.sum(axis=2).T)
 
 
 def even_full_alphabet_ne_matrix(theory: Theory) -> NEReport:

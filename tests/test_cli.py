@@ -4,10 +4,15 @@ import functools
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ngon
 from ngon import checks, cli
 from ngon.capacity import ConvergenceError
 from ngon.checks import run_checks
@@ -213,6 +218,40 @@ def test_check_unknown_key_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "--only", "bogus")
     assert code == 2
     assert "unknown check" in err
+
+
+def test_an_unknown_key_stops_the_run_before_any_check(monkeypatch):
+    calls = []
+    monkeypatch.setitem(checks.REGISTRY, "recorder", lambda: calls.append("recorder"))
+    with pytest.raises(ValueError, match="unknown check 'nope'"):
+        run_checks(only=["recorder", "nope"])
+    assert calls == []
+
+
+def test_protocol_requests_never_import_numpy_ma():
+    # numpy.ma, which np.unique imports on first use, adds about 1 MiB of peak RSS
+    script = """
+import contextlib, io, sys
+from ngon.cli import main
+requests = (
+    ["check", "--only", "decomposition,reduction,ic,ne,simulation,weights"],
+    ["ic", "--n", "24", "--search"],
+    ["simulate", "--n", "17", "--vertex", "3", "--samples", "1000", "--seed", "5"],
+    ["simulate", "--n", "8", "--samples", "1000", "--seed", "5"],
+)
+for argv in requests:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(ngon.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NGON_")}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_bad_n_exits_two(capsys):

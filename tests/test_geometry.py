@@ -157,6 +157,47 @@ def test_antipodal_pair_measurement():
         Theory(5).measurement((0, 2))
 
 
+def per_triple_weights(t, triple):
+    """The completion weights one triple at a time: exactly (1, 1, 0) up to
+    order when two of the indices are antipodal, else one 3x3 solve."""
+    n = t.n
+    rows = t.effects()[list(triple)]
+    for k in range(3):
+        if 2 * ((triple[k - 1] - triple[k - 2]) % n) == n:
+            mu = np.ones(3)
+            mu[k] = 0.0
+            return mu
+    return np.linalg.solve(rows.T, unit_effect())
+
+
+def test_stacked_triples_match_a_per_triple_solve():
+    checked = half_gap = 0
+    for n in range(3, 33):
+        t = Theory(n)
+        triples = np.array(list(itertools.combinations(range(n), 3)))
+        a, b, c = triples.T
+        feasible = triples[2 * np.max([b - a, c - b, n - c + a], axis=0) <= n]
+        mu, effects = geometry._realize_triples(n, feasible)
+        expected = np.array([per_triple_weights(t, tr) for tr in feasible.tolist()])
+        assert np.array_equal(mu, expected), n
+        assert np.array_equal(effects, expected[:, :, None] * t.effects()[feasible]), n
+        checked += len(feasible)
+        half_gap += int((mu == 0.0).any(axis=1).sum())
+    assert (checked, half_gap) == (12_920, 2_720)
+
+
+def test_a_stack_raises_at_its_first_bad_row():
+    with pytest.raises(InfeasibleMeasurementError, match=r"^triple \(0, 1, 2\) has an index gap above n/2$"):
+        geometry._realize_triples(6, [(0, 2, 4), (0, 1, 2), (0, 0, 3)])
+    with pytest.raises(DegenerateTripleError, match=r"^indices \(3, 3, 1\) are not distinct mod 6$"):
+        geometry._realize_triples(6, [(0, 2, 4), (3, 9, 1), (0, 1, 2)])
+    # a single measurement reports through the same stack of one
+    with pytest.raises(DegenerateTripleError, match=r"^indices \(0, 0, 3\) are not distinct mod 6$"):
+        Theory(6).measurement((0, 6, 3))
+    with pytest.raises(InfeasibleMeasurementError, match=r"^triple \(5, 0, 1\) has an index gap above n/2$"):
+        Theory(6).measurement((5, 6, 7))
+
+
 def test_degenerate_and_infeasible_triples():
     with pytest.raises(DegenerateTripleError):
         Theory(6).measurement((0, 0, 3))
@@ -396,6 +437,20 @@ def test_channel_matrix_rows_are_probabilities():
     assert np.abs(t.channel_matrix(m, picked) - P[[4, 1, 4]]).max() < 1e-15
 
 
+def test_channel_matrix_of_an_effect_stack_is_the_stack_of_channels():
+    t = Theory(11)
+    ms = [t.measurement(tr) for tr in ((0, 3, 7), (1, 5, 8), (2, 4, 9))]
+    stack = t.channel_matrix(np.stack([m.effects for m in ms]))
+    assert stack.shape == (3, 11, 3)
+    for channel, m in zip(stack, ms):
+        assert np.array_equal(channel, t.channel_matrix(m))
+    # one state per measurement, broadcast as a stack of one-row inputs
+    states = t.states()[[4, 0, 10]]
+    rows = t.channel_matrix(np.stack([m.effects for m in ms]), states[:, None, :])[:, 0]
+    for row, m, state in zip(rows, ms, states):
+        assert np.array_equal(row, t.channel_matrix(m, state[None])[0])
+
+
 def test_extremal_decomposition_roundtrip():
     rng = np.random.default_rng(5)
     for n in (3, 4, 5, 8, 13):
@@ -415,10 +470,19 @@ def test_extremal_decomposition_roundtrip():
 def test_extremal_decomposition_rebuilds_a_random_mixture(n, alpha, seed):
     t = Theory(n)
     verts = t.states()
-    v = np.random.default_rng(seed).dirichlet(np.full(n, alpha)) @ verts
+    rng = np.random.default_rng(seed)
+    v = rng.dirichlet(np.full(n, alpha)) @ verts
     q = extremal_decomposition(t, v)
     assert (q >= 0).all() and abs(q.sum() - 1.0) <= 1e-12
     assert np.abs(q @ verts - v).max() <= 1e-12
+    # a stack holding this state, more mixtures, a vertex and the centre
+    # decomposes row by row into the single-state answers
+    more = rng.dirichlet(np.full(n, alpha), size=3) @ verts
+    stack = np.vstack([v, more, verts[rng.integers(n)], unit_effect()])
+    Q = extremal_decomposition(t, stack)
+    assert Q.shape == (6, n)
+    for row, state in zip(Q, stack):
+        assert np.array_equal(row, extremal_decomposition(t, state))
 
 
 def test_extremal_decomposition_vertex_and_errors():
@@ -429,6 +493,8 @@ def test_extremal_decomposition_vertex_and_errors():
         extremal_decomposition(t, np.array([0.0, 0.0, 2.0]))
     with pytest.raises(InvalidStateError):
         extremal_decomposition(t, t.state(0) + np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(InvalidStateError):
+        extremal_decomposition(t, np.stack([t.state(1), np.array([0.0, 0.0, 2.0])]))
 
 
 def test_extremal_decomposition_deterministic():

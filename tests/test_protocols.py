@@ -161,6 +161,29 @@ def test_ne_matrix_all_sizes():
             assert r.min_offdiag > 1e-12
 
 
+def per_y_ne_matrix(t):
+    """The witness one receiver setting y at a time, as one column each."""
+    n = t.n
+    states = t.states()
+    if t.even:
+        matrix = np.empty((n // 2, n // 2))
+        for y in range(n // 2):
+            pair = t.measurement((2 * y, 2 * y + n // 2))
+            matrix[:, y] = t.channel_matrix(pair, states)[::2, 1]
+        return matrix
+    m = (n - 1) // 2
+    matrix = np.empty((n, n))
+    for y in range(n):
+        triple = t.measurement((y, y + m, y + m + 1))
+        matrix[:, y] = t.channel_matrix(triple, states)[:, 1:].sum(axis=1)
+    return matrix
+
+
+def test_stacked_ne_matrix_matches_the_per_y_loop():
+    for n in range(3, 65):
+        assert np.array_equal(ne_matrix(Theory(n)).matrix, per_y_ne_matrix(Theory(n))), n
+
+
 def test_ne_pentagon_neighbor_entry():
     r = ne_matrix(Theory(5))
     assert abs(r.matrix[4, 0] - 0.3819660112501053) < 1e-9
