@@ -27,12 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Measurement, Theory, _realize_triples, triple_representatives
+from .geometry import PROB_TOL, ROUNDOFF, Measurement, Theory, _realize_triples, triple_representatives
 
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
 
 _TINY = 1e-300
+_SUPPORT_WEIGHT = 1e-6  # inputs with more prior weight are reported as support
 _PAIR_STEPS = 60
 
 
@@ -273,7 +274,7 @@ def blahut_arimoto(
     W = np.asarray(matrices, float)
     if W.ndim not in (2, 3) or 0 in W.shape:
         raise ValueError("expected a nonempty channel (inputs, outcomes) or stack of them")
-    if (W < -1e-12).any() or np.abs(W.sum(axis=-1) - 1.0).max() > 1e-9:
+    if (W < -ROUNDOFF).any() or np.abs(W.sum(axis=-1) - 1.0).max() > PROB_TOL:
         raise ValueError("matrix rows must be probability vectors")
     W = np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)
     count, m, _ = W.shape
@@ -364,7 +365,7 @@ class CapacityResult:
     iterations: int
 
     def __post_init__(self) -> None:
-        if not -1e-12 <= self.capacity_bits <= math.log2(3.0) + 1e-9:
+        if not -ROUNDOFF <= self.capacity_bits <= math.log2(3.0) + PROB_TOL:
             raise ValueError(f"capacity {self.capacity_bits} outside [0, log2(3)]")
 
     def to_dict(self) -> dict:
@@ -398,7 +399,7 @@ def capacity_candidates(theory: Theory) -> list[Measurement]:
 def theory_capacity(
     theory: Theory,
     *,
-    tol: float = 1e-9,
+    tol: float = BA_TOL,
     max_iter: int = BA_MAX_ITER,
     enumeration_max: int = 64,
 ) -> CapacityResult:
@@ -427,7 +428,7 @@ def theory_capacity(
         if stack.capacity_bits > floor:
             best, winner = stack, triples[stack.index]
 
-    support = tuple(int(i) for i in np.nonzero(best.prior > 1e-6)[0])
+    support = tuple(int(i) for i in np.nonzero(best.prior > _SUPPORT_WEIGHT)[0])
     return CapacityResult(
         n=theory.n,
         parity=theory.parity,

@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -29,10 +28,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .capacity import ConvergenceError, theory_capacity
+from .capacity import BA_TOL, ConvergenceError, theory_capacity
 from .checks import NOTES, REGISTRY, run_checks
 from .decomposition import DecompositionError
-from .geometry import Theory
+from .geometry import ROUNDOFF, Theory
 from .polytope import enumerate_vertices, vertex_summary
 from .protocols import (
     IC_SEARCH_MAX,
@@ -150,7 +149,7 @@ def cmd_effects(args) -> int:
     effects = t.effects()
     overlap = effects @ t.states().T
     saturating = [
-        [int(i) for i in range(t.n) if abs(overlap[j, i] - 1.0) <= 1e-12]
+        [int(i) for i in range(t.n) if abs(overlap[j, i] - 1.0) <= ROUNDOFF]
         for j in range(t.n)
     ]
     if args.format == "csv":
@@ -177,8 +176,6 @@ def _capacity_entry(job):
 
 
 def cmd_capacity(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None:
@@ -339,17 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None, help="single polygon size")
     group.add_argument("--n-range", default=None, help="inclusive range, e.g. 4..12")
-    p.add_argument("--tol", type=float, default=_env_float("NGON_TOL", 1e-9))
+    p.add_argument("--tol", type=float, default=_env_float("NGON_TOL", BA_TOL))
     p.add_argument("--jobs", type=int, default=_env_int("NGON_JOBS", 1))
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    add_common(p, n_flag=False)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("vertices", help="capped-channel polytope vertices")
     p.add_argument("--alphabet-size", type=int, default=3)
     p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    add_common(p, n_flag=False)
     p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("ic", help="two-bit random access protocol (even n)")

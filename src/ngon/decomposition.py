@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import mutual_information_bits
-from .geometry import Measurement, Theory, extremal_decomposition
-
-_QTINY = 1e-12
+from .geometry import PROB_TOL, ROUNDOFF, Measurement, Theory, extremal_decomposition
 
 
 class InfeasibleChannelError(ValueError):
@@ -60,7 +58,7 @@ def decompose_into_binary_channels(matrix, weights) -> DecompositionResult:
 
     ``matrix`` is 3 x inputs with columns summing to 1 (rows are outcomes);
     ``weights`` are the outcome caps (w1, w2, w3) with sum 2, each in [0, 1],
-    and matrix[y, x] <= weights[y].  Preconditions are checked to 1e-10.
+    and matrix[y, x] <= weights[y].  Preconditions are checked to PROB_TOL.
 
     The mixing weights are q = (1 - w3, 1 - w2, 1 - w1).  Component k has
     outcome row 3 - k zero, so each component is effectively binary and
@@ -75,14 +73,13 @@ def decompose_into_binary_channels(matrix, weights) -> DecompositionResult:
         raise InfeasibleChannelError("matrix must be 3 x inputs (rows are outcomes)")
     if w.shape != (3,):
         raise InfeasibleChannelError("weights must be a 3-vector")
-    tol = 1e-10
-    if abs(w.sum() - 2.0) > tol:
+    if abs(w.sum() - 2.0) > PROB_TOL:
         raise InfeasibleChannelError(f"weights sum to {w.sum()}, need 2")
-    if (w < -tol).any() or (w > 1.0 + tol).any():
+    if (w < -PROB_TOL).any() or (w > 1.0 + PROB_TOL).any():
         raise InfeasibleChannelError("each weight must lie in [0, 1]")
-    if (P < -tol).any() or np.abs(P.sum(axis=0) - 1.0).max() > tol:
+    if (P < -PROB_TOL).any() or np.abs(P.sum(axis=0) - 1.0).max() > PROB_TOL:
         raise InfeasibleChannelError("columns must be probability vectors")
-    if (P > w[:, None] + tol).any():
+    if (P > w[:, None] + PROB_TOL).any():
         raise InfeasibleChannelError("matrix entries exceed their outcome caps")
 
     q = 1.0 - w[::-1]
@@ -93,22 +90,19 @@ def decompose_into_binary_channels(matrix, weights) -> DecompositionResult:
     wfree = np.zeros(inputs)
     for x in range(inputs):
         p1, p2, _ = P[:, x]
-        if q1 > _QTINY:
+        if q1 > ROUNDOFF:
             lo = max(0.0, (p1 - q2) / q1, 1.0 - p2 / q1)
             hi = min(1.0, p1 / q1, (q1 + q3 - p2) / q1)
-            if lo > hi + 1e-9:
+            if lo > hi + PROB_TOL:
                 raise DecompositionError(f"empty interval in column {x}: [{lo}, {hi}]")
             u[x] = min(max(lo, 0.0), 1.0)
-        if q2 > _QTINY:
+        # a residue left on a zero-weight component fails the reconstruction check
+        if q2 > ROUNDOFF:
             v[x] = (p1 - q1 * u[x]) / q2
-        elif abs(p1 - q1 * u[x]) > 1e-9:
-            raise DecompositionError(f"column {x} leaves residue on a zero-weight component")
-        if q3 > _QTINY:
+        if q3 > ROUNDOFF:
             wfree[x] = (p2 - q1 * (1.0 - u[x])) / q3
-        elif abs(p2 - q1 * (1.0 - u[x])) > 1e-9:
-            raise DecompositionError(f"column {x} leaves residue on a zero-weight component")
     for arr in (v, wfree):
-        if (arr < -1e-9).any() or (arr > 1.0 + 1e-9).any():
+        if (arr < -PROB_TOL).any() or (arr > 1.0 + PROB_TOL).any():
             raise DecompositionError("free parameter escaped [0, 1]")
         np.clip(arr, 0.0, 1.0, out=arr)
 
@@ -121,8 +115,8 @@ def decompose_into_binary_channels(matrix, weights) -> DecompositionResult:
         ]
     )
     result = DecompositionResult(np.array([q1, q2, q3]), comps, np.stack([u, v, wfree]))
-    if np.abs(result.reconstruct() - P).max() > 1e-9:
-        raise DecompositionError("reconstruction mismatch above 1e-9")
+    if np.abs(result.reconstruct() - P).max() > PROB_TOL:
+        raise DecompositionError(f"reconstruction mismatch above {PROB_TOL}")
     return result
 
 
@@ -148,7 +142,7 @@ def _barycentric_triple(support: list[int], verts: np.ndarray, mean: np.ndarray)
             beta = np.linalg.solve(basis, mean)
         except np.linalg.LinAlgError:
             continue
-        if beta.min() >= -1e-12:
+        if beta.min() >= -ROUNDOFF:
             return list(triple), np.clip(beta, 0.0, None)
     raise DecompositionError("no barycentric triple contains the ensemble average")
 
@@ -170,7 +164,7 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement: Measuremen
         raise ValueError("states and weights length mismatch")
     if (p <= 0).any():
         raise ValueError("weights must be strictly positive")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if abs(p.sum() - 1.0) > PROB_TOL:
         raise ValueError("weights must sum to 1")
 
     n = theory.n
@@ -187,22 +181,22 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement: Measuremen
         guard += 1
         if guard > n + 1:
             raise DecompositionError("peeling failed to terminate")
-        support = [int(j) for j in np.nonzero(rho > 1e-15)[0]]
+        support = [int(j) for j in np.nonzero(rho > ROUNDOFF)[0]]
         if len(support) <= 3:
             beta = rho[support] / rho[support].sum()
             stages.append((mass, tuple(support), beta))
             break
         triple, beta = _barycentric_triple(support, verts, mean)
         beta = beta / beta.sum()
-        ratios = [rho[j] / b for j, b in zip(triple, beta) if b > 1e-15]
+        ratios = [rho[j] / b for j, b in zip(triple, beta) if b > ROUNDOFF]
         share = min(ratios)
         stages.append((mass * share, tuple(triple), beta.copy()))
         for j, b in zip(triple, beta):
             rho[j] -= share * b
         rho = np.clip(rho, 0.0, None)
-        rho[np.abs(rho) <= 1e-15] = 0.0
+        rho[np.abs(rho) <= ROUNDOFF] = 0.0
         total = rho.sum()
-        if total <= 1e-15:
+        if total <= ROUNDOFF:
             raise DecompositionError("residual ensemble vanished before support shrank")
         rho /= total
         mass *= 1.0 - share
@@ -212,7 +206,7 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement: Measuremen
     best_info = -math.inf
     for k, (_, J, beta) in enumerate(stages):
         info = mutual_information_bits(beta, theory.channel_matrix(measurement, verts[list(J)]))
-        if info > best_info + 1e-15:
+        if info > best_info + ROUNDOFF:
             best_info = info
             best_idx = k
 

@@ -45,7 +45,11 @@ from functools import cache, cached_property
 
 import numpy as np
 
-GEOM_TOL = 1e-12
+# ROUNDOFF: two floats this close are the same number.  PROB_TOL: slack on a
+# distribution or state a caller passes in, and on a construction's check of
+# its own output.  The thresholds of the acceptance checks are gates, kept literal.
+ROUNDOFF = 1e-12
+PROB_TOL = 1e-9
 # the unit effect as a column, the right-hand side of every triple solve
 _UNIT_COLUMN = np.array([[0.0], [0.0], [1.0]])
 
@@ -145,11 +149,12 @@ class Theory:
         """All n extremal effects, shape (n, 3); a copy of a table built once per n."""
         return self._effect_table.copy()
 
-    def in_state_cone(self, v, tol: float = GEOM_TOL) -> bool:
+    def in_state_cone(self, v) -> bool:
         """Whether v, or every row of a stack v of shape (k, 3), lies in the
-        state cone: nonnegative on every extremal effect."""
+        state cone: nonnegative, within PROB_TOL, on every extremal effect."""
         v = np.asarray(v, float)
-        return bool((v[..., 2] >= -tol).all() and (v @ self._effect_table.T >= -tol).all())
+        floor = -PROB_TOL
+        return bool((v[..., 2] >= floor).all() and (v @ self._effect_table.T >= floor).all())
 
     def channel_matrix(self, measurement, states=None) -> np.ndarray:
         """P(outcome | state), shape (..., inputs, outcomes), clipped to [0, 1]
@@ -304,7 +309,7 @@ def extremal_decomposition(theory: Theory, state) -> np.ndarray:
     """
     v = np.asarray(state, float)
     V = v.reshape(-1, 3)
-    if (np.abs(V[:, 2] - 1.0) > 1e-9).any() or not theory.in_state_cone(V, tol=1e-9):
+    if (np.abs(V[:, 2] - 1.0) > PROB_TOL).any() or not theory.in_state_cone(V):
         raise InvalidStateError("not a normalised state of the model")
     n = theory.n
     verts = theory._state_table
@@ -325,7 +330,7 @@ def extremal_decomposition(theory: Theory, state) -> np.ndarray:
     p /= p.sum(axis=1, keepdims=True)
     gaps = np.abs(verts - V[:, None, :]).max(axis=2)
     nearest = gaps.argmin(axis=1)
-    at_vertex = gaps[rows, nearest] <= GEOM_TOL
+    at_vertex = gaps[rows, nearest] <= ROUNDOFF
     p[at_vertex] = 0.0
     p[at_vertex, nearest[at_vertex]] = 1.0
     return p.reshape(v.shape[:-1] + (n,))

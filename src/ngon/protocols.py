@@ -42,7 +42,7 @@ from .geometry import (
     _realize_triples,
     extremal_decomposition,
 )
-from .polytope import ResourceBoundError, max_vertex_capacity
+from .polytope import ZERO_WEIGHT, ResourceBoundError, classify_vertex, enumerate_vertices
 
 IC_SEARCH_MAX = 24
 
@@ -357,8 +357,12 @@ def simulate_transmission(
 
 
 @functools.cache
-def _even_vertex_bound() -> float:
-    return max_vertex_capacity(3, 2.0)
+def _even_vertex_bound() -> bool:
+    """Whether no point of the alphabet-3 polytope at c = 2 carries more than
+    1 bit, decided exactly: every vertex is ZERO_WEIGHT, so its channel has
+    at most two non-zero outcome rows (at most 1 bit), and capacity is convex
+    in the channel, so no mixture of the vertex channels carries more."""
+    return all(classify_vertex(v) == ZERO_WEIGHT for v in enumerate_vertices(3, 2.0))
 
 
 def ic_bound_check(theory: Theory) -> bool:
@@ -367,9 +371,9 @@ def ic_bound_check(theory: Theory) -> bool:
     True iff the random access code's information sum exceeds 1 + 1e-9
     while the theory's capacity equals 1 within 1e-6.  Up to n = 64 the
     capacity comes from the full measurement enumeration; beyond it the
-    antipodal pair provides the achievability side and the channel-polytope
-    vertex bound (computed once and cached) certifies the converse, so the
-    check stays exact at sizes where enumeration is impractical.
+    antipodal pair provides the achievability side and the exact vertex
+    bound (decided once and cached) certifies the converse, so the check
+    stays exact at sizes where enumeration is impractical.
     """
     _require_even(theory)
     info = run_ic(theory).info_sum_bits
@@ -378,4 +382,4 @@ def ic_bound_check(theory: Theory) -> bool:
     if theory.n <= 64:
         return abs(theory_capacity(theory).capacity_bits - 1.0) <= 1e-6
     lower = antipodal_pair_rate(theory)
-    return abs(lower - 1.0) <= 1e-6 and _even_vertex_bound() <= 1.0 + 1e-6
+    return abs(lower - 1.0) <= 1e-6 and _even_vertex_bound()

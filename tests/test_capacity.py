@@ -1,5 +1,6 @@
 """Tests for channel capacity: Blahut-Arimoto core and polygon-theory rates."""
 
+import inspect
 import math
 import pickle
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ngon import capacity
 from ngon.capacity import (
+    BA_TOL,
     BAResult,
     CapacityResult,
     ConvergenceError,
@@ -199,6 +201,17 @@ def test_polished_capacity_lies_in_the_plain_iteration_bracket(inputs, outcomes,
 def test_ba_rejects_bad_matrix():
     with pytest.raises(ValueError):
         blahut_arimoto(np.array([[0.5, 0.6], [0.5, 0.5]]))
+    # rows sum to 1 within PROB_TOL; entries are nonnegative within ROUNDOFF
+    with pytest.raises(ValueError, match="probability vectors"):
+        blahut_arimoto(np.array([[0.5, 0.5 + 2e-9], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="probability vectors"):
+        blahut_arimoto(np.array([[1.0 + 2e-12, -2e-12], [0.5, 0.5]]))
+    assert blahut_arimoto(np.array([[1.0 + 5e-13, -5e-13], [0.0, 1.0]])).capacity_bits > 0.99
+
+
+def test_theory_capacity_default_tol_is_the_bracket_default():
+    assert inspect.signature(theory_capacity).parameters["tol"].default == BA_TOL
+    assert inspect.signature(blahut_arimoto).parameters["tol"].default == BA_TOL
 
 
 def test_binary_entropy_endpoints():

@@ -1,6 +1,7 @@
 """Command line interface: payloads, formats, determinism, exit codes."""
 
 import functools
+import hashlib
 import json
 import math
 import multiprocessing
@@ -14,7 +15,7 @@ import pytest
 
 import ngon
 from ngon import checks, cli
-from ngon.capacity import ConvergenceError
+from ngon.capacity import BA_TOL, ConvergenceError
 from ngon.checks import run_checks
 from ngon.cli import main
 from ngon.decomposition import DecompositionError
@@ -228,18 +229,13 @@ def test_an_unknown_key_stops_the_run_before_any_check(monkeypatch):
     assert calls == []
 
 
-def test_protocol_requests_never_import_numpy_ma():
-    # numpy.ma, which np.unique imports on first use, adds about 1 MiB of peak RSS
-    script = """
+def imports_numpy_ma(*requests):
+    """Whether a fresh interpreter that runs these CLI requests imports
+    numpy.ma, which np.unique imports on first use: about 1 MiB of peak RSS."""
+    script = f"""
 import contextlib, io, sys
 from ngon.cli import main
-requests = (
-    ["check", "--only", "decomposition,reduction,ic,ne,simulation,weights"],
-    ["ic", "--n", "24", "--search"],
-    ["simulate", "--n", "17", "--vertex", "3", "--samples", "1000", "--seed", "5"],
-    ["simulate", "--n", "8", "--samples", "1000", "--seed", "5"],
-)
-for argv in requests:
+for argv in {[list(r) for r in requests]!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 print("numpy.ma" in sys.modules)
@@ -251,7 +247,24 @@ print("numpy.ma" in sys.modules)
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout != "False\n"
+
+
+def test_protocol_requests_never_import_numpy_ma():
+    assert not imports_numpy_ma(
+        ["check", "--only", "decomposition,reduction,ic,ne,simulation,weights"],
+        ["ic", "--n", "24", "--search"],
+        ["simulate", "--n", "17", "--vertex", "3", "--samples", "1000", "--seed", "5"],
+        ["simulate", "--n", "8", "--samples", "1000", "--seed", "5"],
+    )
+
+
+def test_sweep_and_census_requests_never_import_numpy_ma():
+    assert not imports_numpy_ma(["capacity", "--n-range", "3..64"])
+    assert not imports_numpy_ma(
+        ["vertices", "--alphabet-size", "2", "--c", "2.0"],
+        ["vertices", "--alphabet-size", "3", "--c", "2.4321"],
+    )
 
 
 def test_bad_n_exits_two(capsys):
@@ -310,6 +323,26 @@ def test_nine_significant_digits(capsys):
 def test_capacity_bad_tol_exits_two(capsys, tol):
     code, out, err = run(capsys, "capacity", "--n", "5", "--tol", tol)
     assert code == 2 and out == "" and "tol" in err
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        ("66", "fcb31e7842aaa0afc842c94d8e1ac94a9f7cda4ed7ac22335112c9c39f388af5"),
+        ("100", "cd737362eaf90c3b785b45392982937f5afe66babc565b1f92beed42f2ab3f3f"),
+    ],
+)
+def test_ic_beyond_the_enumeration_bound_keeps_its_bytes(capsys, n, digest):
+    # the SHA-256 of the report when the vertex bound was a numeric
+    # Blahut-Arimoto maximum (e1d7896); the exact bound prints the same bytes
+    code, out, _ = run(capsys, "ic", "--n", n)
+    assert code == 0 and json.loads(out)["one_bit_bound"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_capacity_tol_defaults_to_the_bracket_default(monkeypatch):
+    monkeypatch.delenv("NGON_TOL", raising=False)
+    assert cli.build_parser().parse_args(["capacity", "--n", "5"]).tol == BA_TOL
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

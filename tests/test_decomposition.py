@@ -90,6 +90,18 @@ def test_decomposition_rejects_bad_inputs():
         decompose_into_binary_channels(np.array([[0.9], [0.2], [0.0]]), [1.0, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("err", [5e-10, -5e-10])
+def test_column_sums_within_prob_tol_are_accepted(err):
+    w = np.array([0.9, 0.6, 0.5])
+    P = np.array([[0.5, 0.2, 0.3], [0.3, 0.6, 0.2], [0.2, 0.2, 0.5]])
+    P[0, 1] += err
+    res = decompose_into_binary_channels(P, w)
+    assert np.abs(res.reconstruct() - P).max() < 1e-9
+    P[0, 1] += 3 * err
+    with pytest.raises(InfeasibleChannelError, match="probability vectors"):
+        decompose_into_binary_channels(P, w)
+
+
 def test_reduce_passthrough_on_three_letters():
     t = Theory(5)
     m = t.measurement((0, 1, 3))
@@ -185,3 +197,8 @@ def test_reduce_input_validation():
         caratheodory_reduce(t, t.states()[:2], [0.5, 0.6], m)
     with pytest.raises(ValueError):
         caratheodory_reduce(t, t.states()[:2], [1.0, 0.0], m)
+    with pytest.raises(ValueError, match="sum to 1"):
+        caratheodory_reduce(t, t.states()[:2], [0.5, 0.5 + 2e-9], m)
+    # a sum within PROB_TOL of 1 is accepted
+    trace = caratheodory_reduce(t, t.states()[:2], [0.5, 0.5 + 5e-10], m)
+    assert trace.stages[0][1] == (0, 1)

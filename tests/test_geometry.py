@@ -495,6 +495,11 @@ def test_extremal_decomposition_vertex_and_errors():
         extremal_decomposition(t, t.state(0) + np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InvalidStateError):
         extremal_decomposition(t, np.stack([t.state(1), np.array([0.0, 0.0, 2.0])]))
+    # normalisation is checked to PROB_TOL
+    q = extremal_decomposition(t, np.array([0.0, 0.0, 1.0 + 5e-10]))
+    assert abs(q.sum() - 1.0) < 1e-12
+    with pytest.raises(InvalidStateError):
+        extremal_decomposition(t, np.array([0.0, 0.0, 1.0 + 2e-9]))
 
 
 def test_extremal_decomposition_deterministic():

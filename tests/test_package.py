@@ -1,6 +1,8 @@
 """Tests of the package's public surface."""
 
+import ast
 import types
+from pathlib import Path
 
 import ngon
 
@@ -59,3 +61,28 @@ def test_package_exports_only_the_documented_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert bound == set(ngon.__all__)
+
+
+def test_tolerances_are_named_at_module_level():
+    # a float in (0, 1e-3) is a tolerance; outside a module-level assignment
+    # it is a stray literal that should use a named one (the check gates in
+    # checks.py, protocols.py and cli.py state their margins and stay literal)
+    src = Path(ngon.__file__).parent
+    stray = []
+    for name in ("geometry.py", "capacity.py", "decomposition.py", "polytope.py"):
+        tree = ast.parse((src / name).read_text())
+        named = {
+            id(node)
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for node in ast.walk(stmt)
+        }
+        stray += [
+            f"{name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and 0.0 < node.value < 1e-3
+            and id(node) not in named
+        ]
+    assert stray == []

@@ -12,6 +12,7 @@ from ngon.geometry import InvalidStateError, Theory
 from ngon.polytope import ResourceBoundError
 from ngon.protocols import (
     _binary_info,
+    _even_vertex_bound,
     _pair_outcome_table,
     best_ic_encoding,
     even_full_alphabet_ne_matrix,
@@ -280,3 +281,8 @@ def test_ic_bound_check_small_and_large():
     assert ic_bound_check(Theory(1000)) is False
     with pytest.raises(ValueError):
         ic_bound_check(Theory(5))
+
+
+def test_even_vertex_bound_is_decided_exactly():
+    # every vertex of the alphabet-3 polytope at c = 2 is zero-weight
+    assert _even_vertex_bound() is True
