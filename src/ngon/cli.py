@@ -7,11 +7,12 @@ sorted, every float is rounded to 9 significant digits, and timing fields are
 kept out of JSON so identical invocations produce identical bytes.  CSV is
 for spreadsheet-style consumption and may include runtimes.
 
+Each ``cmd_*`` handler returns its JSON payload and its other rendering: a
+CSV ``(header, rows)`` table, or the text report of ``check``.  ``main``
+picks the format and writes once, to stdout or ``--out``.
+
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage errors
 (argparse errors and invalid parameter values), 3 on numerical failures.
-
-Environment defaults: NGON_SEED, NGON_SAMPLES, NGON_JOBS, NGON_TOL and
-NGON_MAX_N override the built-in defaults of the matching options.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -41,26 +41,6 @@ from .protocols import (
     run_ic,
     simulate_transmission,
 )
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name}={raw!r} is not an integer")
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name}={raw!r} is not a number")
 
 
 def _sig9(value: float) -> float:
@@ -127,24 +107,22 @@ def _parse_range(text: str) -> range:
     return range(a, b + 1)
 
 
-def cmd_states(args) -> int:
+def _indexed(rows) -> list[tuple]:
+    return [(i, *row) for i, row in enumerate(rows)]
+
+
+def cmd_states(args) -> tuple[dict, tuple]:
     t = Theory(args.n)
-    states = t.states()
-    if args.format == "csv":
-        rows = [(i, *(float(v) for v in states[i])) for i in range(t.n)]
-        _write(_csv_text(("index", "x", "y", "z"), rows), args.out)
-        return 0
     payload = {
         "n": t.n,
         "parity": t.parity,
         "radius": float(t.r),
-        "states": [[float(v) for v in row] for row in states],
+        "states": t.states().tolist(),
     }
-    _write(_json_text(payload), args.out)
-    return 0
+    return payload, (("index", "x", "y", "z"), _indexed(payload["states"]))
 
 
-def cmd_effects(args) -> int:
+def cmd_effects(args) -> tuple[dict, tuple]:
     t = Theory(args.n)
     effects = t.effects()
     overlap = effects @ t.states().T
@@ -152,19 +130,14 @@ def cmd_effects(args) -> int:
         [int(i) for i in range(t.n) if abs(overlap[j, i] - 1.0) <= ROUNDOFF]
         for j in range(t.n)
     ]
-    if args.format == "csv":
-        rows = [(j, *(float(v) for v in effects[j])) for j in range(t.n)]
-        _write(_csv_text(("index", "x", "y", "z"), rows), args.out)
-        return 0
     payload = {
         "n": t.n,
         "parity": t.parity,
-        "effects": [[float(v) for v in row] for row in effects],
-        "overlap": [[float(v) for v in row] for row in overlap],
+        "effects": effects.tolist(),
+        "overlap": overlap.tolist(),
         "saturating": saturating,
     }
-    _write(_json_text(payload), args.out)
-    return 0
+    return payload, (("index", "x", "y", "z"), _indexed(payload["effects"]))
 
 
 def _capacity_entry(job):
@@ -175,7 +148,7 @@ def _capacity_entry(job):
     return result.to_dict(), runtime_ms
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args) -> tuple[dict, tuple]:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None:
@@ -190,38 +163,24 @@ def cmd_capacity(args) -> int:
             results = list(pool.map(_capacity_entry, jobs))
     else:
         results = [_capacity_entry(job) for job in jobs]
-    if args.format == "csv":
-        rows = [
-            (d["n"], d["parity"], float(d["capacity_bits"]), float(ms))
-            for d, ms in results
-        ]
-        _write(_csv_text(("n", "parity", "capacity_bits", "runtime_ms"), rows), args.out)
-        return 0
-    _write(_json_text({"results": [d for d, _ in results]}), args.out)
-    return 0
+    header = ("n", "parity", "capacity_bits", "runtime_ms")
+    rows = [(d["n"], d["parity"], d["capacity_bits"], ms) for d, ms in results]
+    return {"results": [d for d, _ in results]}, (header, rows)
 
 
-def cmd_vertices(args) -> int:
-    verts = enumerate_vertices(args.alphabet_size, args.c)
-    summary = vertex_summary(args.alphabet_size, args.c)
-    if args.format == "csv":
-        header = ["index", "class", "lam0", "lam1", "lam2"]
-        header += [f"P_{y}_{x}" for y in range(3) for x in range(args.alphabet_size)]
-        rows = []
-        for i, v in enumerate(verts):
-            d = v.to_dict()
-            rows.append(
-                (i, d["class"], *(float(x) for x in d["lambda"]),
-                 *(float(x) for row in d["P"] for x in row))
-            )
-        _write(_csv_text(header, rows), args.out)
-        return 0
-    payload = {"summary": summary, "vertices": [v.to_dict() for v in verts]}
-    _write(_json_text(payload), args.out)
-    return 0
+def cmd_vertices(args) -> tuple[dict, tuple]:
+    verts = [v.to_dict() for v in enumerate_vertices(args.alphabet_size, args.c)]
+    payload = {"summary": vertex_summary(args.alphabet_size, args.c), "vertices": verts}
+    header = ["index", "class", "lam0", "lam1", "lam2"]
+    header += [f"P_{y}_{x}" for y in range(3) for x in range(args.alphabet_size)]
+    rows = [
+        (i, d["class"], *d["lambda"], *(x for row in d["P"] for x in row))
+        for i, d in enumerate(verts)
+    ]
+    return payload, (header, rows)
 
 
-def cmd_ic(args) -> int:
+def cmd_ic(args) -> tuple[dict, tuple]:
     t = Theory(args.n)
     if args.search and t.n > IC_SEARCH_MAX:
         raise ValueError(f"exhaustive search is capped at n={IC_SEARCH_MAX}")
@@ -236,30 +195,18 @@ def cmd_ic(args) -> int:
             "info_sum_bits": float(best),
             "matches_protocol": bool(abs(best - report.info_sum_bits) <= 1e-9),
         }
-    if args.format == "csv":
-        rows = [("n", float(payload["n"]))]
-        for key in ("success_bit0", "success_bit1", "worst_bit_success",
-                    "info_bit0", "info_bit1", "info_sum_bits", "info_avg_bits"):
-            rows.append((key, float(payload[key])))
-        _write(_csv_text(("key", "value"), rows), args.out)
-        return 0
-    _write(_json_text(payload), args.out)
-    return 0
+    keys = ("n", "success_bit0", "success_bit1", "worst_bit_success",
+            "info_bit0", "info_bit1", "info_sum_bits", "info_avg_bits")
+    return payload, (("key", "value"), [(key, float(payload[key])) for key in keys])
 
 
-def cmd_ne(args) -> int:
-    report = ne_matrix(Theory(args.n))
-    if args.format == "csv":
-        size = report.effective_alphabet
-        header = ["x"] + [f"y{y}" for y in range(size)]
-        rows = [(x, *(float(v) for v in report.matrix[x])) for x in range(size)]
-        _write(_csv_text(header, rows), args.out)
-        return 0
-    _write(_json_text(report.to_dict()), args.out)
-    return 0
+def cmd_ne(args) -> tuple[dict, tuple]:
+    payload = ne_matrix(Theory(args.n)).to_dict()
+    header = ["x"] + [f"y{y}" for y in range(payload["effective_alphabet"])]
+    return payload, (header, _indexed(payload["matrix"]))
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, tuple]:
     t = Theory(args.n)
     if args.indices:
         idx = _parse_indices(args.indices)
@@ -276,38 +223,27 @@ def cmd_simulate(args) -> int:
     else:
         state = np.array([0.0, 0.0, 1.0])
     report = simulate_transmission(t, state, measurement, samples=args.samples, seed=args.seed)
-    if args.format == "csv":
-        rows = [
-            (k, float(report.analytic_dist[k]), float(report.empirical_dist[k]))
-            for k in range(len(report.analytic_dist))
-        ]
-        rows.append(("tv_distance", float(report.tv_distance), float("nan")))
-        _write(_csv_text(("outcome", "analytic", "empirical"), rows), args.out)
-        return 0
-    _write(_json_text(report.to_dict()), args.out)
-    return 0
+    payload = report.to_dict()
+    rows = _indexed(zip(payload["analytic_dist"], payload["empirical_dist"]))
+    rows.append(("tv_distance", payload["tv_distance"], float("nan")))
+    return payload, (("outcome", "analytic", "empirical"), rows)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, str]:
     only = [part.strip() for part in args.only.split(",")] if args.only else None
     results = run_checks(only=only, max_n=args.max_n)
-    failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        payload = {
-            "results": [
-                {"key": r.key, "passed": r.passed, "details": r.details} for r in results
-            ],
-            "notes": [{"key": k, "text": t} for k, t in NOTES],
-            "passed": not failed,
-        }
-        _write(_json_text(payload), args.out)
-        return 1 if failed else 0
+    passed = sum(r.passed for r in results)
+    payload = {
+        "results": [
+            {"key": r.key, "passed": r.passed, "details": r.details} for r in results
+        ],
+        "notes": [{"key": k, "text": t} for k, t in NOTES],
+        "passed": passed == len(results),
+    }
     lines = [r.line() for r in results]
-    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    for key, text in NOTES:
-        lines.append(f"NOTE {key}: {text}")
-    _write("\n".join(lines) + "\n", args.out)
-    return 1 if failed else 0
+    lines.append(f"{passed}/{len(results)} checks passed")
+    lines += [f"NOTE {key}: {text}" for key, text in NOTES]
+    return payload, "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None, help="single polygon size")
     group.add_argument("--n-range", default=None, help="inclusive range, e.g. 4..12")
-    p.add_argument("--tol", type=float, default=_env_float("NGON_TOL", BA_TOL))
-    p.add_argument("--jobs", type=int, default=_env_int("NGON_JOBS", 1))
+    p.add_argument("--tol", type=float, default=BA_TOL)
+    p.add_argument("--jobs", type=int, default=1)
     add_common(p, n_flag=False)
     p.set_defaults(func=cmd_capacity)
 
@@ -358,15 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="classical simulation of one transmission")
     add_common(p)
-    p.add_argument("--samples", type=int, default=_env_int("NGON_SAMPLES", 100_000))
-    p.add_argument("--seed", type=int, default=_env_int("NGON_SEED", 0))
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--indices", default=None, help="measurement indices, e.g. 0,2,3")
     p.add_argument("--vertex", type=int, default=None, help="send this vertex instead of the barycenter")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check", help="run the acceptance checks")
     p.add_argument("--only", default=None, help=f"comma list from: {', '.join(REGISTRY)}")
-    p.add_argument("--max-n", type=int, default=_env_int("NGON_MAX_N", 64))
+    p.add_argument("--max-n", type=int, default=64)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
@@ -376,9 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        payload, rendering = args.func(args)
+        if args.format == "json":
+            text = _json_text(payload)
+        elif args.format == "csv":
+            text = _csv_text(*rendering)
+        else:
+            text = rendering
+        _write(text, args.out)
+        # only check carries "passed"
+        return 0 if payload.get("passed", True) else 1
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

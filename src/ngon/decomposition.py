@@ -234,10 +234,7 @@ def trace_information(trace: ReductionTrace, theory: Theory, measurement: Measur
 
     stage_prior = np.array([qk for qk, _, _ in trace.stages])
     stage_rows = np.stack(
-        [
-            np.clip(beta @ (verts[list(J)] @ measurement.effects.T), 0.0, 1.0)
-            for _, J, beta in trace.stages
-        ]
+        [beta @ theory.channel_matrix(measurement, verts[list(J)]) for _, J, beta in trace.stages]
     )
     stage_rows /= stage_rows.sum(axis=1, keepdims=True)
     stage_info = mutual_information_bits(stage_prior, stage_rows)

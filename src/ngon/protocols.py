@@ -148,8 +148,7 @@ def _pair_outcome_table(theory: Theory, anchor: int) -> np.ndarray:
 
 def _binary_info(t0: float, t1: float) -> float:
     """Information in bits between a fair input bit and the pair outcome."""
-    hb = lambda p: float(binary_entropy(np.array(p)))
-    return hb(0.5 * (t0 + t1)) - 0.5 * (hb(t0) + hb(t1))
+    return binary_entropy(0.5 * (t0 + t1)) - 0.5 * (binary_entropy(t0) + binary_entropy(t1))
 
 
 def run_ic(theory: Theory) -> ICReport:
@@ -221,19 +220,16 @@ def best_ic_encoding(theory: Theory):
     # G[a, i] = P(first outcome | state i) under the pair anchored at a
     G = np.stack([_pair_outcome_table(theory, a) for a in range(half)])
 
-    def hb(p):
-        return binary_entropy(np.clip(p, 0.0, 1.0))
-
     # pair-average tables: PA[a, i, k] = mean outcome law when the averaged
     # bit picks state i or k equiprobably
     PA = 0.5 * (G[:, :, None] + G[:, None, :])
-    HPA = hb(PA)
+    HPA = binary_entropy(PA)
     # best[k, (r, s)] = best-anchor info for the pairs (0, k) and (r, s)
     best = np.full((n, n * n), -1.0)
     flatPA = PA.reshape(half, n * n)
     flatH = HPA.reshape(half, n * n)
     for a in range(half):
-        mix = hb(0.5 * (flatPA[a][:n, None] + flatPA[a][None, :]))
+        mix = binary_entropy(0.5 * (flatPA[a][:n, None] + flatPA[a][None, :]))
         info = mix - 0.5 * (flatH[a][:n, None] + flatH[a][None, :])
         np.maximum(best, info, out=best)
     B = best.reshape(n, n, n)  # axes (e01, e10, e11): pairs (0,e01),(e10,e11)

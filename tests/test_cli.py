@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -241,7 +242,7 @@ for argv in {[list(r) for r in requests]!r}:
 print("numpy.ma" in sys.modules)
 """
     src = str(Path(ngon.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("NGON_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
@@ -297,18 +298,6 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def test_env_overrides_defaults(capsys, monkeypatch):
-    monkeypatch.setenv("NGON_SAMPLES", "750")
-    monkeypatch.setenv("NGON_SEED", "42")
-    code, out, _ = run(capsys, "simulate", "--n", "4")
-    assert code == 0
-    d = json.loads(out)
-    assert d["samples"] == 750 and d["seed"] == 42
-    monkeypatch.setenv("NGON_SAMPLES", "not-a-number")
-    code, _, err = run(capsys, "simulate", "--n", "4")
-    assert code == 2 and "NGON_SAMPLES" in err
-
-
 def test_nine_significant_digits(capsys):
     _, out, _ = run(capsys, "states", "--n", "5")
     d = json.loads(out)
@@ -340,8 +329,7 @@ def test_ic_beyond_the_enumeration_bound_keeps_its_bytes(capsys, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_capacity_tol_defaults_to_the_bracket_default(monkeypatch):
-    monkeypatch.delenv("NGON_TOL", raising=False)
+def test_capacity_tol_defaults_to_the_bracket_default():
     assert cli.build_parser().parse_args(["capacity", "--n", "5"]).tol == BA_TOL
 
 
@@ -407,3 +395,77 @@ def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):
     monkeypatch.setitem(checks.REGISTRY, "ne", traced)
     run_checks(only=["ne"], max_n=5)
     assert calls == [{"max_n": 5}]
+
+
+# SHA-256 of stdout per subcommand and format, computed at 843b4da before the
+# handlers returned their payloads to one writer in main.  The capacity CSV
+# runtime_ms column and the text "(0.12s)" timings are masked.
+PINNED = [
+    (("states", "--n", "5"), "409b22b4bc7b6d01017a02ea0bfbb1c331a5a724b3ea1900a96209abca7bd8ba"),
+    (("states", "--n", "6", "--format", "csv"), "a145219505ee374372f6809e68fa95b6a9df2994e8e215852dcef9d1c9c91049"),
+    (("effects", "--n", "8"), "52b804600abc14750f52eb6c8ae47071694432aaa4cc9565a256f21ac1ee7d07"),
+    (("effects", "--n", "5", "--format", "csv"), "0bacbf66e6eef980fd964d4d32775d34e28209e9aab879b87dc721a0b0c7b37d"),
+    (("capacity", "--n-range", "3..8"), "1b95953440c67e3208c0e62ba46745c19446d4976ff4561fcbbe013177c04fcd"),
+    (("capacity", "--n-range", "3..8", "--format", "csv"), "10d63770a7c91bb5e35ef32562cabb35e309f2a9c1b4fb19756ee65f3ac1ff45"),
+    (("vertices", "--alphabet-size", "2", "--c", "2.5"), "6d7f1252767fbef4ddc0f122a8fcc19a99794d29b677f62a7ccad26fb924033d"),
+    (("vertices", "--alphabet-size", "2", "--c", "2.5", "--format", "csv"), "475e231ba35a56942c60e4f2a3c4fb9f372d72fabef75057da643f7030ce7725"),
+    (("ic", "--n", "12", "--search"), "4bdcb5d7ed7d3c5119cf81d9ca8428f118f8471203a1043fb54135676c350522"),
+    (("ic", "--n", "12", "--search", "--format", "csv"), "313e6df7bc0a345e3182f9b4d3197f9445341e1e10959163a36d5bafd43b81e8"),
+    (("ne", "--n", "7"), "757ed9750dde966999e40d367bcd3212526268e469c9cbd2c1b23055da97d222"),
+    (("ne", "--n", "10", "--format", "csv"), "2708203e84834d2f4704cade029a2a465a781a83409f34b1c7d651242a421881"),
+    (("simulate", "--n", "5", "--samples", "2000", "--seed", "7"), "39ece6fd7a469e7f3037c1d74ec41447479f7c96dc3b10fdfeedba70a2a18e9e"),
+    (("simulate", "--n", "17", "--vertex", "3", "--samples", "1000", "--seed", "5", "--format", "csv"), "aa96b2a4bbbdd89fe207fac29c825ed2c9cfd06027d8d7d07569473a986d719a"),
+    (("check", "--only", "ic,ne", "--max-n", "16"), "3a50478bb16eff02dcc7797c131f4bc0ee6299f375427c2bba9220296633935c"),
+    (("check", "--only", "ic,ne", "--max-n", "16", "--format", "json"), "e14c2a73efc30776f869151fd230dcc10aeec438f7ef7af88a93624d432fea42"),
+]
+
+
+def _masked(argv, out: str) -> str:
+    if argv[0] == "capacity" and "csv" in argv:
+        return "".join(line.rsplit(",", 1)[0] + "\n" for line in out.splitlines())
+    return re.sub(r"\(\d+\.\d\ds\)", "(s)", out)
+
+
+@pytest.mark.parametrize(
+    "argv, digest", [pytest.param(argv, digest, id=" ".join(argv)) for argv, digest in PINNED]
+)
+def test_stdout_keeps_its_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(_masked(argv, out).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("states", "--n", "5"),
+        ("ne", "--n", "10", "--format", "csv"),
+        ("check", "--only", "ne", "--max-n", "6"),
+        ("check", "--only", "ne", "--max-n", "6", "--format", "json"),
+    ],
+)
+def test_out_writes_the_bytes_of_stdout(tmp_path, capsys, argv):
+    _, printed, _ = run(capsys, *argv)
+    target = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == "" and err == ""
+    assert _masked(argv, target.read_text()) == _masked(argv, printed)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_failing_check_exits_one_and_writes_its_report(capsys, monkeypatch, fmt):
+    def failing(max_n=64):
+        return checks.CheckResult("ic", False, "forced failure")
+
+    monkeypatch.setitem(checks.REGISTRY, "ic", failing)
+    code, out, err = run(capsys, "check", "--only", "ic,ne", "--max-n", "6", "--format", fmt)
+    assert code == 1 and err == ""
+    if fmt == "text":
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL ic (") and lines[0].endswith("s): forced failure")
+        assert lines[1].startswith("PASS ne")
+        assert lines[2] == "1/2 checks passed"
+    else:
+        d = json.loads(out)
+        assert d["passed"] is False
+        assert [(r["key"], r["passed"]) for r in d["results"]] == [("ic", False), ("ne", True)]
