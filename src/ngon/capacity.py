@@ -345,7 +345,9 @@ def blahut_arimoto(
             max_iter,
         )
     winner = int(np.argmax(lower))
-    return BAResult(max(float(lower[winner]), 0.0), priors[winner], int(retired_at[winner]), winner)
+    # a copy, so that a kept result does not hold the whole stack's priors
+    prior = priors[winner].copy()
+    return BAResult(max(float(lower[winner]), 0.0), prior, int(retired_at[winner]), winner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,18 +370,6 @@ class CapacityResult:
         if not -ROUNDOFF <= self.capacity_bits <= math.log2(3.0) + PROB_TOL:
             raise ValueError(f"capacity {self.capacity_bits} outside [0, log2(3)]")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "parity": self.parity,
-            "capacity_bits": float(self.capacity_bits),
-            "measurement": list(self.measurement.indices),
-            "weights": [float(w) for w in self.measurement.realized_weights],
-            "prior": [float(p) for p in self.prior],
-            "support": list(self.support),
-            "iterations": self.iterations,
-        }
-
 
 def capacity_candidates(theory: Theory) -> list[Measurement]:
     """One measurement per dihedral orbit: the antipodal pair when n is even,
@@ -391,9 +381,7 @@ def capacity_candidates(theory: Theory) -> list[Measurement]:
     # n - t[2] is the largest gap of a representative (0, g1, g1 + g2)
     triples = [t for t in triple_representatives(theory) if 2 * (n - t[2]) < n]
     mu, effects = _realize_triples(n, triples)
-    scale = theory.effect_scale
-    weights = (mu / scale).tolist()
-    return pair + [Measurement(t, tuple(w), scale, e) for t, w, e in zip(triples, weights, effects)]
+    return pair + [Measurement(t, tuple(w), e) for t, w, e in zip(triples, mu.tolist(), effects)]
 
 
 def theory_capacity(

@@ -18,7 +18,6 @@ worst gaps they report move at the level of roundoff.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 import time
@@ -68,10 +67,6 @@ class CheckResult:
     details: str
     elapsed_s: float = 0.0  # set by run_checks
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.key} ({self.elapsed_s:.2f}s): {self.details}"
-
 
 def _sweep(key: str, sizes: range) -> range:
     """The polygon sizes a check sweeps; an empty sweep is a usage error."""
@@ -81,16 +76,6 @@ def _sweep(key: str, sizes: range) -> range:
             f"(the sweep starts at n={sizes.start})"
         )
     return sizes
-
-
-@functools.lru_cache(maxsize=None)
-def capacity_sweep(parity: str, max_n: int = 64) -> tuple:
-    """Cached (n, capacity_bits) sweep for one parity up to max_n."""
-    start = 4 if parity == "even" else 3
-    out = []
-    for n in range(start, max_n + 1, 2):
-        out.append((n, theory_capacity(Theory(n), enumeration_max=max_n).capacity_bits))
-    return tuple(out)
 
 
 def _random_measurement(t: Theory, rng):
@@ -105,21 +90,25 @@ def _random_measurement(t: Theory, rng):
 
 def check_even_capacity(max_n: int = 64) -> CheckResult:
     """Every even polygon up to max_n has one-shot capacity exactly 1 bit."""
-    _sweep("even-capacity", range(4, max_n + 1, 2))
-    rows = capacity_sweep("even", max_n)
-    worst = max(abs(cap - 1.0) for _, cap in rows)
+    caps = [
+        theory_capacity(Theory(n), enumeration_max=max_n).capacity_bits
+        for n in _sweep("even-capacity", range(4, max_n + 1, 2))
+    ]
+    worst = max(abs(cap - 1.0) for cap in caps)
     passed = worst <= 1e-6
     return CheckResult(
         "even-capacity",
         passed,
-        f"{len(rows)} even sizes, worst |capacity - 1| = {worst:.2e} (tol 1e-6)",
+        f"{len(caps)} even sizes, worst |capacity - 1| = {worst:.2e} (tol 1e-6)",
     )
 
 
 def check_odd_capacity(max_n: int = 64) -> CheckResult:
     """Odd capacities: log2(3) at the triangle, then strictly above 1 bit."""
-    _sweep("odd-capacity", range(3, max_n + 1, 2))
-    rows = dict(capacity_sweep("odd", max_n - 1 if max_n % 2 == 0 else max_n))
+    rows = {
+        n: theory_capacity(Theory(n), enumeration_max=max_n).capacity_bits
+        for n in _sweep("odd-capacity", range(3, max_n + 1, 2))
+    }
     top = max(rows)
     tri_gap = abs(rows[3] - LOG2_3)
     above = all(cap > 1.0 + 1e-9 for cap in rows.values())
@@ -175,7 +164,7 @@ def check_decomposition(trials: int = 100, seed: int = 41) -> CheckResult:
         except InfeasibleMeasurementError:
             continue
         P = t.channel_matrix(m).T
-        res = decompose_into_binary_channels(P, m.realized_weights)
+        res = decompose_into_binary_channels(P, m.weights)
         worst_recon = max(worst_recon, float(np.abs(res.reconstruct() - P).max()))
         worst_q = min(worst_q, float(res.q.min()))
         # the best of the three binary components, as one stack
@@ -353,7 +342,7 @@ def check_weights(trials: int = 1000, seed: int = 2024) -> CheckResult:
         closed = np.empty(idx.shape)
         for n in range(3, 33):
             at = ns == n
-            closed[at] = np.column_stack(closed_form_triple_weights(Theory(n), *idx[at].T)[:3])
+            closed[at] = np.column_stack(closed_form_triple_weights(Theory(n), *idx[at].T))
         ok = closed.min(axis=1) >= 1e-9
         chunks.append((ns[ok], idx[ok], closed[ok]))
         accepted += int(ok.sum())
@@ -363,16 +352,14 @@ def check_weights(trials: int = 1000, seed: int = 2024) -> CheckResult:
         at = ns == n
         # all three weights positive, so every kept triple is a measurement
         mu, _ = _realize_triples(n, idx[at])
-        gap = np.abs(mu / Theory(n).effect_scale - closed[at]).max(initial=0.0)
+        gap = np.abs(mu - closed[at]).max(initial=0.0)
         worst = max(worst, float(gap))
     minima = [min_effect_weight(Theory(n)) for n in range(3, 64, 2)]
     positive = all(v > 0 for v in minima)
     family = []
     for n in range(3, 64, 2):
         j2 = (n - 1) // 4 if (n - 1) % 4 == 0 else (n + 1) // 4
-        t = Theory(n)
-        l1, l2, l3, scale = closed_form_triple_weights(t, 0, j2, (n + 1) // 2)
-        family.append(scale * min(l1, l2, l3))
+        family.append(min(closed_form_triple_weights(Theory(n), 0, j2, (n + 1) // 2)))
     decreasing = all(a > b for a, b in zip(family, family[1:]))
     passed = worst <= 1e-9 and positive and decreasing
     return CheckResult(

@@ -7,8 +7,13 @@ sorted, every float is rounded to 9 significant digits, and timing fields are
 kept out of JSON so identical invocations produce identical bytes.  CSV is
 for spreadsheet-style consumption and may include runtimes.
 
-Each ``cmd_*`` handler returns its JSON payload and its other rendering: a
-CSV ``(header, rows)`` table, or the text report of ``check``.  ``main``
+The library returns plain data and this module is the one place that renders
+it: a dataclass record renders by its fields, an array as nested lists, and
+a tuple key such as the bit pair (0, 1) as its joined digits, "01".
+
+Each ``cmd_*`` handler returns its JSON payload, a dict or a record, and its
+other rendering: a CSV ``(header, rows)`` table, or the text report of
+``check``.  ``main``
 picks the format and writes once, to stdout or ``--out``.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage errors
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -32,9 +38,10 @@ from .capacity import BA_TOL, ConvergenceError, theory_capacity
 from .checks import NOTES, REGISTRY, run_checks
 from .decomposition import DecompositionError
 from .geometry import ROUNDOFF, Theory
-from .polytope import enumerate_vertices, vertex_summary
+from .polytope import classify_vertex, enumerate_vertices, vertex_summary
 from .protocols import (
-    IC_SEARCH_MAX,
+    NEReport,
+    SimulationReport,
     best_ic_encoding,
     ic_bound_check,
     ne_matrix,
@@ -48,10 +55,23 @@ def _sig9(value: float) -> float:
     return 0.0 if v == 0.0 else v
 
 
+def _fields(record) -> dict:
+    """A dataclass record as a dict of its fields, values as they are."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def _round_tree(obj):
-    """Copy a JSON-ready tree with every float at 9 significant digits."""
+    """Render a tree of records, arrays, dicts and sequences as JSON-ready
+    data with every float at 9 significant digits."""
+    if dataclasses.is_dataclass(obj):
+        return _round_tree(_fields(obj))
+    if isinstance(obj, np.ndarray):
+        return _round_tree(obj.tolist())
     if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
+        return {
+            "".join(map(str, k)) if isinstance(k, tuple) else k: _round_tree(v)
+            for k, v in obj.items()
+        }
     if isinstance(obj, (list, tuple)):
         return [_round_tree(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
@@ -145,7 +165,8 @@ def _capacity_entry(job):
     t0 = time.perf_counter()
     result = theory_capacity(Theory(n), tol=tol)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return result.to_dict(), runtime_ms
+    m = result.measurement
+    return {**_fields(result), "measurement": m.indices, "weights": m.weights}, runtime_ms
 
 
 def cmd_capacity(args) -> tuple[dict, tuple]:
@@ -169,7 +190,10 @@ def cmd_capacity(args) -> tuple[dict, tuple]:
 
 
 def cmd_vertices(args) -> tuple[dict, tuple]:
-    verts = [v.to_dict() for v in enumerate_vertices(args.alphabet_size, args.c)]
+    verts = [
+        {"c": v.c, "lambda": v.lam, "P": v.P, "class": classify_vertex(v)}
+        for v in enumerate_vertices(args.alphabet_size, args.c)
+    ]
     payload = {"summary": vertex_summary(args.alphabet_size, args.c), "vertices": verts}
     header = ["index", "class", "lam0", "lam1", "lam2"]
     header += [f"P_{y}_{x}" for y in range(3) for x in range(args.alphabet_size)]
@@ -182,31 +206,30 @@ def cmd_vertices(args) -> tuple[dict, tuple]:
 
 def cmd_ic(args) -> tuple[dict, tuple]:
     t = Theory(args.n)
-    if args.search and t.n > IC_SEARCH_MAX:
-        raise ValueError(f"exhaustive search is capped at n={IC_SEARCH_MAX}")
+    # an oversized search fails before the protocol runs
+    search = best_ic_encoding(t) if args.search else None
     report = run_ic(t)
-    payload = report.to_dict()
-    payload["one_bit_bound"] = bool(ic_bound_check(t))
+    payload = {**_fields(report), "one_bit_bound": ic_bound_check(t)}
     if args.search:
-        encoding, anchors, best = best_ic_encoding(t)
+        encoding, anchors, best = search
         payload["search"] = {
-            "encoding": {f"{x0}{x1}": int(v) for (x0, x1), v in encoding.items()},
-            "anchors": [int(a) for a in anchors],
-            "info_sum_bits": float(best),
-            "matches_protocol": bool(abs(best - report.info_sum_bits) <= 1e-9),
+            "encoding": encoding,
+            "anchors": anchors,
+            "info_sum_bits": best,
+            "matches_protocol": abs(best - report.info_sum_bits) <= 1e-9,
         }
     keys = ("n", "success_bit0", "success_bit1", "worst_bit_success",
             "info_bit0", "info_bit1", "info_sum_bits", "info_avg_bits")
     return payload, (("key", "value"), [(key, float(payload[key])) for key in keys])
 
 
-def cmd_ne(args) -> tuple[dict, tuple]:
-    payload = ne_matrix(Theory(args.n)).to_dict()
-    header = ["x"] + [f"y{y}" for y in range(payload["effective_alphabet"])]
-    return payload, (header, _indexed(payload["matrix"]))
+def cmd_ne(args) -> tuple[NEReport, tuple]:
+    report = ne_matrix(Theory(args.n))
+    header = ["x"] + [f"y{y}" for y in range(report.effective_alphabet)]
+    return report, (header, _indexed(report.matrix))
 
 
-def cmd_simulate(args) -> tuple[dict, tuple]:
+def cmd_simulate(args) -> tuple[SimulationReport, tuple]:
     t = Theory(args.n)
     if args.indices:
         idx = _parse_indices(args.indices)
@@ -223,10 +246,9 @@ def cmd_simulate(args) -> tuple[dict, tuple]:
     else:
         state = np.array([0.0, 0.0, 1.0])
     report = simulate_transmission(t, state, measurement, samples=args.samples, seed=args.seed)
-    payload = report.to_dict()
-    rows = _indexed(zip(payload["analytic_dist"], payload["empirical_dist"]))
-    rows.append(("tv_distance", payload["tv_distance"], float("nan")))
-    return payload, (("outcome", "analytic", "empirical"), rows)
+    rows = _indexed(zip(report.analytic_dist, report.empirical_dist))
+    rows.append(("tv_distance", report.tv_distance, float("nan")))
+    return report, (("outcome", "analytic", "empirical"), rows)
 
 
 def cmd_check(args) -> tuple[dict, str]:
@@ -240,7 +262,10 @@ def cmd_check(args) -> tuple[dict, str]:
         "notes": [{"key": k, "text": t} for k, t in NOTES],
         "passed": passed == len(results),
     }
-    lines = [r.line() for r in results]
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.key} ({r.elapsed_s:.2f}s): {r.details}"
+        for r in results
+    ]
     lines.append(f"{passed}/{len(results)} checks passed")
     lines += [f"NOTE {key}: {text}" for key, text in NOTES]
     return payload, "\n".join(lines) + "\n"
@@ -321,8 +346,8 @@ def main(argv=None) -> int:
         else:
             text = rendering
         _write(text, args.out)
-        # only check carries "passed"
-        return 0 if payload.get("passed", True) else 1
+        # only check's payload carries "passed"; ne and simulate return records
+        return 0 if not isinstance(payload, dict) or payload.get("passed", True) else 1
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

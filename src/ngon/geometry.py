@@ -75,20 +75,14 @@ def unit_effect() -> np.ndarray:
 class Measurement:
     """Canonical measurement; outcomes proportional to extremal effects.
 
-    ``weights[k]`` is the canonical coefficient lambda_k; the realised outcome
-    effect is ``weights[k] * scale * effect(indices[k])`` and the realised
-    effects sum to the unit effect.
+    ``weights[k]`` is the realised weight mu_k: outcome k is the effect
+    ``weights[k] * effect(indices[k])``, and the outcomes sum to the unit
+    effect.
     """
 
     indices: tuple[int, ...]
     weights: tuple[float, ...]
-    scale: float
     effects: np.ndarray  # (num_outcomes, 3) realised effect vectors
-
-    @property
-    def realized_weights(self) -> tuple[float, ...]:
-        """Coefficients of the extremal effects in the realised outcomes."""
-        return tuple(w * self.scale for w in self.weights)
 
 
 @dataclass(frozen=True)
@@ -113,11 +107,6 @@ class Theory:
     def r(self) -> float:
         """Circumradius sqrt(sec(pi/n)) of the state polygon."""
         return math.sqrt(1.0 / math.cos(math.pi / self.n))
-
-    @property
-    def effect_scale(self) -> float:
-        """Parity scale a relating canonical and realised triple weights."""
-        return 1.0 if self.even else (1.0 + self.r**2) / 2.0
 
     def state(self, i: int) -> np.ndarray:
         """Extremal state at vertex i (index reduced mod n)."""
@@ -183,12 +172,11 @@ class Theory:
                 raise InfeasibleMeasurementError("two-outcome measurements require even n")
             if (idx[1] - idx[0]) % self.n != self.n // 2:
                 raise InfeasibleMeasurementError(f"pair {idx} is not antipodal for n={self.n}")
-            return Measurement(idx, (1.0, 1.0), 1.0, self._effect_table[list(idx)])
+            return Measurement(idx, (1.0, 1.0), self._effect_table[list(idx)])
         if len(idx) != 3:
             raise ValueError("a canonical measurement has 2 or 3 outcomes")
         mu, effects = _realize_triples(self.n, [idx])
-        scale = self.effect_scale
-        return Measurement(idx, tuple((mu[0] / scale).tolist()), scale, effects[0])
+        return Measurement(idx, tuple(mu[0].tolist()), effects[0])
 
 
 @cache
@@ -269,18 +257,21 @@ def triple_representatives(theory: Theory) -> list[tuple[int, int, int]]:
 def closed_form_triple_weights(theory: Theory, j1: int, j2: int, j3: int):
     """Cotangent-product weights of the canonical triple measurement.
 
-    Returns (l1, l2, l3, scale).  When every l_k lies in [0, 1] the triple is
-    a measurement whose realised outcome effects are scale*l_k*effect(j_k);
-    the values agree with the linear-solve construction.  The indices may be
-    integer arrays of one shape, giving l_k of that shape.  Index differences
-    that vanish mod n leave the cotangents undefined.
+    Returns the realised weights (mu1, mu2, mu3) = a * (l1, l2, l3), where
+    l_k are the cotangent products and a is the parity scale, 1 for even n
+    and (1 + R^2) / 2 for odd n.  When every mu_k is nonnegative the triple
+    is a measurement whose outcome effects are mu_k * effect(j_k); the values
+    agree with the linear-solve construction.  The indices may be integer
+    arrays of one shape, giving mu_k of that shape.  Index differences that
+    vanish mod n leave the cotangents undefined.
     """
     n = theory.n
     diffs = (np.subtract(j1, j2), np.subtract(j2, j3), np.subtract(j3, j1))
     if any((d % n == 0).any() for d in diffs):
         raise DegenerateTripleError(f"triple ({j1}, {j2}, {j3}) has coincident indices mod {n}")
     c12, c23, c31 = (1.0 / np.tan(d * math.pi / n) for d in diffs)
-    return 1.0 - c12 * c31, 1.0 - c12 * c23, 1.0 - c23 * c31, theory.effect_scale
+    scale = 1.0 if theory.even else (1.0 + theory.r**2) / 2.0
+    return scale * (1.0 - c12 * c31), scale * (1.0 - c12 * c23), scale * (1.0 - c23 * c31)
 
 
 def min_effect_weight(theory: Theory) -> float:
@@ -293,8 +284,7 @@ def min_effect_weight(theory: Theory) -> float:
     if theory.even:
         raise ValueError("minimum effect weight is defined for odd n")
     mu, _ = _realize_triples(theory.n, triple_representatives(theory))
-    scale = theory.effect_scale
-    return float((mu / scale * scale).min())
+    return float(mu.min())
 
 
 def extremal_decomposition(theory: Theory, state) -> np.ndarray:

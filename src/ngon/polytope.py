@@ -72,14 +72,6 @@ class VertexPoint:
     c: float
     saturated: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "c": float(self.c),
-            "lambda": [float(v) for v in self.lam],
-            "P": [[float(v) for v in row] for row in self.P],
-            "class": classify_vertex(self),
-        }
-
 
 def _constraint_system(alphabet_size: int):
     """Equality matrix (right-hand side 1 per column sum, c for the weights),

@@ -61,19 +61,6 @@ class ICReport:
     info_sum_bits: float
     info_avg_bits: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "encoding": {f"{x0}{x1}": int(i) for (x0, x1), i in sorted(self.encoding.items())},
-            "success_bit0": self.success_bit0,
-            "success_bit1": self.success_bit1,
-            "worst_bit_success": self.worst_bit_success,
-            "info_bit0": self.info_bit0,
-            "info_bit1": self.info_bit1,
-            "info_sum_bits": self.info_sum_bits,
-            "info_avg_bits": self.info_avg_bits,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class NEReport:
@@ -84,15 +71,6 @@ class NEReport:
     matrix: np.ndarray
     min_offdiag: float
     max_diag: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "effective_alphabet": self.effective_alphabet,
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-            "min_offdiag": self.min_offdiag,
-            "max_diag": self.max_diag,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,17 +84,6 @@ class SimulationReport:
     tv_distance: float
     samples: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "message_bits": self.message_bits,
-            "analytic_dist": [float(v) for v in self.analytic_dist],
-            "empirical_dist": [float(v) for v in self.empirical_dist],
-            "tv_distance": self.tv_distance,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
 
 
 def _require_even(theory: Theory) -> None:
@@ -212,10 +179,10 @@ def best_ic_encoding(theory: Theory):
     need not be searched.  Returns (encoding, (anchor_bit0, anchor_bit1),
     info_sum_bits) with encoding[(0, 0)] == 0.
     """
-    _require_even(theory)
     n = theory.n
     if n > IC_SEARCH_MAX:
-        raise ResourceBoundError(f"n={n} exceeds the exhaustive search bound {IC_SEARCH_MAX}")
+        raise ResourceBoundError(f"exhaustive search is capped at n={IC_SEARCH_MAX}")
+    _require_even(theory)
     half = n // 2
     # G[a, i] = P(first outcome | state i) under the pair anchored at a
     G = np.stack([_pair_outcome_table(theory, a) for a in range(half)])

@@ -160,6 +160,62 @@ def test_ic_rejects_odd_and_oversized_search(capsys, monkeypatch):
     assert code == 2 and "exhaustive search is capped at n=24" in err
 
 
+def test_round_tree_renders_records_arrays_and_tuple_keys():
+    record = checks.CheckResult("ic", True, "ok", 0.123456789012)
+    assert cli._round_tree(record) == {
+        "key": "ic", "passed": True, "details": "ok", "elapsed_s": 0.123456789,
+    }
+    assert cli._round_tree(np.array([[1 / 3, 2.0]])) == [[0.333333333, 2.0]]
+    assert cli._round_tree({(0, 1): np.int64(7), "k": (1, 2)}) == {"01": 7, "k": [1, 2]}
+
+
+def test_capacity_payload_keys(capsys):
+    code, out, _ = run(capsys, "capacity", "--n", "5")
+    assert code == 0
+    (d,) = json.loads(out)["results"]
+    assert set(d) == {
+        "n", "parity", "capacity_bits", "measurement", "weights", "prior", "support", "iterations",
+    }
+    assert d["n"] == 5 and d["measurement"] == [0, 1, 3]
+    # realised weights: the outcomes sum to the unit effect, so 1 + R^2 at odd n
+    assert sum(d["weights"]) == pytest.approx(1 + 1 / math.cos(math.pi / 5), abs=1e-8)
+
+
+def test_vertex_payload_keys_and_classes(capsys):
+    code, out, _ = run(capsys, "vertices", "--alphabet-size", "2", "--c", "2.0")
+    assert code == 0
+    verts = json.loads(out)["vertices"]
+    assert verts
+    for v in verts:
+        assert set(v) == {"c", "lambda", "P", "class"}
+        assert v["c"] == 2.0 and len(v["lambda"]) == 3
+        assert [len(row) for row in v["P"]] == [2, 2, 2]
+        assert v["class"] in {"ZERO_WEIGHT", "CANONICAL_FOUR"}
+
+
+def test_ic_payload_keys_and_encoding(capsys):
+    code, out, _ = run(capsys, "ic", "--n", "6", "--search")
+    assert code == 0
+    d = json.loads(out)
+    assert set(d) == {
+        "n", "encoding", "success_bit0", "success_bit1", "worst_bit_success", "info_bit0",
+        "info_bit1", "info_sum_bits", "info_avg_bits", "one_bit_bound", "search",
+    }
+    assert d["n"] == 6
+    assert set(d["encoding"]) == {"00", "01", "10", "11"}
+    assert set(d["search"]) == {"encoding", "anchors", "info_sum_bits", "matches_protocol"}
+    assert set(d["search"]["encoding"]) == {"00", "01", "10", "11"}
+
+
+def test_ne_payload_keys(capsys):
+    code, out, _ = run(capsys, "ne", "--n", "6")
+    assert code == 0
+    d = json.loads(out)
+    assert set(d) == {"n", "effective_alphabet", "matrix", "min_offdiag", "max_diag"}
+    assert d["effective_alphabet"] == 3
+    assert len(d["matrix"]) == 3
+
+
 def test_ne_csv_matrix(capsys):
     code, out, _ = run(capsys, "ne", "--n", "10", "--format", "csv")
     assert code == 0
@@ -174,6 +230,9 @@ def test_simulate_default_and_vertex(capsys):
     code, out, _ = run(capsys, "simulate", "--n", "5", "--samples", "2000", "--seed", "7")
     assert code == 0
     d = json.loads(out)
+    assert set(d) == {
+        "n", "message_bits", "analytic_dist", "empirical_dist", "tv_distance", "samples", "seed",
+    }
     assert d["samples"] == 2000 and d["seed"] == 7
     assert len(d["analytic_dist"]) == 3
     assert sum(d["analytic_dist"]) == pytest.approx(1.0, abs=1e-8)

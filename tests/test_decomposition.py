@@ -75,7 +75,7 @@ def test_even_polygon_induced_channels_decompose():
         except Exception:
             continue
         P = np.clip(t.states() @ m.effects.T, 0.0, 1.0).T
-        res = decompose_into_binary_channels(P, m.realized_weights)
+        res = decompose_into_binary_channels(P, m.weights)
         assert np.abs(res.reconstruct() - P).max() < 1e-9
         done += 1
 

@@ -119,10 +119,10 @@ def test_measurement_completeness_and_weights():
     t = Theory(5)
     m = t.measurement((0, 1, 3))
     assert np.abs(m.effects.sum(axis=0) - unit_effect()).max() < 1e-12
-    assert min(m.realized_weights) > 0
+    assert min(m.weights) > 0
     for k, idx in enumerate(m.indices):
         # each effect is its stated multiple of the extremal effect
-        assert np.abs(m.effects[k] - m.realized_weights[k] * t.effect(idx)).max() < 1e-12
+        assert np.abs(m.effects[k] - m.weights[k] * t.effect(idx)).max() < 1e-12
 
 
 @st.composite
@@ -142,7 +142,7 @@ def feasible_triples(draw):
 def test_realised_effects_sum_to_the_unit_effect(case):
     n, triple = case
     m = Theory(n).measurement(triple)
-    assert min(m.realized_weights) >= 0
+    assert min(m.weights) >= 0
     assert np.abs(m.effects.sum(axis=0) - unit_effect()).max() <= 1e-12
 
 
@@ -150,7 +150,7 @@ def test_antipodal_pair_measurement():
     t = Theory(8)
     m = t.measurement((0, 4))
     assert np.abs(m.effects.sum(axis=0) - unit_effect()).max() < 1e-12
-    assert m.realized_weights == (1.0, 1.0)
+    assert m.weights == (1.0, 1.0)
     with pytest.raises(InfeasibleMeasurementError):
         t.measurement((0, 3))
     with pytest.raises(InfeasibleMeasurementError):
@@ -204,8 +204,8 @@ def test_degenerate_and_infeasible_triples():
     with pytest.raises(DegenerateTripleError):
         closed_form_triple_weights(Theory(6), 0, 6, 3)
     # adjacent triple on the hexagon: middle weight -2
-    l1, l2, l3, scale = closed_form_triple_weights(Theory(6), 0, 1, 2)
-    assert abs(l2 - (-2.0)) < 1e-12
+    _, mu2, _ = closed_form_triple_weights(Theory(6), 0, 1, 2)
+    assert abs(mu2 - (-2.0)) < 1e-12
     with pytest.raises(InfeasibleMeasurementError):
         Theory(6).measurement((0, 1, 2))
 
@@ -349,7 +349,7 @@ def test_theory_capacity_matches_the_full_candidate_list(monkeypatch):
 def test_min_effect_weight_matches_every_accepted_triple():
     for n in range(3, 64, 2):
         t = Theory(n)
-        every = min(min(t.measurement(tr).realized_weights) for tr in trial_accepted_triples(t))
+        every = min(min(t.measurement(tr).weights) for tr in trial_accepted_triples(t))
         assert abs(min_effect_weight(t) - every) <= 1e-15, n
 
 
@@ -360,8 +360,8 @@ def test_antipodal_gap_puts_one_weight_at_zero(n):
     for b in range(1, n):
         if b == half:
             continue
-        assert t.measurement((0, half, b)).realized_weights == (1.0, 1.0, 0.0)
-        assert t.measurement((half, b, 0)).realized_weights == (1.0, 0.0, 1.0)
+        assert t.measurement((0, half, b)).weights == (1.0, 1.0, 0.0)
+        assert t.measurement((half, b, 0)).weights == (1.0, 0.0, 1.0)
 
 
 def test_state_and_effect_tables_are_built_once(monkeypatch):
@@ -394,7 +394,7 @@ def test_state_and_effect_tables_are_built_once(monkeypatch):
 def test_triangle_measurement_weights_n3():
     t = Theory(3)
     m = t.measurement((0, 1, 2))
-    assert np.abs(np.asarray(m.realized_weights) - 1.0).max() < 1e-12
+    assert np.abs(np.asarray(m.weights) - 1.0).max() < 1e-12
     assert abs(min_effect_weight(t) - 1.0) < 1e-12
 
 
@@ -414,14 +414,14 @@ def test_closed_form_matches_solver():
         t = Theory(n)
         idx = np.sort(rng.choice(n, size=3, replace=False))
         j1, j2, j3 = (int(v) for v in idx)
-        l1, l2, l3, scale = closed_form_triple_weights(t, j1, j2, j3)
-        if min(l1, l2, l3) < 1e-9:
+        closed = closed_form_triple_weights(t, j1, j2, j3)
+        if min(closed) < 1e-9:
             continue
         m = t.measurement((j1, j2, j3))
-        assert np.abs(np.asarray(m.weights) - [l1, l2, l3]).max() < 1e-9
-        assert abs(m.scale - scale) < 1e-12
-        total = sum(m.realized_weights)
-        assert abs(total - (2.0 if t.even else 1.0 + t.r**2)) < 1e-9
+        assert np.abs(np.asarray(m.weights) - closed).max() < 1e-9
+        # realised weights sum to 2 (even n) or 1 + R^2 (odd n)
+        for total in (sum(m.weights), sum(closed)):
+            assert abs(total - (2.0 if t.even else 1.0 + t.r**2)) < 1e-9
         checked += 1
 
 

@@ -86,3 +86,22 @@ def test_tolerances_are_named_at_module_level():
             and id(node) not in named
         ]
     assert stray == []
+
+
+def test_only_the_cli_renders():
+    # the library returns plain data; cli.py is the one module that renders it
+    to_dict, renderers = [], set()
+    for path in sorted(Path(ngon.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_dict":
+                to_dict.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Import):
+                modules = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {(node.module or "").split(".")[0]}
+            else:
+                continue
+            if modules & {"json", "csv"}:
+                renderers.add(path.name)
+    assert to_dict == []
+    assert renderers == {"cli.py"}

@@ -279,8 +279,3 @@ def test_vertex_summary_fields():
     assert 1.0 <= s["max_capacity_bits"] <= math.log2(3.0) + 1e-9
 
 
-def test_vertex_to_dict():
-    v = verts(2, 2.0)[0]
-    d = v.to_dict()
-    assert set(d) == {"c", "lambda", "P", "class"}
-    assert d["class"] in {ZERO_WEIGHT, CANONICAL_FOUR}

@@ -63,12 +63,6 @@ def test_ic_rejects_odd():
         ic_encoding(Theory(7))
 
 
-def test_ic_report_serializes():
-    d = run_ic(Theory(6)).to_dict()
-    assert d["n"] == 6
-    assert set(d["encoding"]) == {"00", "01", "10", "11"}
-
-
 def test_exhaustive_search_matches_protocol_small_n():
     for n in (4, 6):
         _, _, best = best_ic_encoding(Theory(n))
@@ -206,12 +200,6 @@ def test_even_full_alphabet_witness_fails_at_neighbor():
         assert raw.min_offdiag <= 1e-14
     with pytest.raises(ValueError):
         even_full_alphabet_ne_matrix(Theory(5))
-
-
-def test_ne_report_serializes():
-    d = ne_matrix(Theory(6)).to_dict()
-    assert d["effective_alphabet"] == 3
-    assert len(d["matrix"]) == 3
 
 
 def test_simulation_marginal_matches_direct_law():
