@@ -31,6 +31,7 @@ from .geometry import PROB_TOL, ROUNDOFF, Measurement, Theory, _realize_triples,
 
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
+ENUMERATION_MAX = 64
 
 _TINY = 1e-300
 _SUPPORT_WEIGHT = 1e-6  # inputs with more prior weight are reported as support
@@ -389,7 +390,7 @@ def theory_capacity(
     *,
     tol: float = BA_TOL,
     max_iter: int = BA_MAX_ITER,
-    enumeration_max: int = 64,
+    enumeration_max: int = ENUMERATION_MAX,
 ) -> CapacityResult:
     """Classical capacity of the model over canonical measurement classes.
 

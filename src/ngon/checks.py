@@ -2,18 +2,22 @@
 
 Each check is a pure function returning a CheckResult; the registry maps
 stable keys to checks so the command line can run any subset, and
-``run_checks`` rejects an unknown key before any check runs.  ``notes``
-lists construction pitfalls that the library corrects by design; they are
+``run_checks`` rejects an unknown key, or a max_n above the enumeration
+bound for a capacity check, before any check runs.  ``notes`` lists
+construction pitfalls that the library corrects by design; they are
 informational, not failures.
 
-The simulation and weights checks work on stacks, one solve per polygon
-size.  ``check_simulation`` draws its 100 states per n with one Dirichlet
-call and its triples uniformly from the list of feasible sorted triples; a
-uniform 3-subset kept only when feasible, as a redraw loop does, has that
-same law.  ``check_weights`` draws i.i.d. candidates in chunks and keeps the
-first ``trials`` accepted ones, which is the law of drawing one candidate at
-a time until it is accepted.  The draws differ from a per-item loop, so the
-worst gaps they report move at the level of roundoff.
+The simulation, weights, decomposition and reduction checks work on
+stacks, one solve per polygon size.  ``check_simulation`` draws its triples
+uniformly from the list of feasible sorted triples, and ``check_weights``
+draws i.i.d. candidates in chunks and keeps the first ``trials`` accepted:
+each is the law of a per-item redraw loop, though not its stream, so their
+worst gaps moved at the level of roundoff.  ``check_reduction`` redraws a
+uniform 3-subset until it is in the feasible list, the stream and law of
+building a measurement and catching the infeasible ones, then realises its
+triples in one solve.  ``check_decomposition`` keeps that build-and-catch
+loop, since the traced benchmark test needs a ``Theory.measurement`` call
+that raises; it splits and brackets each n's channels as one stack.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import (
+    ENUMERATION_MAX,
     binary_entropy,
     blahut_arimoto,
     mutual_information_bits,
@@ -35,6 +40,7 @@ from .capacity import (
 from .decomposition import caratheodory_reduce, decompose_into_binary_channels, trace_information
 from .geometry import (
     InfeasibleMeasurementError,
+    Measurement,
     Theory,
     _feasible_triples,
     _realize_triples,
@@ -78,20 +84,10 @@ def _sweep(key: str, sizes: range) -> range:
     return sizes
 
 
-def _random_measurement(t: Theory, rng):
-    """Measurement on a uniformly drawn feasible triple, redrawn until feasible."""
-    while True:
-        c = tuple(sorted(int(v) for v in rng.choice(t.n, 3, replace=False)))
-        try:
-            return t.measurement(c)
-        except InfeasibleMeasurementError:
-            continue
-
-
 def check_even_capacity(max_n: int = 64) -> CheckResult:
     """Every even polygon up to max_n has one-shot capacity exactly 1 bit."""
     caps = [
-        theory_capacity(Theory(n), enumeration_max=max_n).capacity_bits
+        theory_capacity(Theory(n)).capacity_bits
         for n in _sweep("even-capacity", range(4, max_n + 1, 2))
     ]
     worst = max(abs(cap - 1.0) for cap in caps)
@@ -106,7 +102,7 @@ def check_even_capacity(max_n: int = 64) -> CheckResult:
 def check_odd_capacity(max_n: int = 64) -> CheckResult:
     """Odd capacities: log2(3) at the triangle, then strictly above 1 bit."""
     rows = {
-        n: theory_capacity(Theory(n), enumeration_max=max_n).capacity_bits
+        n: theory_capacity(Theory(n)).capacity_bits
         for n in _sweep("odd-capacity", range(3, max_n + 1, 2))
     }
     top = max(rows)
@@ -151,26 +147,26 @@ def check_vertices() -> CheckResult:
 def check_decomposition(trials: int = 100, seed: int = 41) -> CheckResult:
     """Random even-polygon channels split into binary components."""
     rng = np.random.default_rng(seed)
-    worst_recon = 0.0
-    worst_q = 0.0
-    worst_cap = 0.0
+    accepted: dict[int, list] = {}
     done = 0
     while done < trials:
         n = int(rng.choice(range(4, 21, 2)))
-        t = Theory(n)
         idx = np.sort(rng.choice(n, size=3, replace=False))
         try:
-            m = t.measurement(tuple(int(v) for v in idx))
+            m = Theory(n).measurement(tuple(int(v) for v in idx))
         except InfeasibleMeasurementError:
             continue
-        P = t.channel_matrix(m).T
-        res = decompose_into_binary_channels(P, m.weights)
+        accepted.setdefault(n, []).append(m)
+        done += 1
+    worst_recon = worst_q = worst_cap = 0.0
+    for n, ms in accepted.items():
+        P = Theory(n).channel_matrix(np.stack([m.effects for m in ms])).transpose(0, 2, 1)
+        res = decompose_into_binary_channels(P, np.array([m.weights for m in ms]))
         worst_recon = max(worst_recon, float(np.abs(res.reconstruct() - P).max()))
         worst_q = min(worst_q, float(res.q.min()))
-        # the best of the three binary components, as one stack
-        cap = blahut_arimoto(res.components.transpose(0, 2, 1)).capacity_bits
-        worst_cap = max(worst_cap, cap)
-        done += 1
+        # the best of all binary components of this n, as one stack
+        components = res.components.transpose(0, 1, 3, 2).reshape(-1, n, 3)
+        worst_cap = max(worst_cap, blahut_arimoto(components).capacity_bits)
     passed = worst_recon <= 1e-9 and worst_q >= -1e-12 and worst_cap <= 1.0 + 1e-9
     return CheckResult(
         "decomposition",
@@ -186,16 +182,22 @@ def check_reduction(trials: int = 100, seed: int = 29) -> CheckResult:
     """Random 6-letter pentagon ensembles reduce to 3 letters losslessly."""
     rng = np.random.default_rng(seed)
     t = Theory(5)
+    feasible = set(map(tuple, _feasible_triples(5).tolist()))
+    draws = []
+    for _ in range(trials):
+        tri = None
+        while tri not in feasible:
+            tri = tuple(sorted(int(v) for v in rng.choice(5, 3, replace=False)))
+        draws.append((tri, rng.integers(0, 5, size=6), rng.dirichlet(np.ones(6))))
+    mu, effects = _realize_triples(5, [tri for tri, _, _ in draws])
     worst_loss = -1.0
     worst_chain = 0.0
-    for _ in range(trials):
-        tri = _random_measurement(t, rng)
-        letters = rng.integers(0, 5, size=6)
-        w = rng.dirichlet(np.ones(6))
+    for (tri, letters, w), weights, e in zip(draws, mu.tolist(), effects):
+        m = Measurement(tri, tuple(weights), e)
         states = t.states()[letters]
-        merged = mutual_information_bits(w, t.channel_matrix(tri, states))
-        trace = caratheodory_reduce(t, states, w, tri)
-        info = trace_information(trace, t, tri)
+        merged = mutual_information_bits(w, t.channel_matrix(m, states))
+        trace = caratheodory_reduce(t, states, w, m)
+        info = trace_information(trace, t, m)
         worst_loss = max(worst_loss, merged - info["per_stage"][trace.selected])
         worst_chain = max(
             worst_chain, abs(info["joint"] - info["stage"] - info["conditional"])
@@ -422,11 +424,15 @@ NOTES = (
 
 def run_checks(only=None, max_n: int = 64):
     """Run all (or selected) checks, each timed; max_n goes to the checks
-    that take it."""
+    that take it.  An unknown key, or a max_n above the bound of a selected
+    capacity check, fails before any check runs."""
     keys = list(REGISTRY) if not only else list(only)
     unknown = [key for key in keys if key not in REGISTRY]
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}; known: {', '.join(REGISTRY)}")
+    capped = [key for key in keys if key in ("even-capacity", "odd-capacity")]
+    if capped and max_n > ENUMERATION_MAX:
+        raise ValueError(f"check {capped[0]}: max_n={max_n} above the enumeration bound {ENUMERATION_MAX}")
     results = []
     for key in keys:
         fn = REGISTRY[key]

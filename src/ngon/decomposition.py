@@ -40,83 +40,94 @@ class DecompositionError(RuntimeError):
 class DecompositionResult:
     """Convex split P = q1*P1 + q2*P2 + q3*P3 into two-outcome channels.
 
-    ``components[k]`` is a 3 x inputs column-stochastic matrix whose row
-    2 - k is identically zero, so each component uses only two outcomes;
-    ``free`` stacks the per-column parameters (u, v, w) that generate them.
+    ``components[..., k, :, :]`` is a 3 x inputs column-stochastic matrix
+    whose row 2 - k is identically zero, so each component uses only two
+    outcomes; ``free`` stacks the per-column parameters (u, v, w) that
+    generate them.  A stack of k channels adds a leading axis k to each field.
     """
 
-    q: np.ndarray
-    components: np.ndarray  # (3, 3, inputs)
-    free: np.ndarray  # (3, inputs)
+    q: np.ndarray  # (..., 3)
+    components: np.ndarray  # (..., 3, 3, inputs)
+    free: np.ndarray  # (..., 3, inputs)
 
     def reconstruct(self) -> np.ndarray:
-        return np.einsum("k,kyx->yx", self.q, self.components)
+        return np.einsum("...k,...kyx->...yx", self.q, self.components)
+
+
+def _raise_at(error, bad: np.ndarray, message: str, stacked: bool) -> None:
+    """Raise ``error`` at the first True entry of ``bad``, naming the channel
+    of a stack and, when ``bad`` has a column axis, the column."""
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        names = ("channel",) * stacked + ("column",) * (bad.ndim > stacked)
+        raise error(", ".join([message] + [f"{name} {int(i)}" for name, i in zip(names, at)]))
 
 
 def decompose_into_binary_channels(matrix, weights) -> DecompositionResult:
-    """Split a weight-constrained 3-outcome channel into binary components.
+    """Split weight-constrained 3-outcome channels into binary components.
 
-    ``matrix`` is 3 x inputs with columns summing to 1 (rows are outcomes);
-    ``weights`` are the outcome caps (w1, w2, w3) with sum 2, each in [0, 1],
-    and matrix[y, x] <= weights[y].  Preconditions are checked to PROB_TOL.
+    ``matrix`` is one channel, 3 x inputs with columns summing to 1 (rows
+    are outcomes), with ``weights`` (3,), or a stack (k, 3, inputs) with
+    weights (k, 3).  The weights are the outcome caps (w1, w2, w3) with sum
+    2, each in [0, 1], and matrix[..., y, x] <= weights[..., y].
+    Preconditions are checked to PROB_TOL; an error names the bad channel.
 
     The mixing weights are q = (1 - w3, 1 - w2, 1 - w1).  Component k has
     outcome row 3 - k zero, so each component is effectively binary and
     carries at most one bit.  Per column the first component's entry u is
     pinned to the lower endpoint of its feasible interval, which the cap
     constraints keep nonempty; the remaining parameters v and w follow by
-    elimination.
+    elimination.  Every channel of a stack gets the bits of a single call.
     """
     P = np.asarray(matrix, float)
     w = np.asarray(weights, float)
-    if P.ndim != 2 or P.shape[0] != 3:
-        raise InfeasibleChannelError("matrix must be 3 x inputs (rows are outcomes)")
-    if w.shape != (3,):
-        raise InfeasibleChannelError("weights must be a 3-vector")
-    if abs(w.sum() - 2.0) > PROB_TOL:
-        raise InfeasibleChannelError(f"weights sum to {w.sum()}, need 2")
-    if (w < -PROB_TOL).any() or (w > 1.0 + PROB_TOL).any():
-        raise InfeasibleChannelError("each weight must lie in [0, 1]")
-    if (P < -PROB_TOL).any() or np.abs(P.sum(axis=0) - 1.0).max() > PROB_TOL:
-        raise InfeasibleChannelError("columns must be probability vectors")
-    if (P > w[:, None] + PROB_TOL).any():
-        raise InfeasibleChannelError("matrix entries exceed their outcome caps")
+    if P.ndim not in (2, 3) or P.shape[-2] != 3:
+        raise InfeasibleChannelError("matrix must be 3 x inputs (rows are outcomes) or a stack")
+    if w.shape != P.shape[:-1]:
+        raise InfeasibleChannelError("weights must be a 3-vector per channel")
+    stacked = P.ndim == 3
+    for bad, message in (
+        (np.abs(w.sum(axis=-1) - 2.0) > PROB_TOL, "weights must sum to 2"),
+        (((w < -PROB_TOL) | (w > 1.0 + PROB_TOL)).any(axis=-1), "each weight must lie in [0, 1]"),
+        ((P < -PROB_TOL).any(axis=-2) | (np.abs(P.sum(axis=-2) - 1.0) > PROB_TOL),
+         "columns must be probability vectors"),
+        ((P > w[..., None] + PROB_TOL).any(axis=-2), "matrix entries exceed their outcome caps"),
+    ):
+        _raise_at(InfeasibleChannelError, bad, message, stacked)
 
-    q = 1.0 - w[::-1]
-    q1, q2, q3 = (float(max(v, 0.0)) for v in q)
-    inputs = P.shape[1]
-    u = np.zeros(inputs)
-    v = np.zeros(inputs)
-    wfree = np.zeros(inputs)
-    for x in range(inputs):
-        p1, p2, _ = P[:, x]
-        if q1 > ROUNDOFF:
-            lo = max(0.0, (p1 - q2) / q1, 1.0 - p2 / q1)
-            hi = min(1.0, p1 / q1, (q1 + q3 - p2) / q1)
-            if lo > hi + PROB_TOL:
-                raise DecompositionError(f"empty interval in column {x}: [{lo}, {hi}]")
-            u[x] = min(max(lo, 0.0), 1.0)
-        # a residue left on a zero-weight component fails the reconstruction check
-        if q2 > ROUNDOFF:
-            v[x] = (p1 - q1 * u[x]) / q2
-        if q3 > ROUNDOFF:
-            wfree[x] = (p2 - q1 * (1.0 - u[x])) / q3
-    for arr in (v, wfree):
-        if (arr < -PROB_TOL).any() or (arr > 1.0 + PROB_TOL).any():
-            raise DecompositionError("free parameter escaped [0, 1]")
+    q = np.maximum(1.0 - w[..., ::-1], 0.0)
+    q1, q2, q3 = (q[..., k, None] for k in range(3))
+    p1, p2 = P[..., 0, :], P[..., 1, :]
+    # a zero-weight component keeps its parameter at 0; the 1.0 only guards the division
+    on1, on2, on3 = q1 > ROUNDOFF, q2 > ROUNDOFF, q3 > ROUNDOFF
+    d1, d2, d3 = (np.where(on, qk, 1.0) for on, qk in ((on1, q1), (on2, q2), (on3, q3)))
+    # u = min(lo, 1), lo = max(0, (p1 - q2)/q1, 1 - p2/q1) and +0.0 unless a bound is positive
+    lo = np.maximum((p1 - q2) / d1, 1.0 - p2 / d1)
+    lo = np.where(lo > 0.0, lo, 0.0)
+    hi = np.minimum(np.minimum(p1 / d1, (q1 + q3 - p2) / d1), 1.0)
+    # tolerances bound q_k times a parameter: dividing by a small q_k magnifies roundoff
+    _raise_at(DecompositionError, on1 & (q1 * (lo - hi) > PROB_TOL), "empty interval for u", stacked)
+    u = np.where(on1, np.minimum(lo, 1.0), 0.0)
+    # a residue left on a zero-weight component fails the reconstruction check
+    v = np.where(on2, (p1 - q1 * u) / d2, 0.0)
+    wfree = np.where(on3, (p2 - q1 * (1.0 - u)) / d3, 0.0)
+    for arr, qk in ((v, q2), (wfree, q3)):
+        escaped = (qk * arr < -PROB_TOL) | (qk * (arr - 1.0) > PROB_TOL)
+        _raise_at(DecompositionError, escaped, "free parameter escaped [0, 1]", stacked)
         np.clip(arr, 0.0, 1.0, out=arr)
 
-    zero = np.zeros(inputs)
+    zero = np.zeros_like(u)
     comps = np.stack(
         [
-            np.stack([u, 1.0 - u, zero]),
-            np.stack([v, zero, 1.0 - v]),
-            np.stack([zero, wfree, 1.0 - wfree]),
-        ]
+            np.stack([u, 1.0 - u, zero], axis=-2),
+            np.stack([v, zero, 1.0 - v], axis=-2),
+            np.stack([zero, wfree, 1.0 - wfree], axis=-2),
+        ],
+        axis=-3,
     )
-    result = DecompositionResult(np.array([q1, q2, q3]), comps, np.stack([u, v, wfree]))
-    if np.abs(result.reconstruct() - P).max() > PROB_TOL:
-        raise DecompositionError(f"reconstruction mismatch above {PROB_TOL}")
+    result = DecompositionResult(q, comps, np.stack([u, v, wfree], axis=-2))
+    mismatch = (np.abs(result.reconstruct() - P) > PROB_TOL).any(axis=-2)
+    _raise_at(DecompositionError, mismatch, f"reconstruction mismatch above {PROB_TOL}", stacked)
     return result
 
 
@@ -219,30 +230,22 @@ def trace_information(trace: ReductionTrace, theory: Theory, measurement: Measur
     Returns the mutual information between the outcome and the joint
     (letter, stage) variable, its two chain-rule parts, and the per-stage
     conditional terms.  The stage part is zero because every stage has the
-    same barycenter.
+    same barycenter.  One channel, shape (letters, outcomes), is built over
+    the letters of all stages in order; stage k reads its rows as a slice.
     """
-    verts = theory.states()
-    pairs = []
-    probs = []
-    for k, (qk, J, beta) in enumerate(trace.stages):
-        for j, b in zip(J, beta):
-            pairs.append((k, j))
-            probs.append(qk * b)
-    probs = np.asarray(probs)
-    rows = theory.channel_matrix(measurement, np.stack([verts[j] for _, j in pairs]))
+    stage_prior = np.array([qk for qk, _, _ in trace.stages])
+    betas = [np.asarray(beta, float) for _, _, beta in trace.stages]
+    letters = [j for _, J, _ in trace.stages for j in J]
+    rows = theory.channel_matrix(measurement, theory.states()[letters])
+    blocks = np.split(rows, np.cumsum([len(beta) for beta in betas])[:-1])
+    probs = np.concatenate([qk * beta for qk, beta in zip(stage_prior, betas)])
     joint_info = mutual_information_bits(probs / probs.sum(), rows)
 
-    stage_prior = np.array([qk for qk, _, _ in trace.stages])
-    stage_rows = np.stack(
-        [beta @ theory.channel_matrix(measurement, verts[list(J)]) for _, J, beta in trace.stages]
-    )
-    stage_rows /= stage_rows.sum(axis=1, keepdims=True)
-    stage_info = mutual_information_bits(stage_prior, stage_rows)
+    marginals = np.stack([beta @ block for beta, block in zip(betas, blocks)])
+    marginals /= marginals.sum(axis=1, keepdims=True)
+    stage_info = mutual_information_bits(stage_prior, marginals)
 
-    conditional = [
-        mutual_information_bits(beta, theory.channel_matrix(measurement, verts[list(J)]))
-        for _, J, beta in trace.stages
-    ]
+    conditional = [mutual_information_bits(beta, block) for beta, block in zip(betas, blocks)]
     cond_info = float(np.dot(stage_prior, conditional))
     return {
         "joint": joint_info,

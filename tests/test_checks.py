@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ngon import checks, geometry, protocols
+from ngon.geometry import InfeasibleMeasurementError, Theory
 
 
 @pytest.mark.parametrize("module", [checks, protocols])
@@ -39,3 +40,30 @@ def test_ne_check_fails_on_a_nonzero_diagonal(monkeypatch):
 
     monkeypatch.setattr(checks, "ne_matrix", leaky)
     assert not checks.check_ne(max_n=8).passed
+
+
+def test_reduction_draws_the_triples_of_the_measurement_redraw_loop(monkeypatch):
+    # the loop the check replaced: build a measurement, redraw when it raises,
+    # then draw the letters and weights of the ensemble
+    rng = np.random.default_rng(29)
+    expected = []
+    for _ in range(100):
+        while True:
+            triple = tuple(sorted(int(v) for v in rng.choice(5, 3, replace=False)))
+            try:
+                Theory(5).measurement(triple)
+            except InfeasibleMeasurementError:
+                continue
+            break
+        expected.append(triple)
+        rng.integers(0, 5, size=6)
+        rng.dirichlet(np.ones(6))
+    seen = []
+
+    def recording(n, indices):
+        seen.append((n, [tuple(int(j) for j in row) for row in indices]))
+        return geometry._realize_triples(n, indices)
+
+    monkeypatch.setattr(checks, "_realize_triples", recording)
+    assert checks.check_reduction().passed
+    assert seen == [(5, expected)]

@@ -439,6 +439,24 @@ def test_numerical_failure_in_a_worker_exits_three(capsys, monkeypatch):
     assert err == "error: 1 of 4 channels kept brackets above tol\n"
 
 
+@pytest.mark.parametrize("only", [None, "even-capacity", "ne,odd-capacity"])
+def test_check_max_n_above_the_enumeration_bound_exits_two(capsys, monkeypatch, only):
+    ran = []
+
+    def recording(max_n=64):
+        ran.append(max_n)
+        return checks.CheckResult("ne", True, "recorded")
+
+    monkeypatch.setitem(checks.REGISTRY, "ne", recording)
+    argv = ("check", "--max-n", "65") + (("--only", only) if only else ())
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "enumeration bound 64" in err
+    assert ran == []  # refused before any check ran
+    # a sweep without a capacity check may go past the bound
+    run_checks(only=["ne"], max_n=65)
+    assert ran == [65]
+
+
 def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--only", "ne", "--max-n", "5", "--format", "json")
     assert code == 0
@@ -457,8 +475,10 @@ def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):
 
 
 # SHA-256 of stdout per subcommand and format, computed at 843b4da before the
-# handlers returned their payloads to one writer in main.  The capacity CSV
-# runtime_ms column and the text "(0.12s)" timings are masked.
+# handlers returned their payloads to one writer in main; the decomposition and
+# reduction digests were computed at 0a8306a, before those two checks ran as
+# stacks.  The capacity CSV runtime_ms column and the text "(0.12s)" timings
+# are masked.
 PINNED = [
     (("states", "--n", "5"), "409b22b4bc7b6d01017a02ea0bfbb1c331a5a724b3ea1900a96209abca7bd8ba"),
     (("states", "--n", "6", "--format", "csv"), "a145219505ee374372f6809e68fa95b6a9df2994e8e215852dcef9d1c9c91049"),
@@ -476,6 +496,8 @@ PINNED = [
     (("simulate", "--n", "17", "--vertex", "3", "--samples", "1000", "--seed", "5", "--format", "csv"), "aa96b2a4bbbdd89fe207fac29c825ed2c9cfd06027d8d7d07569473a986d719a"),
     (("check", "--only", "ic,ne", "--max-n", "16"), "3a50478bb16eff02dcc7797c131f4bc0ee6299f375427c2bba9220296633935c"),
     (("check", "--only", "ic,ne", "--max-n", "16", "--format", "json"), "e14c2a73efc30776f869151fd230dcc10aeec438f7ef7af88a93624d432fea42"),
+    (("check", "--only", "decomposition,reduction"), "c636902f32066173033087a3e83af6562ea9f2d38b0992f537efda3406a7ce5e"),
+    (("check", "--only", "decomposition,reduction", "--format", "json"), "2a39c9dde23d360fd52ad349f2b942b9d1b65987c7e3940c440776c093e76a47"),
 ]
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ngon.capacity import blahut_arimoto, mutual_information_bits
 from ngon.decomposition import (
@@ -11,7 +13,7 @@ from ngon.decomposition import (
     decompose_into_binary_channels,
     trace_information,
 )
-from ngon.geometry import Theory
+from ngon.geometry import Theory, _feasible_triples, _realize_triples
 
 
 def random_capped_weights(rng):
@@ -27,6 +29,32 @@ def random_capped_column(rng, w):
         c = rng.dirichlet([1.0, 1.0, 1.0])
         if (c <= w + 1e-15).all():
             return c
+
+
+def capped_channel(rng, w, inputs):
+    """Random columns in the capped simplex {c : 0 <= c <= w, sum c = 1}: mixtures
+    of its vertices w_i e_i + (1 - w_i) e_j, one per ordered pair (i, j)."""
+    verts = np.zeros((6, 3))
+    for row, (i, j) in enumerate((i, j) for i in range(3) for j in range(3) if i != j):
+        verts[row, i], verts[row, j] = w[i], 1.0 - w[i]
+    return (rng.dirichlet(np.ones(6), size=inputs) @ verts).T
+
+
+def polygon_channels(n):
+    """The channel of every sorted feasible triple of an even n-gon, shape
+    (k, 3, n), with its weights (k, 3); half-gap triples carry a zero weight."""
+    mu, effects = _realize_triples(n, _feasible_triples(n))
+    return Theory(n).channel_matrix(effects).transpose(0, 2, 1), mu
+
+
+def assert_stack_matches_single_calls(P, weights):
+    stack = decompose_into_binary_channels(P, weights)
+    for k in range(len(P)):
+        one = decompose_into_binary_channels(P[k], weights[k])
+        for field in ("q", "components", "free"):
+            mine, theirs = getattr(stack, field)[k], getattr(one, field)
+            # bytes, so that even a signed zero would show
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), (k, field)
 
 
 def test_known_single_column_split():
@@ -78,6 +106,63 @@ def test_even_polygon_induced_channels_decompose():
         res = decompose_into_binary_channels(P, m.weights)
         assert np.abs(res.reconstruct() - P).max() < 1e-9
         done += 1
+
+
+@pytest.mark.parametrize("n", range(4, 21, 2))
+def test_polygon_channel_stack_matches_single_calls(n):
+    P, weights = polygon_channels(n)
+    assert (weights == 0.0).any()  # the half-gap triples
+    assert_stack_matches_single_calls(P, weights)
+
+
+def test_random_channel_stack_matches_single_calls():
+    rng = np.random.default_rng(53)
+    weights = np.array([random_capped_weights(rng) for _ in range(40)])
+    weights[:3] = [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.5, 0.5, 1.0]]
+    P = np.stack([capped_channel(rng, w, 7) for w in weights])
+    assert_stack_matches_single_calls(P, weights)
+
+
+@pytest.mark.parametrize(
+    "matrix, w, error",
+    [
+        (polygon_channels(8)[0][1], [0.6, 0.6, 0.6], InfeasibleChannelError),
+        (np.array([[0.9], [0.1], [0.0]]).repeat(8, axis=1), [0.5, 0.75, 0.75], InfeasibleChannelError),
+        # an entry and a cap each within PROB_TOL, together an empty interval for u
+        (np.array([[1.0], [9e-10], [-9e-10]]).repeat(8, axis=1), [1.0, 0.5, 0.5 + 4e-10], DecompositionError),
+    ],
+)
+def test_a_bad_channel_in_a_stack_raises_as_its_single_call(matrix, w, error):
+    with pytest.raises(error):
+        decompose_into_binary_channels(matrix, w)
+    P, weights = polygon_channels(8)
+    P, weights = P[:4].copy(), weights[:4].copy()
+    P[2], weights[2] = matrix, w
+    with pytest.raises(error, match="channel 2"):
+        decompose_into_binary_channels(P, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+# q3 = 1e-9: a tolerance on w itself rather than on q3 * w rejects this valid channel
+@example(0.75, 1e-9, 1, 0)
+def test_random_capped_channels_rebuild_from_binary_components(a, b, inputs, seed):
+    # caps in [0, 1] summing to 2 are one minus a point of the probability simplex
+    lo, hi = sorted((a, b))
+    w = 1.0 - np.array([lo, hi - lo, 1.0 - hi])
+    P = capped_channel(np.random.default_rng(seed), w, inputs)
+    res = decompose_into_binary_channels(P, w)
+    assert np.abs(res.reconstruct() - P).max() <= 1e-9
+    assert (res.q >= 0.0).all() and abs(res.q.sum() - 1.0) <= 1e-9
+    # component k keeps row 2 - k at zero, so it carries at most one bit
+    for k in range(3):
+        assert not res.components[k, 2 - k].any()
+    assert blahut_arimoto(res.components.transpose(0, 2, 1)).capacity_bits <= 1.0 + 1e-9
 
 
 def test_decomposition_rejects_bad_inputs():
@@ -175,6 +260,26 @@ def test_reduce_never_loses_information():
         assert best >= merged - 1e-9
         assert len(trace.stages[trace.selected][1]) <= 3
     assert worst < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1))
+def test_reduction_never_loses_information(n, size, mixed, seed):
+    rng = np.random.default_rng(seed)
+    t = Theory(n)
+    feasible = _feasible_triples(n)
+    m = t.measurement(feasible[rng.integers(len(feasible))])
+    # extremal letters with repetition, or mixed states drawn inside the polygon
+    if mixed:
+        states = rng.dirichlet(np.ones(n), size=size) @ t.states()
+    else:
+        states = t.states()[rng.integers(0, n, size=size)]
+    w = rng.dirichlet(np.ones(size))
+    merged = mutual_information_bits(w, t.channel_matrix(m, states))
+    trace = caratheodory_reduce(t, states, w, m)
+    assert all(len(J) <= 3 for _, J, _ in trace.stages)
+    info = trace_information(trace, t, m)
+    assert info["per_stage"][trace.selected] >= merged - 1e-9
 
 
 def test_chain_rule_accounting():
