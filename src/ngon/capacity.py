@@ -74,16 +74,26 @@ def binary_entropy(p) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def mutual_information_bits(prior, matrix) -> float:
-    """Mutual information in bits between input and outcome, 0 log 0 = 0."""
+def mutual_information_bits(prior, matrix) -> float | np.ndarray:
+    """Mutual information in bits between input and outcome, 0 log 0 = 0.
+
+    Takes one prior (inputs,) with its channel (inputs, outcomes), giving a
+    float, or a stack (..., inputs) with (..., inputs, outcomes), giving an
+    array of the stack's shape.  Each item has the bits of its single call,
+    and rows of zero prior weight may pad the shorter items of a stack.
+    """
     prior = np.asarray(prior, float)
     matrix = np.asarray(matrix, float)
-    joint = prior[:, None] * matrix
-    q = joint.sum(axis=0)
+    joint = prior[..., :, None] * matrix
+    q = joint.sum(axis=-2)
     nz = joint > 0
-    denom = np.outer(prior, q)
-    val = float((joint[nz] * (np.log2(joint[nz]) - np.log2(denom[nz]))).sum())
-    return max(val, 0.0)
+    denom = prior[..., :, None] * q[..., None, :]
+    terms = joint[nz] * (np.log2(joint[nz]) - np.log2(denom[nz]))
+    # each item's terms are contiguous; summing them alone keeps the pairwise
+    # grouping of the single call, which a zero-padded stacked sum would not
+    ends = np.cumsum(nz.reshape(-1, joint.shape[-2] * joint.shape[-1]).sum(axis=1))
+    values = [max(float(part.sum()), 0.0) for part in np.split(terms, ends[:-1])]
+    return values[0] if joint.ndim == 2 else np.array(values).reshape(joint.shape[:-2])
 
 
 def _row_log_entropy(W: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ each is the law of a per-item redraw loop, though not its stream, so their
 worst gaps moved at the level of roundoff.  ``check_reduction`` redraws a
 uniform 3-subset until it is in the feasible list, the stream and law of
 building a measurement and catching the infeasible ones, then realises its
-triples in one solve.  ``check_decomposition`` keeps that build-and-catch
-loop, since the traced benchmark test needs a ``Theory.measurement`` call
-that raises; it splits and brackets each n's channels as one stack.
+triples in one solve and reduces all its ensembles with one stacked
+``caratheodory_reduce`` and one stacked ``trace_information`` call.
+``check_decomposition`` keeps that build-and-catch loop, since the traced
+benchmark test needs a ``Theory.measurement`` call that raises; it splits
+and brackets each n's channels as one stack.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .capacity import (
 from .decomposition import caratheodory_reduce, decompose_into_binary_channels, trace_information
 from .geometry import (
     InfeasibleMeasurementError,
-    Measurement,
     Theory,
     _feasible_triples,
     _realize_triples,
@@ -189,21 +190,20 @@ def check_reduction(trials: int = 100, seed: int = 29) -> CheckResult:
         while tri not in feasible:
             tri = tuple(sorted(int(v) for v in rng.choice(5, 3, replace=False)))
         draws.append((tri, rng.integers(0, 5, size=6), rng.dirichlet(np.ones(6))))
-    mu, effects = _realize_triples(5, [tri for tri, _, _ in draws])
-    worst_loss = -1.0
-    worst_chain = 0.0
-    for (tri, letters, w), weights, e in zip(draws, mu.tolist(), effects):
-        m = Measurement(tri, tuple(weights), e)
-        states = t.states()[letters]
-        merged = mutual_information_bits(w, t.channel_matrix(m, states))
-        trace = caratheodory_reduce(t, states, w, m)
-        info = trace_information(trace, t, m)
-        worst_loss = max(worst_loss, merged - info["per_stage"][trace.selected])
-        worst_chain = max(
-            worst_chain, abs(info["joint"] - info["stage"] - info["conditional"])
-        )
-        if any(len(J) > 3 for _, J, _ in trace.stages):
-            return CheckResult("reduction", False, "a stage kept more than 3 letters")
+    _, effects = _realize_triples(5, [tri for tri, _, _ in draws])
+    states = t.states()[np.array([letters for _, letters, _ in draws])]
+    weights = np.array([w for _, _, w in draws])
+    merged = mutual_information_bits(weights, t.channel_matrix(effects, states)).tolist()
+    traces = caratheodory_reduce(t, states, weights, effects)
+    infos = trace_information(traces, t, effects)
+    if any(len(J) > 3 for trace in traces for _, J, _ in trace.stages):
+        return CheckResult("reduction", False, "a stage kept more than 3 letters")
+    worst_loss = max(
+        [-1.0] + [m - info["per_stage"][trace.selected] for m, trace, info in zip(merged, traces, infos)]
+    )
+    worst_chain = max(
+        [0.0] + [abs(info["joint"] - info["stage"] - info["conditional"]) for info in infos]
+    )
     passed = worst_loss <= 1e-9 and worst_chain <= 1e-10
     return CheckResult(
         "reduction",

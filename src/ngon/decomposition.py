@@ -14,6 +14,14 @@ Two constructions:
   ensemble average is repeatedly peeled against barycentric triples that
   reproduce it, so the stage label carries no information about the outcome
   and the best stage is at least as informative as the original ensemble.
+  ``trace_information`` does the chain-rule bookkeeping of its trace.
+
+Both take one item or a stack: a (k, 3, inputs) stack of channels, or k
+ensembles of states (k, letters, 3) with weights (k, letters).  A stack runs
+each step once for all items: one split, one batched solve per peeling stage
+and one channel for all ensembles.  Every item gets the bits of its single
+call, and a bad channel, or an ensemble with bad weights, is named in the
+error.
 """
 
 from __future__ import annotations
@@ -54,12 +62,13 @@ class DecompositionResult:
         return np.einsum("...k,...kyx->...yx", self.q, self.components)
 
 
-def _raise_at(error, bad: np.ndarray, message: str, stacked: bool) -> None:
-    """Raise ``error`` at the first True entry of ``bad``, naming the channel
-    of a stack and, when ``bad`` has a column axis, the column."""
+def _raise_at(error, bad: np.ndarray, message: str, stacked: bool, item: str = "channel") -> None:
+    """Raise ``error`` at the first True entry of ``bad``, naming the item
+    (channel or ensemble) of a stack and, when ``bad`` has a column axis,
+    the column."""
     if bad.any():
         at = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        names = ("channel",) * stacked + ("column",) * (bad.ndim > stacked)
+        names = (item,) * stacked + ("column",) * (bad.ndim > stacked)
         raise error(", ".join([message] + [f"{name} {int(i)}" for name, i in zip(names, at)]))
 
 
@@ -133,32 +142,85 @@ def decompose_into_binary_channels(matrix, weights) -> DecompositionResult:
 
 @dataclass(frozen=True, eq=False)
 class ReductionTrace:
-    """Record of the alphabet reduction.
+    """Record of the alphabet reduction of one ensemble.
 
     ``stages`` holds (stage_weight, letter_indices, letter_distribution)
-    with every stage reproducing the global average state; ``selected``
-    indexes the stage whose conditional mutual information against the
-    measurement is largest (the lowest such stage on ties).
+    with every stage reproducing the global average state.  ``channel`` is
+    P(outcome | letter) against the measurement, shape (letters, outcomes),
+    over the letters of all stages in order; ``information`` holds each
+    stage's mutual information through its rows of that channel, and
+    ``selected`` indexes the stage of largest information (the lowest such
+    stage on ties).
     """
 
     stages: tuple
     selected: int
+    channel: np.ndarray
+    information: tuple
 
 
-def _barycentric_triple(support: list[int], verts: np.ndarray, mean: np.ndarray):
-    """First support triple (lexicographic) whose hull contains the mean."""
-    for triple in itertools.combinations(support, 3):
-        basis = np.column_stack([verts[j] for j in triple])
-        try:
-            beta = np.linalg.solve(basis, mean)
-        except np.linalg.LinAlgError:
-            continue
-        if beta.min() >= -ROUNDOFF:
-            return list(triple), np.clip(beta, 0.0, None)
-    raise DecompositionError("no barycentric triple contains the ensemble average")
+# triples solved per ensemble in the first round of the barycentric search; each round doubles it
+_FIRST_ROUND = 64
 
 
-def caratheodory_reduce(theory: Theory, states, weights, measurement: Measurement) -> ReductionTrace:
+def _ensemble_error(error, bad: np.ndarray, message: str, lead: tuple) -> None:
+    """Raise ``error`` at the first True entry of ``bad`` (k,), naming the
+    ensemble when ``lead``, the stack's leading shape, is (k,) and not ()."""
+    _raise_at(error, bad.reshape(lead), message, bool(lead), "ensemble")
+
+
+def _padded(arrays, dtype=float) -> np.ndarray:
+    """Stack arrays of unequal length, padded with zeros at the end of axis 0."""
+    out = np.zeros((len(arrays), max(len(a) for a in arrays)) + np.shape(arrays[0])[1:], dtype)
+    for row, a in zip(out, arrays):
+        row[: len(a)] = a
+    return out
+
+
+def _barycentric_triples(verts, support, mean, searching, lead):
+    """First triple (lexicographic) of each searching ensemble's support
+    whose hull contains the ensemble's mean.
+
+    ``support`` (k, n) marks the letters and ``mean`` (k, 3) the average
+    state of every ensemble; ``searching`` indexes the ensembles to peel.
+    The triples are scanned in lexicographic chunks that double from
+    ``_FIRST_ROUND`` per ensemble, one batched solve per chunk over every
+    ensemble still searching, and an ensemble stops at its first hit.
+    Three distinct vertices lie on a circle in the plane z = 1, so no basis
+    is singular.  Returns triples (k, 3) and barycentric weights clipped at
+    0 (k, 3), set on the searching rows.
+    """
+    k = len(support)
+    triples = np.zeros((k, 3), np.intp)
+    beta = np.zeros((k, 3))
+    sizes = support.sum(axis=1)
+    start, count = 0, _FIRST_ROUND
+    while len(searching):
+        at, cand = [], []
+        for m in sorted(set(sizes[searching].tolist())):
+            group = searching[sizes[searching] == m]
+            chunk = list(itertools.islice(itertools.combinations(range(m), 3), start, start + count))
+            exhausted = np.zeros(k, bool)
+            exhausted[group] = not chunk
+            _ensemble_error(DecompositionError, exhausted, "no barycentric triple contains the ensemble average", lead)
+            letters = np.nonzero(support[group])[1].reshape(len(group), m)
+            at.append(np.repeat(group, len(chunk)))
+            cand.append(letters[:, chunk].reshape(-1, 3))
+        at, cand = np.concatenate(at), np.concatenate(cand)
+        coeff = np.linalg.solve(verts[cand].transpose(0, 2, 1), mean[at, :, None])[..., 0]
+        hit = np.flatnonzero(coeff.min(axis=1) >= -ROUNDOFF)
+        # a row's candidates are contiguous and lexicographic: its first hit is its triple
+        first = hit[np.diff(at[hit], prepend=-1) != 0]
+        triples[at[first]] = cand[first]
+        beta[at[first]] = np.clip(coeff[first], 0.0, None)
+        open_ = np.ones(k, bool)
+        open_[at[first]] = False
+        searching = searching[open_[searching]]
+        start, count = start + count, 2 * count
+    return triples, beta
+
+
+def caratheodory_reduce(theory: Theory, states, weights, measurement) -> ReductionTrace | list[ReductionTrace]:
     """Reduce a weighted state ensemble to at most 3 extremal letters.
 
     Non-extremal inputs are first split into extremal components and merged
@@ -168,88 +230,131 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement: Measuremen
     support.  Because every stage has the same barycenter, the stage label is
     independent of the outcome, and the chain rule makes the best stage at
     least as informative as the original ensemble (within roundoff).
+
+    Takes one ensemble, states (letters, 3) and weights (letters,), with a
+    Measurement or its effects (outcomes, 3), and returns its ReductionTrace;
+    or a stack, states (k, letters, 3) and weights (k, letters), with one
+    measurement or an effect stack (k, outcomes, 3), and returns a list of k
+    traces.  A stack splits all its states at once, solves each peeling
+    stage's barycentric triples in batches over all ensembles, and builds
+    one channel for every stage; every ensemble gets the bits of its single
+    call, and a bad weight vector or a failed peel names its ensemble.
     """
-    S = np.atleast_2d(np.asarray(states, float))
     p = np.asarray(weights, float)
-    if S.shape[0] != p.shape[0]:
+    S = np.asarray(states, float)
+    if p.ndim == 1:
+        S = np.atleast_2d(S)
+    if p.ndim not in (1, 2) or S.shape[:-1] != p.shape:
         raise ValueError("states and weights length mismatch")
-    if (p <= 0).any():
-        raise ValueError("weights must be strictly positive")
-    if abs(p.sum() - 1.0) > PROB_TOL:
-        raise ValueError("weights must sum to 1")
+    lead = p.shape[:-1]
+    P = p.reshape(-1, p.shape[-1])
+    k, size = P.shape
+    for bad, message in (
+        ((P <= 0).any(axis=1), "weights must be strictly positive"),
+        (np.abs(P.sum(axis=1) - 1.0) > PROB_TOL, "weights must sum to 1"),
+    ):
+        _ensemble_error(ValueError, bad, message, lead)
+    E = measurement.effects if isinstance(measurement, Measurement) else np.asarray(measurement, float)
+    E = np.broadcast_to(E, (k,) + E.shape[-2:])
 
     n = theory.n
-    rho = np.zeros(n)
-    for split, weight in zip(extremal_decomposition(theory, S), p):
-        rho += weight * split
     verts = theory.states()
-    mean = rho @ verts
+    splits = extremal_decomposition(theory, S.reshape(-1, 3)).reshape(k, size, n)
+    rho = np.zeros((k, n))
+    for letter in range(size):
+        rho += P[:, letter, None] * splits[:, letter]
+    # one product per row: a stacked GEMM rounds differently from the GEMV of a single row
+    mean = np.array([row @ verts for row in rho])
 
-    stages = []
-    mass = 1.0
-    guard = 0
-    while True:
-        guard += 1
-        if guard > n + 1:
-            raise DecompositionError("peeling failed to terminate")
-        support = [int(j) for j in np.nonzero(rho > ROUNDOFF)[0]]
-        if len(support) <= 3:
-            beta = rho[support] / rho[support].sum()
-            stages.append((mass, tuple(support), beta))
+    stages = [[] for _ in range(k)]
+    mass = np.ones(k)
+    peeling = np.ones(k, bool)
+    for _ in range(n + 1):
+        support = rho > ROUNDOFF
+        last = peeling & (support.sum(axis=1) <= 3)
+        for e in np.flatnonzero(last).tolist():
+            J = np.flatnonzero(support[e])
+            stages[e].append((mass[e], tuple(J.tolist()), rho[e, J] / rho[e, J].sum()))
+        peeling &= ~last
+        rows = np.flatnonzero(peeling)
+        if not len(rows):
             break
-        triple, beta = _barycentric_triple(support, verts, mean)
-        beta = beta / beta.sum()
-        ratios = [rho[j] / b for j, b in zip(triple, beta) if b > ROUNDOFF]
-        share = min(ratios)
-        stages.append((mass * share, tuple(triple), beta.copy()))
-        for j, b in zip(triple, beta):
-            rho[j] -= share * b
-        rho = np.clip(rho, 0.0, None)
-        rho[np.abs(rho) <= ROUNDOFF] = 0.0
-        total = rho.sum()
-        if total <= ROUNDOFF:
-            raise DecompositionError("residual ensemble vanished before support shrank")
-        rho /= total
-        mass *= 1.0 - share
+        triples, beta = _barycentric_triples(verts, support, mean, rows, lead)
+        triples, beta = triples[rows], beta[rows]
+        beta /= beta.sum(axis=1, keepdims=True)
+        share = np.divide(
+            rho[rows[:, None], triples], beta, out=np.full(beta.shape, np.inf), where=beta > ROUNDOFF
+        ).min(axis=1)
+        for e, weight, J, b in zip(rows.tolist(), mass[rows] * share, triples.tolist(), beta):
+            stages[e].append((weight, tuple(J), b.copy()))
+        rho[rows[:, None], triples] -= share[:, None] * beta
+        residual = np.clip(rho[rows], 0.0, None)
+        residual[np.abs(residual) <= ROUNDOFF] = 0.0
+        total = residual.sum(axis=1)
+        vanished = np.zeros(k, bool)
+        vanished[rows] = total <= ROUNDOFF
+        _ensemble_error(DecompositionError, vanished, "residual ensemble vanished before support shrank", lead)
+        rho[rows] = residual / total[:, None]
+        mass[rows] *= 1.0 - share
+    else:
+        _ensemble_error(DecompositionError, peeling, "peeling failed to terminate", lead)
 
-    # stage channels against the measurement; ties resolved to the lowest stage
-    best_idx = 0
-    best_info = -math.inf
-    for k, (_, J, beta) in enumerate(stages):
-        info = mutual_information_bits(beta, theory.channel_matrix(measurement, verts[list(J)]))
-        if info > best_info + ROUNDOFF:
-            best_info = info
-            best_idx = k
+    # every vertex against each ensemble's measurement, one product per ensemble;
+    # a stage reads its letters' rows, which have the bits of any product of two or more rows
+    channel = theory.channel_matrix(E)
+    owner, letters, priors = zip(*[(e, J, beta) for e in range(k) for _, J, beta in stages[e]])
+    stage_rows = channel[np.array(owner)[:, None], _padded(letters, np.intp)]
+    information = iter(mutual_information_bits(_padded(priors), stage_rows).tolist())
 
-    return ReductionTrace(tuple(stages), best_idx)
+    traces = []
+    for e in range(k):
+        info = tuple(itertools.islice(information, len(stages[e])))
+        # ties resolved to the lowest stage
+        best_idx, best_info = 0, -math.inf
+        for idx, value in enumerate(info):
+            if value > best_info + ROUNDOFF:
+                best_idx, best_info = idx, value
+        rows_e = channel[e, [j for _, J, _ in stages[e] for j in J]]
+        traces.append(ReductionTrace(tuple(stages[e]), best_idx, rows_e, info))
+    return traces if lead else traces[0]
 
 
-def trace_information(trace: ReductionTrace, theory: Theory, measurement: Measurement) -> dict:
+def trace_information(trace, theory: Theory, measurement) -> dict | list[dict]:
     """Chain-rule bookkeeping of a reduction trace.
 
     Returns the mutual information between the outcome and the joint
     (letter, stage) variable, its two chain-rule parts, and the per-stage
     conditional terms.  The stage part is zero because every stage has the
-    same barycenter.  One channel, shape (letters, outcomes), is built over
-    the letters of all stages in order; stage k reads its rows as a slice.
+    same barycenter.  ``theory`` and ``measurement`` name the reduction the
+    trace came from and are not read again: the trace carries their channel
+    over its letters and each stage's conditional term, computed once by
+    ``caratheodory_reduce``, and stage k reads its rows of that channel as a
+    slice.
+
+    A list of traces, as a stacked reduction returns, gives a list of dicts;
+    the joint and stage terms of all traces are then one stack each, and
+    every trace gets the bits of its single call.
     """
-    stage_prior = np.array([qk for qk, _, _ in trace.stages])
-    betas = [np.asarray(beta, float) for _, _, beta in trace.stages]
-    letters = [j for _, J, _ in trace.stages for j in J]
-    rows = theory.channel_matrix(measurement, theory.states()[letters])
-    blocks = np.split(rows, np.cumsum([len(beta) for beta in betas])[:-1])
-    probs = np.concatenate([qk * beta for qk, beta in zip(stage_prior, betas)])
-    joint_info = mutual_information_bits(probs / probs.sum(), rows)
-
-    marginals = np.stack([beta @ block for beta, block in zip(betas, blocks)])
-    marginals /= marginals.sum(axis=1, keepdims=True)
-    stage_info = mutual_information_bits(stage_prior, marginals)
-
-    conditional = [mutual_information_bits(beta, block) for beta, block in zip(betas, blocks)]
-    cond_info = float(np.dot(stage_prior, conditional))
-    return {
-        "joint": joint_info,
-        "stage": stage_info,
-        "conditional": cond_info,
-        "per_stage": conditional,
-    }
+    traces = [trace] if isinstance(trace, ReductionTrace) else list(trace)
+    stage_priors, joint_priors, marginals = [], [], []
+    for tr in traces:
+        stage_prior = np.array([qk for qk, _, _ in tr.stages])
+        betas = [np.asarray(beta, float) for _, _, beta in tr.stages]
+        blocks = np.split(tr.channel, np.cumsum([len(beta) for beta in betas])[:-1])
+        probs = np.concatenate([qk * beta for qk, beta in zip(stage_prior, betas)])
+        joint_priors.append(probs / probs.sum())
+        stage_marginals = np.stack([beta @ block for beta, block in zip(betas, blocks)])
+        marginals.append(stage_marginals / stage_marginals.sum(axis=1, keepdims=True))
+        stage_priors.append(stage_prior)
+    joint = mutual_information_bits(_padded(joint_priors), _padded([tr.channel for tr in traces])).tolist()
+    stage = mutual_information_bits(_padded(stage_priors), _padded(marginals)).tolist()
+    infos = [
+        {
+            "joint": joint_info,
+            "stage": stage_info,
+            "conditional": float(np.dot(stage_prior, tr.information)),
+            "per_stage": list(tr.information),
+        }
+        for tr, joint_info, stage_info, stage_prior in zip(traces, joint, stage, stage_priors)
+    ]
+    return infos[0] if isinstance(trace, ReductionTrace) else infos

@@ -109,9 +109,8 @@ class Theory:
         return math.sqrt(1.0 / math.cos(math.pi / self.n))
 
     def state(self, i: int) -> np.ndarray:
-        """Extremal state at vertex i (index reduced mod n)."""
-        ang = 2.0 * math.pi * (i % self.n) / self.n
-        return np.array([self.r * math.cos(ang), self.r * math.sin(ang), 1.0])
+        """Extremal state at vertex i (index reduced mod n), a row of the table."""
+        return self._state_table[i % self.n].copy()
 
     @cached_property
     def _state_table(self) -> np.ndarray:
@@ -122,13 +121,8 @@ class Theory:
         return self._state_table.copy()
 
     def effect(self, j: int) -> np.ndarray:
-        """Extremal effect j (index reduced mod n)."""
-        j = j % self.n
-        if self.even:
-            ang = (2 * j - 1) * math.pi / self.n
-            return 0.5 * np.array([self.r * math.cos(ang), self.r * math.sin(ang), 1.0])
-        ang = 2.0 * math.pi * j / self.n
-        return np.array([self.r * math.cos(ang), self.r * math.sin(ang), 1.0]) / (1.0 + self.r**2)
+        """Extremal effect j (index reduced mod n), a row of the table."""
+        return self._effect_table[j % self.n].copy()
 
     @cached_property
     def _effect_table(self) -> np.ndarray:
@@ -182,9 +176,20 @@ class Theory:
 @cache
 def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (states, effects) tables of the n-gon, shape (n, 3) each,
-    built once per process and shared by every ``Theory(n)``."""
-    t = Theory(n)
-    tables = (np.stack([t.state(i) for i in range(n)]), np.stack([t.effect(j) for j in range(n)]))
+    built once per process from Python floats and shared by every
+    ``Theory(n)``; the formulas of the module docstring live only here."""
+    r = Theory(n).r
+    states = [(r * math.cos(a), r * math.sin(a), 1.0) for a in (2.0 * math.pi * i / n for i in range(n))]
+    if n % 2 == 0:
+        effects = [
+            (0.5 * (r * math.cos(a)), 0.5 * (r * math.sin(a)), 0.5)
+            for a in ((2 * j - 1) * math.pi / n for j in range(n))
+        ]
+    else:
+        # odd n: (1 + R^2) * effect(j) = state(j)
+        scale = 1.0 + r**2
+        effects = [(x / scale, y / scale, 1.0 / scale) for x, y, _ in states]
+    tables = (np.array(states), np.array(effects))
     for table in tables:
         table.flags.writeable = False
     return tables

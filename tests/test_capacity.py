@@ -363,3 +363,23 @@ def test_bad_tolerances_are_rejected(tol):
         blahut_arimoto(np.eye(2), tol=tol)
     with pytest.raises(ValueError, match="tol"):
         theory_capacity(Theory(5), tol=tol)
+
+
+def test_a_mutual_information_stack_has_the_bits_of_its_single_calls():
+    # items of 1..12 inputs padded to 12 with zero prior rows; 8 or more nonzero
+    # terms make numpy sum pairwise, so each item must be summed alone
+    rng = np.random.default_rng(17)
+    sizes = rng.integers(1, 13, size=200)
+    priors = np.zeros((200, 12))
+    channels = rng.random((200, 12, 3))
+    channels /= channels.sum(axis=2, keepdims=True)
+    channels[rng.random(channels.shape) < 0.2] = 0.0
+    for prior, size in zip(priors, sizes):
+        prior[:size] = rng.dirichlet(np.ones(size))
+    stacked = mutual_information_bits(priors, channels)
+    assert stacked.shape == (200,)
+    for value, prior, channel, size in zip(stacked, priors, channels, sizes):
+        single = mutual_information_bits(prior[:size], channel[:size])
+        assert isinstance(single, float)
+        assert value.tobytes() == np.float64(single).tobytes()
+    assert mutual_information_bits(priors.reshape(20, 10, 12), channels.reshape(20, 10, 12, 3)).shape == (20, 10)

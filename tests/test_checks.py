@@ -1,9 +1,12 @@
-"""The stacked acceptance checks fail when the code they certify is broken."""
+"""The stacked acceptance checks fail when the code they certify is broken,
+and stay stacked."""
+
+import sys
 
 import numpy as np
 import pytest
 
-from ngon import checks, geometry, protocols
+from ngon import checks, decomposition, geometry, protocols
 from ngon.geometry import InfeasibleMeasurementError, Theory
 
 
@@ -67,3 +70,30 @@ def test_reduction_draws_the_triples_of_the_measurement_redraw_loop(monkeypatch)
     monkeypatch.setattr(checks, "_realize_triples", recording)
     assert checks.check_reduction().passed
     assert seen == [(5, expected)]
+
+
+def test_reduction_check_splits_once_and_solves_once_per_stage(monkeypatch):
+    # one stack for all 100 ensembles: a per-ensemble loop would split and solve 100 times
+    splits = []
+
+    def counted_split(theory, state):
+        splits.append(np.shape(state))
+        return geometry.extremal_decomposition(theory, state)
+
+    for module in (checks, decomposition):
+        monkeypatch.setattr(module, "extremal_decomposition", counted_split)
+    solves = []
+    solve = np.linalg.solve
+
+    def counted_solve(a, b):
+        if sys._getframe(1).f_globals["__name__"] == "ngon.decomposition":
+            solves.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    result = checks.check_reduction()
+    assert result.passed
+    assert splits == [(600, 3)]
+    # a pentagon ensemble has at most 3 stages, so it peels at most twice, and
+    # its 10 triples fit one chunk: one batched solve per peel
+    assert 1 <= len(solves) <= 3

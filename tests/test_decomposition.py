@@ -1,10 +1,15 @@
 """Tests for binary-channel splits and alphabet reduction."""
 
+import itertools
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ngon import decomposition
 from ngon.capacity import blahut_arimoto, mutual_information_bits
 from ngon.decomposition import (
     DecompositionError,
@@ -307,3 +312,103 @@ def test_reduce_input_validation():
     # a sum within PROB_TOL of 1 is accepted
     trace = caratheodory_reduce(t, t.states()[:2], [0.5, 0.5 + 5e-10], m)
     assert trace.stages[0][1] == (0, 1)
+
+
+def trace_bits(trace, info):
+    """Every float of a trace and its bookkeeping as bytes, for bitwise comparison."""
+    stages = [
+        (np.float64(qk).tobytes(), J, np.asarray(beta, float).tobytes()) for qk, J, beta in trace.stages
+    ]
+    return (
+        stages,
+        trace.selected,
+        trace.channel.tobytes(),
+        np.array(trace.information).tobytes(),
+        {key: np.asarray(value, float).tobytes() for key, value in info.items()},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.integers(1, 6),
+    st.integers(1, 10),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_stacked_reduction_has_the_bits_of_its_single_calls(n, k, size, mixed, seed):
+    rng = np.random.default_rng(seed)
+    t = Theory(n)
+    feasible = _feasible_triples(n)
+    # per ensemble: mixed states drawn inside the polygon, or extremal letters with repetition
+    states = np.stack([
+        rng.dirichlet(np.ones(n), size=size) @ t.states() if mixed[e]
+        else t.states()[rng.integers(0, n, size=size)]
+        for e in range(k)
+    ])
+    w = rng.dirichlet(np.ones(size), size=k)
+    _, effects = _realize_triples(n, feasible[rng.integers(len(feasible), size=k)])
+    traces = caratheodory_reduce(t, states, w, effects)
+    infos = trace_information(traces, t, effects)
+    assert len(traces) == len(infos) == k
+    for e in range(k):
+        single = caratheodory_reduce(t, states[e], w[e], effects[e])
+        assert trace_bits(traces[e], infos[e]) == trace_bits(single, trace_information(single, t, effects[e]))
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda w: w.__setitem__((0, 0), 0.0), "strictly positive"),
+        (lambda w: w.__setitem__((0, 0), -w[0, 0]), "strictly positive"),
+        (lambda w: w.__setitem__((0, 1), w[0, 1] + 1e-6), "sum to 1"),
+    ],
+)
+@pytest.mark.parametrize("bad", [0, 3])
+def test_a_bad_ensemble_in_a_stack_is_named(fault, message, bad):
+    rng = np.random.default_rng(bad)
+    t = Theory(7)
+    states = t.states()[rng.integers(0, 7, size=(5, 4))]
+    w = rng.dirichlet(np.ones(4), size=5)
+    fault(w[bad:])
+    with pytest.raises(ValueError, match=f"{message}, ensemble {bad}$"):
+        caratheodory_reduce(t, states, w, t.measurement((0, 2, 4)))
+    # the single call raises the same error without naming an ensemble
+    with pytest.raises(ValueError, match=f"{message}$"):
+        caratheodory_reduce(t, states[bad], w[bad], t.measurement((0, 2, 4)))
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_every_vertex_triple_basis_is_nonsingular(n):
+    # three distinct vertices on a circle in the plane z = 1 are never collinear:
+    # |det| = 4 R^2 |sin(pi (b-a)/n) sin(pi (c-b)/n) sin(pi (c-a)/n)|, smallest for adjacent vertices
+    t = Theory(n)
+    idx = np.array(list(itertools.combinations(range(n), 3)))
+    det = np.abs(np.linalg.det(t.states()[idx].transpose(0, 2, 1)))
+    a, b, c = idx.T
+    closed = 4.0 * t.r**2 * np.abs(
+        np.sin(np.pi * (b - a) / n) * np.sin(np.pi * (c - b) / n) * np.sin(np.pi * (c - a) / n)
+    )
+    assert np.abs(det - closed).max() <= 1e-12
+    floor = 4.0 * t.r**2 * math.sin(math.pi / n) ** 2 * math.sin(2.0 * math.pi / n)
+    assert det.min() >= 0.99 * floor >= 9e-4
+
+
+def test_the_barycentric_search_stops_at_the_first_hit(monkeypatch):
+    # every stage solves a lexicographic chunk of triples, not all C(n, 3)
+    solved = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        if sys._getframe(1).f_globals["__name__"] == "ngon.decomposition":
+            solved.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    t = Theory(64)
+    w = np.random.default_rng(3).dirichlet(np.ones(64))
+    trace = caratheodory_reduce(t, t.states(), w, t.measurement((0, 21, 43)))
+    peeled = len(trace.stages) - 1
+    assert peeled > 50
+    # all triples would be C(64, 3) = 41664 solves per stage
+    assert len(solved) >= peeled and sum(solved) <= 4 * decomposition._FIRST_ROUND * peeled

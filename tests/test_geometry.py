@@ -364,28 +364,22 @@ def test_antipodal_gap_puts_one_weight_at_zero(n):
         assert t.measurement((half, b, 0)).weights == (1.0, 0.0, 1.0)
 
 
-def test_state_and_effect_tables_are_built_once(monkeypatch):
+def test_state_and_effect_tables_are_built_once():
     geometry._tables.cache_clear()
     t = Theory(7)
     expected = {"state": np.stack([t.state(i) for i in range(7)]),
                 "effect": np.stack([t.effect(j) for j in range(7)])}
-    built = {"state": 0, "effect": 0}
-    for name in built:
-        original = getattr(Theory, name)
-
-        def counted(self, i, name=name, original=original):
-            built[name] += 1
-            return original(self, i)
-
-        monkeypatch.setattr(Theory, name, counted)
     for t in (Theory(7), Theory(7)):
         for table, name in ((t.states, "state"), (t.effects, "effect")):
             first = table()
             assert np.array_equal(first, expected[name])
             first[0, 0] = 99.0  # callers get a writable copy; the table stays intact
             assert np.array_equal(table(), expected[name])
+        row = t.state(3)
+        row[0] = 99.0  # so does a single row
+        assert np.array_equal(t.state(3), expected["state"][3])
         t.measurement((0, 2, 4))
-    assert built == {"state": 7, "effect": 7}
+    assert geometry._tables.cache_info().misses == 1
     for cached in geometry._tables(7):
         with pytest.raises(ValueError):
             cached[0, 0] = 99.0
@@ -508,3 +502,30 @@ def test_extremal_decomposition_deterministic():
     a = extremal_decomposition(t, v)
     b = extremal_decomposition(t, v)
     assert np.array_equal(a, b)
+
+
+def vertex_formula_rows(n):
+    """State and effect rows of the n-gon as the module docstring writes them,
+    one numpy array per vertex."""
+    r = math.sqrt(1.0 / math.cos(math.pi / n))
+    states, effects = [], []
+    for i in range(n):
+        ang = 2.0 * math.pi * i / n
+        states.append(np.array([r * math.cos(ang), r * math.sin(ang), 1.0]))
+        if n % 2 == 0:
+            ang = (2 * i - 1) * math.pi / n
+            effects.append(0.5 * np.array([r * math.cos(ang), r * math.sin(ang), 1.0]))
+        else:
+            effects.append(np.array([r * math.cos(ang), r * math.sin(ang), 1.0]) / (1.0 + r**2))
+    return states, effects
+
+
+@pytest.mark.parametrize("n", range(3, 257))
+def test_tables_have_the_bits_of_the_vertex_formulas(n):
+    t = Theory(n)
+    states, effects = vertex_formula_rows(n)
+    for i in range(n):
+        for row in (t.states()[i], t.state(i), t.state(i + n), t.state(i - n)):
+            assert row.tobytes() == states[i].tobytes()
+        for row in (t.effects()[i], t.effect(i), t.effect(i + n), t.effect(i - n)):
+            assert row.tobytes() == effects[i].tobytes()
