@@ -3,9 +3,9 @@
 Each check is a pure function returning a CheckResult; the registry maps
 stable keys to checks so the command line can run any subset, and
 ``run_checks`` rejects an unknown key, or a max_n above the enumeration
-bound for a capacity check, before any check runs.  ``notes`` lists
-construction pitfalls that the library corrects by design; they are
-informational, not failures.
+bound for a capacity check or above ``NE_MAX`` for the NOT-EQUAL check,
+before any check runs.  ``notes`` lists construction pitfalls that the
+library corrects by design; they are informational, not failures.
 
 The simulation, weights, decomposition and reduction checks work on
 stacks, one solve per polygon size.  ``check_simulation`` draws its triples
@@ -57,6 +57,7 @@ from .polytope import (
     enumerate_vertices,
 )
 from .protocols import (
+    NE_MAX,
     best_ic_encoding,
     even_full_alphabet_ne_matrix,
     ne_matrix,
@@ -425,7 +426,7 @@ NOTES = (
 def run_checks(only=None, max_n: int = 64):
     """Run all (or selected) checks, each timed; max_n goes to the checks
     that take it.  An unknown key, or a max_n above the bound of a selected
-    capacity check, fails before any check runs."""
+    capacity or NOT-EQUAL check, fails before any check runs."""
     keys = list(REGISTRY) if not only else list(only)
     unknown = [key for key in keys if key not in REGISTRY]
     if unknown:
@@ -433,6 +434,8 @@ def run_checks(only=None, max_n: int = 64):
     capped = [key for key in keys if key in ("even-capacity", "odd-capacity")]
     if capped and max_n > ENUMERATION_MAX:
         raise ValueError(f"check {capped[0]}: max_n={max_n} above the enumeration bound {ENUMERATION_MAX}")
+    if "ne" in keys and max_n > NE_MAX:
+        raise ValueError(f"check ne: max_n={max_n} above the NOT-EQUAL bound {NE_MAX}")
     results = []
     for key in keys:
         fn = REGISTRY[key]

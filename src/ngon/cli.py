@@ -38,7 +38,7 @@ from .capacity import BA_TOL, ConvergenceError, theory_capacity
 from .checks import NOTES, REGISTRY, run_checks
 from .decomposition import DecompositionError
 from .geometry import ROUNDOFF, Theory
-from .polytope import classify_vertex, enumerate_vertices, vertex_summary
+from .polytope import ResourceBoundError, classify_vertex, enumerate_vertices, vertex_summary
 from .protocols import (
     NEReport,
     SimulationReport,
@@ -60,9 +60,26 @@ def _fields(record) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
 def _round_tree(obj):
     """Render a tree of records, arrays, dicts and sequences as JSON-ready
-    data with every float at 9 significant digits."""
+    data with every float at 9 significant digits.
+
+    The common nodes are dispatched on their exact type; records, numpy
+    scalars and subclasses take the general branches below."""
+    kind = type(obj)
+    if kind is float:
+        return _sig9(obj)
+    if kind is list or kind is tuple:
+        return [_round_tree(v) for v in obj]
+    if kind is dict:
+        return {"".join(map(str, k)) if isinstance(k, tuple) else k: _round_tree(v) for k, v in obj.items()}
+    if kind is np.ndarray:
+        return _round_tree(obj.tolist())
+    if kind in _PLAIN:
+        return obj
     if dataclasses.is_dataclass(obj):
         return _round_tree(_fields(obj))
     if isinstance(obj, np.ndarray):
@@ -142,7 +159,14 @@ def cmd_states(args) -> tuple[dict, tuple]:
     return payload, (("index", "x", "y", "z"), _indexed(payload["states"]))
 
 
+# largest n of the effects report: its (n, n) overlap table and rendering grow
+# as n^2; n = 600 took 0.8 s and 96 MiB as JSON on 2 shared vCPUs
+EFFECTS_MAX = 600
+
+
 def cmd_effects(args) -> tuple[dict, tuple]:
+    if args.n > EFFECTS_MAX:
+        raise ResourceBoundError(f"the effects report is capped at n={EFFECTS_MAX}")
     t = Theory(args.n)
     effects = t.effects()
     overlap = effects @ t.states().T

@@ -20,8 +20,8 @@ Both take one item or a stack: a (k, 3, inputs) stack of channels, or k
 ensembles of states (k, letters, 3) with weights (k, letters).  A stack runs
 each step once for all items: one split, one batched solve per peeling stage
 and one channel for all ensembles.  Every item gets the bits of its single
-call, and a bad channel, or an ensemble with bad weights, is named in the
-error.
+call, and a bad channel, or an ensemble with bad weights or a letter that
+is not a state, is named in the error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import mutual_information_bits
-from .geometry import PROB_TOL, ROUNDOFF, Measurement, Theory, extremal_decomposition
+from .geometry import (
+    PROB_TOL,
+    ROUNDOFF,
+    InvalidStateError,
+    Measurement,
+    Theory,
+    _outside_states,
+    extremal_decomposition,
+)
 
 
 class InfeasibleChannelError(ValueError):
@@ -62,13 +70,15 @@ class DecompositionResult:
         return np.einsum("...k,...kyx->...yx", self.q, self.components)
 
 
-def _raise_at(error, bad: np.ndarray, message: str, stacked: bool, item: str = "channel") -> None:
+def _raise_at(
+    error, bad: np.ndarray, message: str, stacked: bool, item: str = "channel", column: str = "column"
+) -> None:
     """Raise ``error`` at the first True entry of ``bad``, naming the item
     (channel or ensemble) of a stack and, when ``bad`` has a column axis,
-    the column."""
+    the column (or letter)."""
     if bad.any():
         at = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        names = (item,) * stacked + ("column",) * (bad.ndim > stacked)
+        names = (item,) * stacked + (column,) * (bad.ndim > stacked)
         raise error(", ".join([message] + [f"{name} {int(i)}" for name, i in zip(names, at)]))
 
 
@@ -164,9 +174,10 @@ _FIRST_ROUND = 64
 
 
 def _ensemble_error(error, bad: np.ndarray, message: str, lead: tuple) -> None:
-    """Raise ``error`` at the first True entry of ``bad`` (k,), naming the
-    ensemble when ``lead``, the stack's leading shape, is (k,) and not ()."""
-    _raise_at(error, bad.reshape(lead), message, bool(lead), "ensemble")
+    """Raise ``error`` at the first True entry of ``bad``, (k,) or per letter
+    (k, letters), naming the ensemble when ``lead``, the stack's leading
+    shape, is (k,) and not (), and the letter when ``bad`` has that axis."""
+    _raise_at(error, bad.reshape(lead + bad.shape[1:]), message, bool(lead), "ensemble", "letter")
 
 
 def _padded(arrays, dtype=float) -> np.ndarray:
@@ -238,7 +249,8 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
     traces.  A stack splits all its states at once, solves each peeling
     stage's barycentric triples in batches over all ensembles, and builds
     one channel for every stage; every ensemble gets the bits of its single
-    call, and a bad weight vector or a failed peel names its ensemble.
+    call.  A bad weight vector or a failed peel names its ensemble, and a
+    letter that is not a normalised state names its ensemble and the letter.
     """
     p = np.asarray(weights, float)
     S = np.asarray(states, float)
@@ -254,6 +266,8 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
         (np.abs(P.sum(axis=1) - 1.0) > PROB_TOL, "weights must sum to 1"),
     ):
         _ensemble_error(ValueError, bad, message, lead)
+    outside = _outside_states(theory, S.reshape(-1, 3)).reshape(k, size)
+    _ensemble_error(InvalidStateError, outside, "not a normalised state of the model", lead)
     E = measurement.effects if isinstance(measurement, Measurement) else np.asarray(measurement, float)
     E = np.broadcast_to(E, (k,) + E.shape[-2:])
 

@@ -292,6 +292,12 @@ def min_effect_weight(theory: Theory) -> float:
     return float(mu.min())
 
 
+def _outside_states(theory: Theory, V: np.ndarray) -> np.ndarray:
+    """Which rows of a stack V (k, 3) are not normalised states of the
+    model: off the plane z = 1 or outside the state cone, beyond PROB_TOL."""
+    return (np.abs(V[:, 2] - 1.0) > PROB_TOL) | ~(V @ theory._effect_table.T >= -PROB_TOL).all(axis=1)
+
+
 def extremal_decomposition(theory: Theory, state) -> np.ndarray:
     """Deterministic convex decomposition of normalised states over vertices.
 
@@ -304,7 +310,7 @@ def extremal_decomposition(theory: Theory, state) -> np.ndarray:
     """
     v = np.asarray(state, float)
     V = v.reshape(-1, 3)
-    if (np.abs(V[:, 2] - 1.0) > PROB_TOL).any() or not theory.in_state_cone(V):
+    if _outside_states(theory, V).any():
         raise InvalidStateError("not a normalised state of the model")
     n = theory.n
     verts = theory._state_table

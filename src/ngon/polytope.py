@@ -24,8 +24,7 @@ every basis of tight constraints:
    point.  It is a vertex iff the equalities plus its tight inequalities
    have full rank 3|X| + 3.  Every coefficient is 0 or +-1, so the Gram
    matrix of those rows is an integer matrix whose determinant is a whole
-   number; a threshold of 0.5 separates singular from nonsingular exactly,
-   and one batched determinant decides all tuples of a candidate lam.
+   number; a threshold of 0.5 separates singular from nonsingular exactly.
 
 Every coordinate and every slack is an integer affine form a + b*c.  With
 the float c written exactly as num/den, den * (a + b*c) = a*den + b*num is an
@@ -33,10 +32,21 @@ int64 (below 2**56 for c in [2, 3]), so every decision is exact: its sign
 decides feasibility, its zeros are the tight constraints, and equal values
 are equal points.  Weight vectors and column vertices are kept once per
 value, which makes every candidate point distinct; there is no dedup step
-and no tolerance.  Coordinates are evaluated from their forms; for c in
-[2, 3] every value a vertex can hold (0, 1, c, c - 1, c - 2, 2 - c, 3 - c)
-comes out exact.  The work is at most 12 * 6^|X| candidate points, where
-the brute force over bases solves C(6|X| + 3, 2|X| + 2) square systems.
+and no tolerance.  Every form has b in {-1, 0, 1} (one weight carries c, a
+capped entry copies its weight's form, the closing entry is 1 minus the
+two others), and the enumeration raises if one does not: each root -a/b is
+then an integer, so no sign or zero changes for c strictly between 2 and 3.
+Coordinates are evaluated from their forms; for c in [2, 3] every value a
+vertex can hold (0, 1, c, c - 1, c - 2, 2 - c, 3 - c) comes out exact.
+
+The construction runs in one pass.  The at most 12 weight vectors and the
+at most 6 vertices of each column polygon are built in plain Python integers;
+the candidate points of all weight vectors, at most 12 * 6^|X| (3,267 at
+|X| = 5 for c in (2, 3)), are then stacked, and one tight mask, one Gram
+product, one batched determinant and one sort decide and order them all.
+Up to |X| = 4 the Gram matrices fit one batch; at |X| = 5 they are decided
+in slices, which keeps 2.6 MB of them alive instead of 8.5 MB.
+The brute force over bases would solve C(6|X| + 3, 2|X| + 2) square systems.
 """
 
 from __future__ import annotations
@@ -53,6 +63,8 @@ CANONICAL_FOUR = "CANONICAL_FOUR"
 UNCLASSIFIED = "UNCLASSIFIED"
 
 MAX_ALPHABET = 5
+# candidate points whose Gram matrices are decided at once: 2.6 MB at |X| = 5
+_GRAM_BATCH = 1024
 
 
 class ResourceBoundError(ValueError):
@@ -128,41 +140,56 @@ def _scaled(coef: np.ndarray, num: int, den: int) -> np.ndarray:
     return coef[..., 0] * den + coef[..., 1] * num
 
 
-def _weight_candidates(num: int, den: int) -> list[np.ndarray]:
-    """Forms (3, 2) of every lam >= 0 with two weights in {0, 1}, one per value."""
+def _weight_candidates(num: int, den: int) -> list[list[tuple]]:
+    """Forms of every lam >= 0 with two weights in {0, 1}, one per value:
+    three (a, b) pairs each."""
     found = {}
     for free in range(3):
-        a, b = (y for y in range(3) if y != free)
         for wa, wb in itertools.product((0, 1), repeat=2):
-            coef = np.zeros((3, 2), np.int64)
-            coef[a, 0], coef[b, 0] = wa, wb
-            coef[free] = (-wa - wb, 1)
-            lam = _scaled(coef, num, den)
-            if lam.min() >= 0:
-                found.setdefault(tuple(lam), coef)
+            form = [(wa, 0), (wb, 0)]
+            form.insert(free, (-wa - wb, 1))
+            # c >= 2, so the free weight c - wa - wb is never negative
+            found.setdefault(tuple(a * den + b * num for a, b in form), form)
     return list(found.values())
 
 
-def _column_vertices(lam_coef: np.ndarray, num: int, den: int) -> np.ndarray:
-    """Forms (k, 3, 2) of the vertices of Q(lam) = {p in the simplex : p <= lam},
-    one per value.
+def _column_vertices(lam: list[tuple], num: int, den: int) -> list[list[tuple]]:
+    """Forms of the vertices of Q(lam) = {p in the simplex : p <= lam}, one
+    per value, three (a, b) pairs each.
 
     Two entries sit at 0 or at their cap; the third closes the sum to 1 and
     must lie in [0, lam].
     """
-    lam = _scaled(lam_coef, num, den)
     found = {}
     for free in range(3):
         a, b = (y for y in range(3) if y != free)
         for capped_a, capped_b in itertools.product((False, True), repeat=2):
-            coef = np.zeros((3, 2), np.int64)
-            coef[a] = lam_coef[a] * capped_a
-            coef[b] = lam_coef[b] * capped_b
-            coef[free] = (1, 0) - coef[a] - coef[b]
-            p = _scaled(coef, num, den)
-            if 0 <= p[free] <= lam[free]:
-                found.setdefault(tuple(p), coef)
-    return np.array(list(found.values()))
+            p = [(0, 0)] * 3
+            p[a] = lam[a] if capped_a else (0, 0)
+            p[b] = lam[b] if capped_b else (0, 0)
+            p[free] = (1 - p[a][0] - p[b][0], -p[a][1] - p[b][1])
+            value = tuple(x * den + y * num for x, y in p)
+            if 0 <= value[free] <= lam[free][0] * den + lam[free][1] * num:
+                found.setdefault(value, p)
+    return list(found.values())
+
+
+def _forms(num: int, den: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight forms (L, 3, 2), column vertex forms (M, 3, 2) of every weight
+    vector, and the weight vector of each column vertex (M,).
+
+    Raises RuntimeError unless every weight, entry and cap slack lam - p has
+    b in {-1, 0, 1}: then each form's root -a/b is an integer, so its sign
+    and zeros are the same at every c strictly between 2 and 3.
+    """
+    lams = _weight_candidates(num, den)
+    per_lam = [_column_vertices(lam, num, den) for lam in lams]
+    lam_forms = np.array(lams, np.int64)
+    cols = np.array([p for ps in per_lam for p in ps], np.int64)
+    col_lam = np.repeat(np.arange(len(lams)), [len(ps) for ps in per_lam])
+    if np.abs(np.concatenate([lam_forms, cols, lam_forms[col_lam] - cols])[..., 1]).max() > 1:
+        raise RuntimeError("a weight, entry or slack form a + b*c has |b| > 1")
+    return lam_forms, cols, col_lam
 
 
 def enumerate_vertices(alphabet_size: int, c: float) -> list[VertexPoint]:
@@ -173,7 +200,10 @@ def enumerate_vertices(alphabet_size: int, c: float) -> list[VertexPoint]:
     docstring).  Every candidate is feasible by construction and distinct
     from every other, so no dedup step is needed.  A candidate is kept iff
     the equalities plus its tight inequalities have full rank; degenerate
-    vertices (more than the minimum tight) pass the same test.
+    vertices (more than the minimum tight) pass the same test.  The
+    candidates of all weight vectors form one batch: one tight mask, one
+    Gram product and one determinant (in slices of ``_GRAM_BATCH``
+    candidates at alphabet 5), and one sort.
     """
     _validate_request(alphabet_size, c)
     X = alphabet_size
@@ -184,41 +214,41 @@ def enumerate_vertices(alphabet_size: int, c: float) -> list[VertexPoint]:
     rows = np.vstack([eq, ineq])
     outer = np.einsum("ri,rj->rij", rows, rows).reshape(len(rows), dim * dim)
 
-    forms, tight = [], []
-    for lam_coef in _weight_candidates(num, den):
-        lam = _scaled(lam_coef, num, den)
-        cols = _column_vertices(lam_coef, num, den)
-        p = _scaled(cols, num, den)
-        # per column vertex (k, kind, y): P[y,x] >= 0 tight, then P[y,x] <= lam[y]
-        col_tight = np.stack([p == 0, p == lam], axis=1)
-        picks = np.array(list(itertools.product(range(len(cols)), repeat=X)))
-        mask = np.ones((len(picks), len(rows)), bool)
-        mask[:, len(eq) : len(eq) + 6 * X] = (
-            col_tight[picks].transpose(0, 2, 3, 1).reshape(len(picks), 6 * X)
-        )
-        mask[:, len(eq) + 6 * X :] = lam == 0
-        gram = (mask @ outer).reshape(len(picks), dim, dim)
-        keep = np.abs(np.linalg.det(gram)) > 0.5
-        z = np.empty((keep.sum(), dim, 2), np.int64)
-        z[:, : 3 * X] = cols[picks[keep]].transpose(0, 2, 1, 3).reshape(-1, 3 * X, 2)
-        z[:, 3 * X :] = lam_coef
-        forms.append(z)
-        tight.append(mask[keep, len(eq) :])
-    forms = np.concatenate(forms)
-    tight = np.concatenate(tight)
-    coords = _affine(forms, float(c))
+    lam_forms, cols, col_lam = _forms(num, den)
+    lam = _scaled(lam_forms, num, den)
+    p = _scaled(cols, num, den)
+    # per column vertex (k, kind, y): P[y,x] >= 0 tight, then P[y,x] <= lam[y]
+    col_tight = np.stack([p == 0, p == lam[col_lam]], axis=1)
+    # every tuple of X column vertices of one weight vector, in product order
+    sizes = np.bincount(col_lam)
+    starts = np.cumsum(sizes) - sizes
+    picks = np.concatenate(
+        [s + np.indices((k,) * X).reshape(X, -1).T for s, k in zip(starts.tolist(), sizes.tolist())]
+    )
+    lam_of = col_lam[picks[:, 0]]
+    mask = np.ones((len(picks), len(rows)), bool)
+    mask[:, len(eq) : len(eq) + 6 * X] = col_tight[picks].transpose(0, 2, 3, 1).reshape(len(picks), 6 * X)
+    mask[:, len(eq) + 6 * X :] = (lam == 0)[lam_of]
+    keep = np.flatnonzero(np.concatenate([
+        np.abs(np.linalg.det((part @ outer).reshape(-1, dim, dim))) > 0.5
+        for part in np.split(mask, range(_GRAM_BATCH, len(mask), _GRAM_BATCH))
+    ]))
+    forms = np.empty((len(keep), dim, 2), np.int64)
+    forms[:, : 3 * X] = cols[picks[keep]].transpose(0, 2, 1, 3).reshape(-1, 3 * X, 2)
+    forms[:, 3 * X :] = lam_forms[lam_of[keep]]
 
-    vertices = []
-    for i in np.lexsort(_scaled(forms, num, den).T[::-1]):
-        vertices.append(
-            VertexPoint(
-                P=coords[i, : 3 * X].reshape(3, X),
-                lam=coords[i, 3 * X :].copy(),
-                c=float(c),
-                saturated=tuple(itertools.compress(names, tight[i])),
-            )
-        )
-    return vertices
+    order = np.lexsort(_scaled(forms, num, den).T[::-1])
+    coords = _affine(forms[order], float(c))
+    Ps = coords[:, : 3 * X].reshape(-1, 3, X)
+    lams = coords[:, 3 * X :]
+    tight = mask[keep[order], len(eq) :].tolist()
+    return [
+        VertexPoint(P=P, lam=w, c=float(c), saturated=tuple(itertools.compress(names, t)))
+        for P, w, t in zip(Ps, lams, tight)
+    ]
+
+
+_PERMUTATIONS = tuple(itertools.permutations(range(3)))
 
 
 def classify_vertex(v: VertexPoint) -> str:
@@ -229,26 +259,20 @@ def classify_vertex(v: VertexPoint) -> str:
     is one of the four distributions (0,0,1), (0,1,0), (c-2,0,3-c),
     (c-2,3-c,0).  Anything else is UNCLASSIFIED.  The comparisons are exact:
     for c in [2, 3], c - 2 and 3 - c carry no rounding error, and neither
-    does any coordinate of an enumerated vertex.
+    does any coordinate of an enumerated vertex.  ``lam`` and ``P`` may be
+    arrays or nested lists; they are compared as Python floats.
     """
-    lam = np.asarray(v.lam, float)
-    if lam.min() <= 0.0:
+    lam = np.asarray(v.lam, float).tolist()
+    if min(lam) <= 0.0:
         return ZERO_WEIGHT
     c = float(v.c)
-    target = np.array([c - 2.0, 1.0, 1.0])
-    columns = np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [0.0, 1.0, 0.0],
-            [c - 2.0, 0.0, 3.0 - c],
-            [c - 2.0, 3.0 - c, 0.0],
-        ]
-    )
-    for perm in itertools.permutations(range(3)):
-        if (lam[list(perm)] != target).any():
-            continue
-        Pp = v.P[list(perm), :]
-        if all((columns == Pp[:, x]).all(axis=1).any() for x in range(Pp.shape[1])):
+    target = [c - 2.0, 1.0, 1.0]
+    columns = {(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (c - 2.0, 0.0, 3.0 - c), (c - 2.0, 3.0 - c, 0.0)}
+    P = np.asarray(v.P, float).tolist()
+    for perm in _PERMUTATIONS:
+        if [lam[y] for y in perm] == target and all(
+            col in columns for col in zip(*(P[y] for y in perm))
+        ):
             return CANONICAL_FOUR
     return UNCLASSIFIED
 

@@ -13,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ngon
-from ngon import checks, cli
+from ngon import checks, cli, geometry
 from ngon.capacity import BA_TOL, ConvergenceError
 from ngon.checks import run_checks
 from ngon.cli import main
@@ -167,6 +169,45 @@ def test_round_tree_renders_records_arrays_and_tuple_keys():
     }
     assert cli._round_tree(np.array([[1 / 3, 2.0]])) == [[0.333333333, 2.0]]
     assert cli._round_tree({(0, 1): np.int64(7), "k": (1, 2)}) == {"01": 7, "k": [1, 2]}
+
+
+def _numpy_scalars(tree):
+    """The same tree with every bool, int and float leaf as a numpy scalar."""
+    if isinstance(tree, bool):
+        return np.bool_(tree)
+    if isinstance(tree, int):
+        return np.int64(tree)
+    if isinstance(tree, float):
+        return np.float64(tree)
+    if isinstance(tree, dict):
+        return {k: _numpy_scalars(v) for k, v in tree.items()}
+    kind = type(tree)
+    return kind(_numpy_scalars(v) for v in tree) if kind in (list, tuple) else tree
+
+
+scalar_trees = st.recursive(
+    st.one_of(
+        st.booleans(),
+        st.integers(-(2**63), 2**63 - 1),
+        st.floats(allow_nan=False),
+        st.text(max_size=3),
+        st.none(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_trees)
+def test_numpy_scalars_render_like_python_scalars(tree):
+    plain, numpy = cli._round_tree(tree), cli._round_tree(_numpy_scalars(tree))
+    assert numpy == plain
+    assert json.dumps(numpy, sort_keys=True) == json.dumps(plain, sort_keys=True)
 
 
 def test_capacity_payload_keys(capsys):
@@ -457,6 +498,27 @@ def test_check_max_n_above_the_enumeration_bound_exits_two(capsys, monkeypatch, 
     assert ran == [65]
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("ne", "--n"), "NOT-EQUAL matrix is capped at n=600"),
+        (("ne", "--format", "csv", "--n"), "NOT-EQUAL matrix is capped at n=600"),
+        (("effects", "--n"), "the effects report is capped at n=600"),
+        (("effects", "--format", "csv", "--n"), "the effects report is capped at n=600"),
+        (("check", "--only", "ne", "--max-n"), "check ne: max_n={n} above the NOT-EQUAL bound 600"),
+    ],
+)
+@pytest.mark.parametrize("n", [601, 10**6])
+def test_a_size_above_its_bound_exits_two_before_it_allocates(capsys, monkeypatch, argv, bound, n):
+    def unbuilt(size):
+        raise AssertionError(f"the polygon tables of n={size} were built")
+
+    monkeypatch.setattr(geometry, "_tables", unbuilt)
+    code, out, err = run(capsys, *argv, str(n))
+    assert code == 2 and out == ""
+    assert err == f"error: {bound.format(n=n)}\n"
+
+
 def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--only", "ne", "--max-n", "5", "--format", "json")
     assert code == 0
@@ -488,6 +550,10 @@ PINNED = [
     (("capacity", "--n-range", "3..8", "--format", "csv"), "10d63770a7c91bb5e35ef32562cabb35e309f2a9c1b4fb19756ee65f3ac1ff45"),
     (("vertices", "--alphabet-size", "2", "--c", "2.5"), "6d7f1252767fbef4ddc0f122a8fcc19a99794d29b677f62a7ccad26fb924033d"),
     (("vertices", "--alphabet-size", "2", "--c", "2.5", "--format", "csv"), "475e231ba35a56942c60e4f2a3c4fb9f372d72fabef75057da643f7030ce7725"),
+    (("vertices", "--alphabet-size", "3", "--c", "2.8127"), "46139deb75642f8fb733d36af5ad84e9efc9653e15fc1f4d143ece54a216b58b"),
+    (("vertices", "--alphabet-size", "3", "--c", "2.8127", "--format", "csv"), "861dde6c687b1c923d4d58a8f31b9a6a8aa53add65ca28b96097627ce9c34521"),
+    (("vertices", "--alphabet-size", "4", "--c", "2.5"), "147d0c4886a86c88a718b9eebe5b49fcdf005cbb769914f1308b21649448d399"),
+    (("vertices", "--alphabet-size", "4", "--c", "2.5", "--format", "csv"), "0412278d632df28e56ae9e5f81817a0890073900e84d935c780112be9c9ab66c"),
     (("ic", "--n", "12", "--search"), "4bdcb5d7ed7d3c5119cf81d9ca8428f118f8471203a1043fb54135676c350522"),
     (("ic", "--n", "12", "--search", "--format", "csv"), "313e6df7bc0a345e3182f9b4d3197f9445341e1e10959163a36d5bafd43b81e8"),
     (("ne", "--n", "7"), "757ed9750dde966999e40d367bcd3212526268e469c9cbd2c1b23055da97d222"),

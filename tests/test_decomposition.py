@@ -18,7 +18,7 @@ from ngon.decomposition import (
     decompose_into_binary_channels,
     trace_information,
 )
-from ngon.geometry import Theory, _feasible_triples, _realize_triples
+from ngon.geometry import InvalidStateError, Theory, _feasible_triples, _realize_triples
 
 
 def random_capped_weights(rng):
@@ -376,6 +376,18 @@ def test_a_bad_ensemble_in_a_stack_is_named(fault, message, bad):
     # the single call raises the same error without naming an ensemble
     with pytest.raises(ValueError, match=f"{message}$"):
         caratheodory_reduce(t, states[bad], w[bad], t.measurement((0, 2, 4)))
+
+
+def test_a_letter_that_is_not_a_state_is_named_with_its_ensemble():
+    t = Theory(5)
+    states = t.states()[np.random.default_rng(2).integers(0, 5, size=(3, 2))]
+    states[2, 1, 0] = 5.0
+    w = np.full((3, 2), 0.5)
+    m = t.measurement((0, 1, 3))
+    with pytest.raises(InvalidStateError, match="not a normalised state of the model, ensemble 2, letter 1$"):
+        caratheodory_reduce(t, states, w, m)
+    with pytest.raises(InvalidStateError, match="not a normalised state of the model, letter 1$"):
+        caratheodory_reduce(t, states[2], w[2], m)
 
 
 @pytest.mark.parametrize("n", range(3, 65))

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from ngon import polytope
 from ngon.polytope import (
     CANONICAL_FOUR,
     UNCLASSIFIED,
@@ -20,6 +21,7 @@ from ngon.polytope import (
     ResourceBoundError,
     VertexPoint,
     _constraint_system,
+    _forms,
     classify_vertex,
     enumerate_vertices,
     max_vertex_capacity,
@@ -279,3 +281,106 @@ def test_vertex_summary_fields():
     assert 1.0 <= s["max_capacity_bits"] <= math.log2(3.0) + 1e-9
 
 
+@pytest.mark.parametrize("c", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("alphabet_size", [2, 3, 4, 5])
+def test_every_form_has_b_in_minus_one_zero_one(alphabet_size, c):
+    # weights, entries and cap slacks are a + b*c with b in {-1, 0, 1}, so
+    # no sign or zero changes strictly between c = 2 and c = 3
+    lam_forms, cols, col_lam = _forms(*float(c).as_integer_ratio())
+    for forms in (lam_forms, cols, lam_forms[col_lam] - cols):
+        assert set(forms[..., 1].ravel().tolist()) <= {-1, 0, 1}
+    assert enumerate_vertices(alphabet_size, c)
+
+
+def test_a_form_with_b_beyond_one_is_refused(monkeypatch):
+    # (0, 1, 2c - 3): a weight form with b = 2 fails the check before any vertex is built
+    monkeypatch.setattr(polytope, "_weight_candidates", lambda num, den: [[(0, 0), (1, 0), (-3, 2)]])
+    with pytest.raises(RuntimeError, match=r"\|b\| > 1"):
+        enumerate_vertices(3, 2.5)
+
+
+def numpy_rule(v):
+    """The classification rule written on arrays, as an oracle for the scalar one."""
+    lam = np.asarray(v.lam, float)
+    if lam.min() <= 0.0:
+        return ZERO_WEIGHT
+    c = float(v.c)
+    target = np.array([c - 2.0, 1.0, 1.0])
+    columns = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [c - 2.0, 0.0, 3.0 - c], [c - 2.0, 3.0 - c, 0.0]])
+    P = np.asarray(v.P, float)
+    for perm in itertools.permutations(range(3)):
+        if (lam[list(perm)] == target).all():
+            Pp = P[list(perm), :]
+            if all((columns == Pp[:, x]).all(axis=1).any() for x in range(Pp.shape[1])):
+                return CANONICAL_FOUR
+    return UNCLASSIFIED
+
+
+@st.composite
+def enumerated_vertex(draw):
+    """Any vertex of the polytope at alphabet 2-4 and c in [2, 3]."""
+    c = draw(st.one_of(st.sampled_from([2.0, 2.5, 3.0]), st.floats(min_value=2.0, max_value=3.0)))
+    return draw(st.sampled_from(enumerate_vertices(draw(st.sampled_from([2, 3, 4])), c)))
+
+
+vertex_of = enumerated_vertex()
+
+
+def as_lists(v):
+    return VertexPoint(P=v.P.tolist(), lam=v.lam.tolist(), c=v.c, saturated=v.saturated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vertex_of, st.permutations(range(3)))
+def test_permuting_the_outcomes_keeps_the_class(v, perm):
+    moved = VertexPoint(P=v.P[list(perm)], lam=v.lam[list(perm)], c=v.c, saturated=())
+    assert classify_vertex(moved) == classify_vertex(v) == numpy_rule(v)
+
+
+@st.composite
+def nudged_canonical(draw):
+    """A CANONICAL_FOUR vertex with one coordinate moved by one ulp."""
+    c = draw(st.floats(min_value=2.0, max_value=3.0, exclude_min=True))
+    vertices = enumerate_vertices(draw(st.sampled_from([2, 3])), c)
+    canonical = [v for v in vertices if classify_vertex(v) == CANONICAL_FOUR]
+    v = draw(st.sampled_from(canonical))
+    flat = flatten(v)
+    i = draw(st.integers(0, len(flat) - 1))
+    flat[i] = np.nextafter(flat[i], draw(st.sampled_from([-math.inf, math.inf])))
+    X = v.P.shape[1]
+    return VertexPoint(P=flat[: 3 * X].reshape(3, X), lam=flat[3 * X :], c=v.c, saturated=())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(vertex_of, nudged_canonical()), st.randoms(use_true_random=False))
+def test_permuting_the_columns_keeps_the_class(v, random):
+    order = list(range(v.P.shape[1]))
+    random.shuffle(order)
+    moved = VertexPoint(P=v.P[:, order], lam=v.lam, c=v.c, saturated=())
+    assert classify_vertex(moved) == classify_vertex(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nudged_canonical())
+def test_one_ulp_off_a_canonical_vertex_is_unclassified(v):
+    assert classify_vertex(v) == numpy_rule(v) == UNCLASSIFIED
+    assert classify_vertex(as_lists(v)) == UNCLASSIFIED
+
+
+finite = st.floats(min_value=-1.0, max_value=4.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        vertex_of,
+        st.builds(
+            lambda lam, P, c: VertexPoint(P=np.array(P), lam=np.array(lam), c=c, saturated=()),
+            st.lists(finite, min_size=3, max_size=3),
+            st.lists(st.lists(finite, min_size=2, max_size=2), min_size=3, max_size=3),
+            st.floats(min_value=2.0, max_value=3.0),
+        ),
+    )
+)
+def test_lists_and_arrays_classify_alike(v):
+    assert classify_vertex(as_lists(v)) == classify_vertex(v) == numpy_rule(v)
