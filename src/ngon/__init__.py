@@ -42,7 +42,6 @@ from .polytope import (
     VertexPoint,
     classify_vertex,
     enumerate_vertices,
-    max_vertex_capacity,
     vertex_summary,
 )
 from .protocols import (
@@ -87,7 +86,6 @@ __all__ = [
     "enumerate_vertices",
     "extremal_decomposition",
     "ic_bound_check",
-    "max_vertex_capacity",
     "min_effect_weight",
     "ne_matrix",
     "odd_triple_rate",

@@ -47,10 +47,6 @@ class ConvergenceError(RuntimeError):
         self.prior = prior
         self.iterations = iterations
 
-    def __reduce__(self):
-        # pickle every field, so that a worker process can send the error back
-        return type(self), (str(self), self.capacity_bits, self.prior, self.iterations)
-
 
 class BAResult(NamedTuple):
     """Best channel of a Blahut-Arimoto stack: its certified lower bound, the
@@ -395,13 +391,7 @@ def capacity_candidates(theory: Theory) -> list[Measurement]:
     return pair + [Measurement(t, tuple(w), e) for t, w, e in zip(triples, mu.tolist(), effects)]
 
 
-def theory_capacity(
-    theory: Theory,
-    *,
-    tol: float = BA_TOL,
-    max_iter: int = BA_MAX_ITER,
-    enumeration_max: int = ENUMERATION_MAX,
-) -> CapacityResult:
+def theory_capacity(theory: Theory, *, tol: float = BA_TOL) -> CapacityResult:
     """Classical capacity of the model over canonical measurement classes.
 
     All triple candidates run as one Blahut-Arimoto stack.  For even n the
@@ -409,21 +399,22 @@ def theory_capacity(
     retirement test, so a triple that cannot beat the pair stops early; the
     pair is reported unless a triple's certified bound lies above it (at
     n = 4 no triple is left).  The reported capacity is certified within tol
-    of the true maximum.
+    of the true maximum.  n above ENUMERATION_MAX is refused, and every
+    bracket gets BA_MAX_ITER iterations; both are read at call time.
     """
     _validate_tol(tol)
-    if theory.n > enumeration_max:
-        raise ValueError(f"n={theory.n} above the enumeration bound {enumeration_max}")
+    if theory.n > ENUMERATION_MAX:
+        raise ValueError(f"n={theory.n} above the enumeration bound {ENUMERATION_MAX}")
     S = theory.states()
     cands = capacity_candidates(theory)
     triples = [m for m in cands if len(m.indices) == 3]
     floor = -math.inf
     if theory.even:
-        pair = blahut_arimoto(theory.channel_matrix(cands[0], S), tol, max_iter)
+        pair = blahut_arimoto(theory.channel_matrix(cands[0], S), tol, BA_MAX_ITER)
         best, winner, floor = pair, cands[0], pair.capacity_bits
     if triples:
         W = theory.channel_matrix(np.stack([m.effects for m in triples]), S)
-        stack = blahut_arimoto(W, tol, max_iter, _floor=floor)
+        stack = blahut_arimoto(W, tol, BA_MAX_ITER, _floor=floor)
         if stack.capacity_bits > floor:
             best, winner = stack, triples[stack.index]
 

@@ -3,14 +3,15 @@
 Each check is a pure function returning a CheckResult; the registry maps
 stable keys to checks so the command line can run any subset, and
 ``run_checks`` rejects an unknown key, or a max_n above the enumeration
-bound for a capacity check or above ``NE_MAX`` for the NOT-EQUAL check,
-before any check runs.  ``notes`` lists construction pitfalls that the
-library corrects by design; they are informational, not failures.
+bound for a capacity check, above ``IC_SWEEP_MAX`` for the random access
+code check or above ``NE_MAX`` for the NOT-EQUAL check, before any check
+runs.  ``notes`` lists construction pitfalls that the library corrects by
+design; they are informational, not failures.
 
 The simulation, weights, decomposition and reduction checks work on
 stacks, one solve per polygon size.  ``check_simulation`` draws its triples
 uniformly from the list of feasible sorted triples, and ``check_weights``
-draws i.i.d. candidates in chunks and keeps the first ``trials`` accepted:
+draws i.i.d. candidates in chunks and keeps the first 1000 accepted:
 each is the law of a per-item redraw loop, though not its stream, so their
 worst gaps moved at the level of roundoff.  ``check_reduction`` redraws a
 uniform 3-subset until it is in the feasible list, the stream and law of
@@ -24,7 +25,6 @@ and brackets each n's channels as one stack.
 
 from __future__ import annotations
 
-import inspect
 import math
 import time
 from dataclasses import dataclass, replace
@@ -52,11 +52,13 @@ from .geometry import (
 from .polytope import (
     UNCLASSIFIED,
     ZERO_WEIGHT,
+    ResourceBoundError,
     _max_capacity,
     classify_vertex,
     enumerate_vertices,
 )
 from .protocols import (
+    IC_SWEEP_MAX,
     NE_MAX,
     best_ic_encoding,
     even_full_alphabet_ne_matrix,
@@ -146,12 +148,12 @@ def check_vertices() -> CheckResult:
     )
 
 
-def check_decomposition(trials: int = 100, seed: int = 41) -> CheckResult:
-    """Random even-polygon channels split into binary components."""
-    rng = np.random.default_rng(seed)
+def check_decomposition() -> CheckResult:
+    """100 random even-polygon channels split into binary components."""
+    rng = np.random.default_rng(41)
     accepted: dict[int, list] = {}
     done = 0
-    while done < trials:
+    while done < 100:
         n = int(rng.choice(range(4, 21, 2)))
         idx = np.sort(rng.choice(n, size=3, replace=False))
         try:
@@ -174,19 +176,19 @@ def check_decomposition(trials: int = 100, seed: int = 41) -> CheckResult:
         "decomposition",
         passed,
         (
-            f"{trials} channels: worst reconstruction {worst_recon:.2e}, "
+            f"{done} channels: worst reconstruction {worst_recon:.2e}, "
             f"min q {worst_q:.2e}, max component capacity {worst_cap:.9f}"
         ),
     )
 
 
-def check_reduction(trials: int = 100, seed: int = 29) -> CheckResult:
-    """Random 6-letter pentagon ensembles reduce to 3 letters losslessly."""
-    rng = np.random.default_rng(seed)
+def check_reduction() -> CheckResult:
+    """100 random 6-letter pentagon ensembles reduce to 3 letters losslessly."""
+    rng = np.random.default_rng(29)
     t = Theory(5)
     feasible = set(map(tuple, _feasible_triples(5).tolist()))
     draws = []
-    for _ in range(trials):
+    for _ in range(100):
         tri = None
         while tri not in feasible:
             tri = tuple(sorted(int(v) for v in rng.choice(5, 3, replace=False)))
@@ -196,7 +198,7 @@ def check_reduction(trials: int = 100, seed: int = 29) -> CheckResult:
     weights = np.array([w for _, _, w in draws])
     merged = mutual_information_bits(weights, t.channel_matrix(effects, states)).tolist()
     traces = caratheodory_reduce(t, states, weights, effects)
-    infos = trace_information(traces, t, effects)
+    infos = trace_information(traces)
     if any(len(J) > 3 for trace in traces for _, J, _ in trace.stages):
         return CheckResult("reduction", False, "a stage kept more than 3 letters")
     worst_loss = max(
@@ -210,7 +212,7 @@ def check_reduction(trials: int = 100, seed: int = 29) -> CheckResult:
         "reduction",
         passed,
         (
-            f"{trials} ensembles: worst information loss {worst_loss:.2e}, "
+            f"{len(draws)} ensembles: worst information loss {worst_loss:.2e}, "
             f"worst chain-rule residual {worst_chain:.2e}"
         ),
     )
@@ -281,14 +283,14 @@ def check_ne(max_n: int = 64) -> CheckResult:
     )
 
 
-def check_simulation(seed: int = 99) -> CheckResult:
+def check_simulation() -> CheckResult:
     """Classical simulation: exact marginals and Monte Carlo concentration.
 
     Per n, 100 random states and 100 triples drawn uniformly from the
     feasible sorted triples are decomposed and measured as one stack;
     ``simulate_transmission`` reproduces the first row of each stack.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(99)
     worst_gap = 0.0
     for n in range(4, 17):
         t = Theory(n)
@@ -320,18 +322,18 @@ def check_simulation(seed: int = 99) -> CheckResult:
     )
 
 
-def check_weights(trials: int = 1000, seed: int = 2024) -> CheckResult:
+def check_weights() -> CheckResult:
     """Closed-form triple weights agree with the solver; minima behave.
 
     Candidates (n, uniform 3-subset of range(n)) are drawn i.i.d. in chunks
-    and the first ``trials`` whose closed-form weights are all positive are
-    kept, the law of a loop that redraws until it accepts; the solver then
-    builds each n's kept triples as one stack.
+    and the first 1000 whose closed-form weights are all positive are kept,
+    the law of a loop that redraws until it accepts; the solver then builds
+    each n's kept triples as one stack.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2024)
     chunks = []
     accepted = 0
-    while accepted < trials:
+    while accepted < 1000:
         ns = rng.integers(3, 33, size=1024)
         # a uniform 3-subset: each draw skips the indices already taken
         a = rng.integers(0, ns)
@@ -349,7 +351,7 @@ def check_weights(trials: int = 1000, seed: int = 2024) -> CheckResult:
         ok = closed.min(axis=1) >= 1e-9
         chunks.append((ns[ok], idx[ok], closed[ok]))
         accepted += int(ok.sum())
-    ns, idx, closed = (np.concatenate(part)[:trials] for part in zip(*chunks))
+    ns, idx, closed = (np.concatenate(part)[:1000] for part in zip(*chunks))
     worst = 0.0
     for n in range(3, 33):
         at = ns == n
@@ -369,7 +371,7 @@ def check_weights(trials: int = 1000, seed: int = 2024) -> CheckResult:
         "weights",
         passed,
         (
-            f"{trials} triples: worst weight gap {worst:.2e}; "
+            f"{len(ns)} triples: worst weight gap {worst:.2e}; "
             f"odd minima positive, witness family decreasing "
             f"({family[0]:.3f} down to {family[-1]:.6f})"
         ),
@@ -423,10 +425,14 @@ NOTES = (
 )
 
 
+# the checks that sweep polygon sizes up to max_n
+_SWEEPS = ("even-capacity", "odd-capacity", "ic", "ne")
+
+
 def run_checks(only=None, max_n: int = 64):
-    """Run all (or selected) checks, each timed; max_n goes to the checks
-    that take it.  An unknown key, or a max_n above the bound of a selected
-    capacity or NOT-EQUAL check, fails before any check runs."""
+    """Run all (or selected) checks, each timed; max_n goes to the sweeps.
+    An unknown key, or a max_n above the bound of a selected capacity,
+    random access code or NOT-EQUAL sweep, fails before any check runs."""
     keys = list(REGISTRY) if not only else list(only)
     unknown = [key for key in keys if key not in REGISTRY]
     if unknown:
@@ -435,12 +441,13 @@ def run_checks(only=None, max_n: int = 64):
     if capped and max_n > ENUMERATION_MAX:
         raise ValueError(f"check {capped[0]}: max_n={max_n} above the enumeration bound {ENUMERATION_MAX}")
     if "ne" in keys and max_n > NE_MAX:
-        raise ValueError(f"check ne: max_n={max_n} above the NOT-EQUAL bound {NE_MAX}")
+        raise ResourceBoundError(f"check ne: max_n={max_n} above the NOT-EQUAL bound {NE_MAX}")
+    if "ic" in keys and max_n > IC_SWEEP_MAX:
+        raise ResourceBoundError(f"check ic: max_n={max_n} above the sweep bound {IC_SWEEP_MAX}")
     results = []
     for key in keys:
         fn = REGISTRY[key]
-        takes_max_n = "max_n" in inspect.signature(fn).parameters
         t0 = time.perf_counter()
-        result = fn(max_n=max_n) if takes_max_n else fn()
+        result = fn(max_n=max_n) if key in _SWEEPS else fn()
         results.append(replace(result, elapsed_s=time.perf_counter() - t0))
     return results

@@ -58,13 +58,11 @@ class DecompositionResult:
 
     ``components[..., k, :, :]`` is a 3 x inputs column-stochastic matrix
     whose row 2 - k is identically zero, so each component uses only two
-    outcomes; ``free`` stacks the per-column parameters (u, v, w) that
-    generate them.  A stack of k channels adds a leading axis k to each field.
+    outcomes.  A stack of k channels adds a leading axis k to each field.
     """
 
     q: np.ndarray  # (..., 3)
     components: np.ndarray  # (..., 3, 3, inputs)
-    free: np.ndarray  # (..., 3, inputs)
 
     def reconstruct(self) -> np.ndarray:
         return np.einsum("...k,...kyx->...yx", self.q, self.components)
@@ -144,7 +142,7 @@ def decompose_into_binary_channels(matrix, weights) -> DecompositionResult:
         ],
         axis=-3,
     )
-    result = DecompositionResult(q, comps, np.stack([u, v, wfree], axis=-2))
+    result = DecompositionResult(q, comps)
     mismatch = (np.abs(result.reconstruct() - P) > PROB_TOL).any(axis=-2)
     _raise_at(DecompositionError, mismatch, f"reconstruction mismatch above {PROB_TOL}", stacked)
     return result
@@ -333,17 +331,16 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
     return traces if lead else traces[0]
 
 
-def trace_information(trace, theory: Theory, measurement) -> dict | list[dict]:
+def trace_information(trace) -> dict | list[dict]:
     """Chain-rule bookkeeping of a reduction trace.
 
     Returns the mutual information between the outcome and the joint
     (letter, stage) variable, its two chain-rule parts, and the per-stage
     conditional terms.  The stage part is zero because every stage has the
-    same barycenter.  ``theory`` and ``measurement`` name the reduction the
-    trace came from and are not read again: the trace carries their channel
-    over its letters and each stage's conditional term, computed once by
-    ``caratheodory_reduce``, and stage k reads its rows of that channel as a
-    slice.
+    same barycenter.  The trace carries the channel of the reduction's own
+    measurement over its letters and each stage's conditional term, computed
+    once by ``caratheodory_reduce``; stage k reads its rows of that channel
+    as a slice.
 
     A list of traces, as a stacked reduction returns, gives a list of dicts;
     the joint and stage terms of all traces are then one stack each, and

@@ -24,8 +24,8 @@ Arc-gap rule: three distinct extremal effects complete to the unit effect with
 nonnegative weights iff their directions surround the centre: every cyclic gap
 b - a, c - b, n - c + a of sorted indices a < b < c is at most n/2.
 
-Index arithmetic is cyclic: state and effect indices are reduced mod n
-everywhere, with canonical representatives in [0, n).
+Index arithmetic is cyclic: measurement indices are reduced mod n, with
+canonical representatives in [0, n).
 
 Stacks: every triple measurement is built by one private builder that maps
 a (k, 3) array of indices to weights (k, 3) and realised effects (k, 3, 3)
@@ -108,10 +108,6 @@ class Theory:
         """Circumradius sqrt(sec(pi/n)) of the state polygon."""
         return math.sqrt(1.0 / math.cos(math.pi / self.n))
 
-    def state(self, i: int) -> np.ndarray:
-        """Extremal state at vertex i (index reduced mod n), a row of the table."""
-        return self._state_table[i % self.n].copy()
-
     @cached_property
     def _state_table(self) -> np.ndarray:
         return _tables(int(self.n))[0]
@@ -120,10 +116,6 @@ class Theory:
         """All n extremal states, shape (n, 3); a copy of a table built once per n."""
         return self._state_table.copy()
 
-    def effect(self, j: int) -> np.ndarray:
-        """Extremal effect j (index reduced mod n), a row of the table."""
-        return self._effect_table[j % self.n].copy()
-
     @cached_property
     def _effect_table(self) -> np.ndarray:
         return _tables(int(self.n))[1]
@@ -131,13 +123,6 @@ class Theory:
     def effects(self) -> np.ndarray:
         """All n extremal effects, shape (n, 3); a copy of a table built once per n."""
         return self._effect_table.copy()
-
-    def in_state_cone(self, v) -> bool:
-        """Whether v, or every row of a stack v of shape (k, 3), lies in the
-        state cone: nonnegative, within PROB_TOL, on every extremal effect."""
-        v = np.asarray(v, float)
-        floor = -PROB_TOL
-        return bool((v[..., 2] >= floor).all() and (v @ self._effect_table.T >= floor).all())
 
     def channel_matrix(self, measurement, states=None) -> np.ndarray:
         """P(outcome | state), shape (..., inputs, outcomes), clipped to [0, 1]

@@ -282,11 +282,6 @@ def _max_capacity(vertices) -> float:
     return blahut_arimoto(np.stack([v.P.T for v in vertices])).capacity_bits
 
 
-def max_vertex_capacity(alphabet_size: int, c: float) -> float:
-    """Largest channel capacity attained at any vertex of the polytope."""
-    return _max_capacity(enumerate_vertices(alphabet_size, c))
-
-
 def vertex_summary(alphabet_size: int, c: float) -> dict:
     """Counts by class plus the maximum vertex capacity, for reporting."""
     vertices = enumerate_vertices(alphabet_size, c)

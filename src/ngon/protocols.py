@@ -45,6 +45,12 @@ from .geometry import (
 from .polytope import ZERO_WEIGHT, ResourceBoundError, classify_vertex, enumerate_vertices
 
 IC_SEARCH_MAX = 24
+# largest n of run_ic: it builds the polygon's tables, which grow as n;
+# n = 200,000 took 0.4-0.7 s and 96 MiB on 2 shared vCPUs
+IC_MAX = 200_000
+# largest max_n of the check ic sweep: the tables of every even n up to it stay
+# cached, max_n^2 / 4 rows; max_n = 1000 took 0.6-0.8 s and 42 MiB
+IC_SWEEP_MAX = 1000
 # largest n of a NOT-EQUAL matrix: the (n, n) table and its rendering grow as
 # n^2; n = 601 took 0.6 s and 103 MiB as JSON on 2 shared vCPUs
 NE_MAX = 600
@@ -128,7 +134,10 @@ def run_ic(theory: Theory) -> ICReport:
     (first outcome means x0 = 0) and the pair anchored at 0 when asked for
     bit 1 (first outcome means x1 = 0).  All probabilities are exact dot
     products; both information quantities come from the exact joints.
+    n above IC_MAX is refused before anything is built.
     """
+    if theory.n > IC_MAX:
+        raise ResourceBoundError(f"the random access code is capped at n={IC_MAX}")
     _require_even(theory)
     if theory.n < 4:
         raise ValueError("need n >= 4")

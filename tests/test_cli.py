@@ -4,7 +4,6 @@ import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -88,12 +87,6 @@ def test_capacity_json_is_byte_identical(capsys):
     _, second, _ = run(capsys, "capacity", "--n-range", "3..6")
     assert first == second
     assert "runtime" not in first
-
-
-def test_capacity_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "capacity", "--n-range", "3..7")
-    _, parallel, _ = run(capsys, "capacity", "--n-range", "3..7", "--jobs", "2")
-    assert serial == parallel
 
 
 def test_vertices_summary_and_csv(capsys):
@@ -330,16 +323,16 @@ def test_an_unknown_key_stops_the_run_before_any_check(monkeypatch):
     assert calls == []
 
 
-def imports_numpy_ma(*requests):
-    """Whether a fresh interpreter that runs these CLI requests imports
-    numpy.ma, which np.unique imports on first use: about 1 MiB of peak RSS."""
+def imports(module, *requests):
+    """Whether a fresh interpreter that imports ngon.cli and runs these CLI
+    requests has imported ``module``."""
     script = f"""
 import contextlib, io, sys
 from ngon.cli import main
 for argv in {[list(r) for r in requests]!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-print("numpy.ma" in sys.modules)
+print({module!r} in sys.modules)
 """
     src = str(Path(ngon.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -351,8 +344,10 @@ print("numpy.ma" in sys.modules)
     return proc.stdout != "False\n"
 
 
+# np.unique imports numpy.ma on first use: about 1 MiB of peak RSS
 def test_protocol_requests_never_import_numpy_ma():
-    assert not imports_numpy_ma(
+    assert not imports(
+        "numpy.ma",
         ["check", "--only", "decomposition,reduction,ic,ne,simulation,weights"],
         ["ic", "--n", "24", "--search"],
         ["simulate", "--n", "17", "--vertex", "3", "--samples", "1000", "--seed", "5"],
@@ -361,11 +356,17 @@ def test_protocol_requests_never_import_numpy_ma():
 
 
 def test_sweep_and_census_requests_never_import_numpy_ma():
-    assert not imports_numpy_ma(["capacity", "--n-range", "3..64"])
-    assert not imports_numpy_ma(
+    assert not imports("numpy.ma", ["capacity", "--n-range", "3..64"])
+    assert not imports(
+        "numpy.ma",
         ["vertices", "--alphabet-size", "2", "--c", "2.0"],
         ["vertices", "--alphabet-size", "3", "--c", "2.4321"],
     )
+
+
+def test_importing_the_cli_starts_no_process_pool_machinery():
+    assert not imports("concurrent.futures")
+    assert not imports("multiprocessing")
 
 
 def test_bad_n_exits_two(capsys):
@@ -433,10 +434,12 @@ def test_capacity_tol_defaults_to_the_bracket_default():
     assert cli.build_parser().parse_args(["capacity", "--n", "5"]).tol == BA_TOL
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_capacity_jobs_below_one_exits_two(capsys, jobs):
-    code, out, err = run(capsys, "capacity", "--n", "5", "--jobs", jobs)
-    assert code == 2 and out == "" and "jobs" in err
+def test_capacity_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "--n", "5", "--jobs", "2"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --jobs 2" in err
 
 
 @pytest.mark.parametrize(
@@ -465,21 +468,6 @@ def test_numerical_failure_exits_three(capsys, monkeypatch, error):
     assert err == f"error: {error}\n"
 
 
-def _fail_to_converge(theory, **kwargs):
-    raise ConvergenceError("1 of 4 channels kept brackets above tol", 0.5, np.full(5, 0.2), 3)
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched capacity reaches the workers only by fork",
-)
-def test_numerical_failure_in_a_worker_exits_three(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "theory_capacity", _fail_to_converge)
-    code, out, err = run(capsys, "capacity", "--n-range", "5..6", "--jobs", "2")
-    assert code == 3 and out == ""
-    assert err == "error: 1 of 4 channels kept brackets above tol\n"
-
-
 @pytest.mark.parametrize("only", [None, "even-capacity", "ne,odd-capacity"])
 def test_check_max_n_above_the_enumeration_bound_exits_two(capsys, monkeypatch, only):
     ran = []
@@ -498,17 +486,35 @@ def test_check_max_n_above_the_enumeration_bound_exits_two(capsys, monkeypatch, 
     assert ran == [65]
 
 
+# (argv without the size, bound, error message): each request is refused
+# just above its bound and at n = 10^6
+SIZE_BOUNDS = [
+    (("ne", "--n"), 600, "NOT-EQUAL matrix is capped at n=600"),
+    (("ne", "--format", "csv", "--n"), 600, "NOT-EQUAL matrix is capped at n=600"),
+    (("effects", "--n"), 600, "the effects report is capped at n=600"),
+    (("effects", "--format", "csv", "--n"), 600, "the effects report is capped at n=600"),
+    (("check", "--only", "ne", "--max-n"), 600, "check ne: max_n={n} above the NOT-EQUAL bound 600"),
+    (("states", "--n"), 50_000, "the states report is capped at n=50000"),
+    (("states", "--format", "csv", "--n"), 50_000, "the states report is capped at n=50000"),
+    (("ic", "--n"), 200_000, "the random access code is capped at n=200000"),
+    (("ic", "--format", "csv", "--n"), 200_000, "the random access code is capped at n=200000"),
+    (("simulate", "--n"), 200_000, "the simulation is capped at n=200000"),
+    (("simulate", "--format", "csv", "--n"), 200_000, "the simulation is capped at n=200000"),
+    (("check", "--only", "ic", "--max-n"), 1000, "check ic: max_n={n} above the sweep bound 1000"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, bound",
+    "n, argv, bound",
     [
-        (("ne", "--n"), "NOT-EQUAL matrix is capped at n=600"),
-        (("ne", "--format", "csv", "--n"), "NOT-EQUAL matrix is capped at n=600"),
-        (("effects", "--n"), "the effects report is capped at n=600"),
-        (("effects", "--format", "csv", "--n"), "the effects report is capped at n=600"),
-        (("check", "--only", "ne", "--max-n"), "check ne: max_n={n} above the NOT-EQUAL bound 600"),
+        pytest.param(limit + 1, argv, message, id=f"{limit + 1}-argv{i}-{message}")
+        for i, (argv, limit, message) in enumerate(SIZE_BOUNDS)
+    ]
+    + [
+        pytest.param(10**6, argv, message, id=f"1000000-argv{i}-{message}")
+        for i, (argv, _, message) in enumerate(SIZE_BOUNDS)
     ],
 )
-@pytest.mark.parametrize("n", [601, 10**6])
 def test_a_size_above_its_bound_exits_two_before_it_allocates(capsys, monkeypatch, argv, bound, n):
     def unbuilt(size):
         raise AssertionError(f"the polygon tables of n={size} were built")
@@ -523,7 +529,7 @@ def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--only", "ne", "--max-n", "5", "--format", "json")
     assert code == 0
     assert json.loads(out)["results"][0]["details"].startswith("n=3..5:")
-    # a wrapped registry entry is still recognised by its signature
+    # a wrapped registry entry still gets max_n: the sweeps are named by key
     calls = []
 
     @functools.wraps(checks.check_ne)

@@ -56,7 +56,7 @@ def assert_stack_matches_single_calls(P, weights):
     stack = decompose_into_binary_channels(P, weights)
     for k in range(len(P)):
         one = decompose_into_binary_channels(P[k], weights[k])
-        for field in ("q", "components", "free"):
+        for field in ("q", "components"):
             mine, theirs = getattr(stack, field)[k], getattr(one, field)
             # bytes, so that even a signed zero would show
             assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), (k, field)
@@ -65,7 +65,8 @@ def assert_stack_matches_single_calls(P, weights):
 def test_known_single_column_split():
     res = decompose_into_binary_channels(np.array([[1.0], [0.0], [0.0]]), [1.0, 0.5, 0.5])
     assert np.abs(res.q - [0.5, 0.5, 0.0]).max() < 1e-12
-    assert np.abs(res.free.ravel() - [1.0, 1.0, 0.0]).max() < 1e-12
+    # free parameters u = v = 1 and w = 0: components [1, 0, 0], [1, 0, 0] and [0, 0, 1]
+    assert np.abs(res.components[..., 0] - [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).max() < 1e-12
     assert np.abs(res.reconstruct() - [[1.0], [0.0], [0.0]]).max() < 1e-12
 
 
@@ -205,7 +206,7 @@ def test_reduce_passthrough_on_three_letters():
 def test_reduce_point_mass():
     t = Theory(5)
     m = t.measurement((0, 1, 3))
-    trace = caratheodory_reduce(t, [t.state(2)], [1.0], m)
+    trace = caratheodory_reduce(t, [t.states()[2]], [1.0], m)
     assert len(trace.stages) == 1 and trace.stages[0][1] == (2,)
 
 
@@ -229,7 +230,8 @@ def test_reduce_preserves_barycenter_per_stage():
 def test_reduce_handles_mixed_inputs():
     t = Theory(7)
     m = t.measurement((0, 2, 4))
-    states = np.vstack([t.states()[:3], [0.5 * t.state(0) + 0.5 * t.state(4)]])
+    S = t.states()
+    states = np.vstack([S[:3], [0.5 * S[0] + 0.5 * S[4]]])
     w = np.array([0.3, 0.3, 0.2, 0.2])
     trace = caratheodory_reduce(t, states, w, m)
     mean = w @ states
@@ -259,7 +261,7 @@ def test_reduce_never_loses_information():
             w, np.clip(states @ tri.effects.T, 0.0, 1.0)
         )
         trace = caratheodory_reduce(t, states, w, tri)
-        info = trace_information(trace, t, tri)
+        info = trace_information(trace)
         best = info["per_stage"][trace.selected]
         worst = max(worst, merged - best)
         assert best >= merged - 1e-9
@@ -283,7 +285,7 @@ def test_reduction_never_loses_information(n, size, mixed, seed):
     merged = mutual_information_bits(w, t.channel_matrix(m, states))
     trace = caratheodory_reduce(t, states, w, m)
     assert all(len(J) <= 3 for _, J, _ in trace.stages)
-    info = trace_information(trace, t, m)
+    info = trace_information(trace)
     assert info["per_stage"][trace.selected] >= merged - 1e-9
 
 
@@ -293,7 +295,7 @@ def test_chain_rule_accounting():
     m = t.measurement((0, 3, 6))
     w = rng.dirichlet(np.ones(9))
     trace = caratheodory_reduce(t, t.states(), w, m)
-    info = trace_information(trace, t, m)
+    info = trace_information(trace)
     # stage label carries no information: every stage shares one barycenter
     assert abs(info["stage"]) < 1e-10
     assert abs(info["joint"] - info["stage"] - info["conditional"]) < 1e-10
@@ -349,11 +351,11 @@ def test_a_stacked_reduction_has_the_bits_of_its_single_calls(n, k, size, mixed,
     w = rng.dirichlet(np.ones(size), size=k)
     _, effects = _realize_triples(n, feasible[rng.integers(len(feasible), size=k)])
     traces = caratheodory_reduce(t, states, w, effects)
-    infos = trace_information(traces, t, effects)
+    infos = trace_information(traces)
     assert len(traces) == len(infos) == k
     for e in range(k):
         single = caratheodory_reduce(t, states[e], w[e], effects[e])
-        assert trace_bits(traces[e], infos[e]) == trace_bits(single, trace_information(single, t, effects[e]))
+        assert trace_bits(traces[e], infos[e]) == trace_bits(single, trace_information(single))
 
 
 @pytest.mark.parametrize(

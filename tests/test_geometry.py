@@ -34,14 +34,8 @@ def overlap_oracle(n, j, i):
 def test_radius_and_vertex_values():
     assert abs(Theory(3).r - math.sqrt(2.0)) < 1e-15
     assert abs(Theory(4).r - 2.0 ** 0.25) < 1e-15
-    w0 = Theory(3).state(0)
+    w0 = Theory(3).states()[0]
     assert np.abs(w0 - [math.sqrt(2.0), 0.0, 1.0]).max() < 1e-15
-
-
-def test_state_index_wraps():
-    t = Theory(7)
-    assert np.array_equal(t.state(9), t.state(2))
-    assert np.array_equal(t.state(-1), t.state(6))
 
 
 def test_bad_constructions():
@@ -66,8 +60,8 @@ def test_unit_effect_pairing():
     u = unit_effect()
     for n in (3, 4, 9):
         t = Theory(n)
-        for i in range(n):
-            assert abs(np.dot(u, t.state(i)) - 1.0) < 1e-15
+        for state in t.states():
+            assert abs(np.dot(u, state) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("n", list(range(3, 65)))
@@ -100,11 +94,11 @@ def test_overlap_table_matches_oracle_and_saturates(n):
 
 
 def test_cone_memberships():
+    # a normalised state lies in the plane z = 1 and inside the state cone
     t = Theory(6)
-    assert t.in_state_cone(t.state(2))
-    assert t.in_state_cone(2.5 * t.state(2))
-    outside = t.state(0) + np.array([t.r, 0.0, 0.0])
-    assert not t.in_state_cone(outside)
+    S = t.states()
+    V = np.stack([S[2], S.mean(axis=0), 2.5 * S[2], S[0] + [t.r, 0.0, 0.0]])
+    assert geometry._outside_states(t, V).tolist() == [False, False, True, True]
 
 
 def test_effects_sum_to_scaled_unit():
@@ -122,7 +116,7 @@ def test_measurement_completeness_and_weights():
     assert min(m.weights) > 0
     for k, idx in enumerate(m.indices):
         # each effect is its stated multiple of the extremal effect
-        assert np.abs(m.effects[k] - m.weights[k] * t.effect(idx)).max() < 1e-12
+        assert np.abs(m.effects[k] - m.weights[k] * t.effects()[idx]).max() < 1e-12
 
 
 @st.composite
@@ -367,17 +361,13 @@ def test_antipodal_gap_puts_one_weight_at_zero(n):
 def test_state_and_effect_tables_are_built_once():
     geometry._tables.cache_clear()
     t = Theory(7)
-    expected = {"state": np.stack([t.state(i) for i in range(7)]),
-                "effect": np.stack([t.effect(j) for j in range(7)])}
+    expected = dict(zip(("state", "effect"), map(np.stack, vertex_formula_rows(7))))
     for t in (Theory(7), Theory(7)):
         for table, name in ((t.states, "state"), (t.effects, "effect")):
             first = table()
             assert np.array_equal(first, expected[name])
             first[0, 0] = 99.0  # callers get a writable copy; the table stays intact
             assert np.array_equal(table(), expected[name])
-        row = t.state(3)
-        row[0] = 99.0  # so does a single row
-        assert np.array_equal(t.state(3), expected["state"][3])
         t.measurement((0, 2, 4))
     assert geometry._tables.cache_info().misses == 1
     for cached in geometry._tables(7):
@@ -481,14 +471,14 @@ def test_extremal_decomposition_rebuilds_a_random_mixture(n, alpha, seed):
 
 def test_extremal_decomposition_vertex_and_errors():
     t = Theory(6)
-    q = extremal_decomposition(t, t.state(4))
+    q = extremal_decomposition(t, t.states()[4])
     assert abs(q[4] - 1.0) < 1e-12 and abs(q.sum() - 1.0) < 1e-12
     with pytest.raises(InvalidStateError):
         extremal_decomposition(t, np.array([0.0, 0.0, 2.0]))
     with pytest.raises(InvalidStateError):
-        extremal_decomposition(t, t.state(0) + np.array([1.0, 0.0, 0.0]))
+        extremal_decomposition(t, t.states()[0] + np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InvalidStateError):
-        extremal_decomposition(t, np.stack([t.state(1), np.array([0.0, 0.0, 2.0])]))
+        extremal_decomposition(t, np.stack([t.states()[1], np.array([0.0, 0.0, 2.0])]))
     # normalisation is checked to PROB_TOL
     q = extremal_decomposition(t, np.array([0.0, 0.0, 1.0 + 5e-10]))
     assert abs(q.sum() - 1.0) < 1e-12
@@ -498,7 +488,8 @@ def test_extremal_decomposition_vertex_and_errors():
 
 def test_extremal_decomposition_deterministic():
     t = Theory(7)
-    v = 0.3 * t.state(0) + 0.45 * t.state(2) + 0.25 * t.state(5)
+    S = t.states()
+    v = 0.3 * S[0] + 0.45 * S[2] + 0.25 * S[5]
     a = extremal_decomposition(t, v)
     b = extremal_decomposition(t, v)
     assert np.array_equal(a, b)
@@ -524,8 +515,5 @@ def vertex_formula_rows(n):
 def test_tables_have_the_bits_of_the_vertex_formulas(n):
     t = Theory(n)
     states, effects = vertex_formula_rows(n)
-    for i in range(n):
-        for row in (t.states()[i], t.state(i), t.state(i + n), t.state(i - n)):
-            assert row.tobytes() == states[i].tobytes()
-        for row in (t.effects()[i], t.effect(i), t.effect(i + n), t.effect(i - n)):
-            assert row.tobytes() == effects[i].tobytes()
+    assert t.states().tobytes() == np.stack(states).tobytes()
+    assert t.effects().tobytes() == np.stack(effects).tobytes()

@@ -24,7 +24,6 @@ from ngon.polytope import (
     _forms,
     classify_vertex,
     enumerate_vertices,
-    max_vertex_capacity,
     vertex_summary,
 )
 
@@ -147,12 +146,12 @@ def test_canonical_weights_present_at_c25():
 
 
 def test_max_vertex_capacity_endpoints():
-    assert abs(max_vertex_capacity(3, 2.0) - 1.0) < 1e-9
-    assert abs(max_vertex_capacity(3, 3.0) - math.log2(3.0)) < 1e-9
+    assert abs(vertex_summary(3, 2.0)["max_capacity_bits"] - 1.0) < 1e-9
+    assert abs(vertex_summary(3, 3.0)["max_capacity_bits"] - math.log2(3.0)) < 1e-9
 
 
 def test_max_vertex_capacity_approaches_one():
-    near = max_vertex_capacity(3, 2.01)
+    near = vertex_summary(3, 2.01)["max_capacity_bits"]
     assert 1.0 < near < 1.01
 
 

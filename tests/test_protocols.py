@@ -224,8 +224,8 @@ def test_simulation_marginal_matches_direct_law():
 def test_simulation_extremal_state_is_exact():
     t = Theory(6)
     m = t.measurement((0, 2, 4))
-    rep = simulate_transmission(t, t.state(1), m, samples=10, seed=0)
-    direct = np.clip(m.effects @ t.state(1), 0.0, 1.0)
+    rep = simulate_transmission(t, t.states()[1], m, samples=10, seed=0)
+    direct = np.clip(m.effects @ t.states()[1], 0.0, 1.0)
     assert np.abs(rep.analytic_dist - direct).max() <= 1e-15
 
 
@@ -256,7 +256,7 @@ def test_simulation_rejects_bad_inputs():
     with pytest.raises(InvalidStateError):
         simulate_transmission(t, np.array([5.0, 0.0, 1.0]), m, samples=10, seed=0)
     with pytest.raises(ValueError):
-        simulate_transmission(t, t.state(0), m, samples=0, seed=0)
+        simulate_transmission(t, t.states()[0], m, samples=0, seed=0)
 
 
 def test_ic_bound_check_small_and_large():
