@@ -11,12 +11,26 @@ capacity KKT conditions are solved on the few inputs the iterate points to
 Newton search on a pair), and the solution joins the bracket as a separate
 certificate prior.  Every polygon capacity closes this way at iteration 1.
 
-``theory_capacity`` maximises the capacity over one canonical measurement per
-dihedral orbit, with all n extremal states as the input alphabet: rotating or
-reflecting a measurement only permutes the channel's inputs and outcomes.  The
-candidates are the antipodal pair for even n and one triple (0, g1, g1 + g2)
+One engine runs the ascent on a list of channel stacks (groups) at once.
+Each group keeps its own best lower bound, started at its own floor (a
+bound known from outside the group), and retires its channels against it.
+Groups with fewer inputs than the widest are padded with zero rows held at
+zero prior.  Every sum, maximum and sort over inputs runs per width on the
+unpadded columns, so padded rows never enter a bound, a sort or a polish and
+each group gets the bits of its own run.  ``blahut_arimoto`` is the
+one-group case and pays no padding.
+
+``theory_capacities`` maximises the capacity over one canonical measurement
+per dihedral orbit, with all n extremal states as the input alphabet: rotating
+or reflecting a measurement only permutes the channel's inputs and outcomes.
+The candidates are the antipodal pair for even n and one triple (0, g1, g1 + g2)
 per sorted gap partition g1 <= g2 <= g3 <= n/2, less the triples with a gap of
 exactly n/2, whose zero weight leaves the pair's channel plus a zero column.
+Consecutive sizes run in chunks: one pair stack for the chunk's even sizes,
+one solve that realises all its triples and one triple stack with a group per
+size, floored by that size's pair.  A chunk holds at most CHUNK_ROWS padded
+input rows, since one stack of every size 3..64 raised the peak RSS of the
+sweep from about 31.5 to 45 MiB.
 """
 
 from __future__ import annotations
@@ -32,6 +46,11 @@ from .geometry import PROB_TOL, ROUNDOFF, Measurement, Theory, _realize_triples,
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
 ENUMERATION_MAX = 64
+# input rows of one chunk's padded triple stack in theory_capacities, its
+# candidates times its largest n.  For `capacity --n-range 3..64` on 2 shared
+# vCPUs: 27 chunks, 31.5 MiB peak RSS and about 33 ms in the library; 8,192
+# rows gave 16 chunks, 31.7 MiB and 30 ms; one stack, 44.9 MiB.
+CHUNK_ROWS = 4096
 
 _TINY = 1e-300
 _SUPPORT_WEIGHT = 1e-6  # inputs with more prior weight are reported as support
@@ -93,8 +112,13 @@ def mutual_information_bits(prior, matrix) -> float | np.ndarray:
 
 
 def _row_log_entropy(W: np.ndarray) -> np.ndarray:
-    """sum_y W log2 W per input row, with 0 log 0 = 0.  Shape (..., inputs)."""
-    return np.where(W > 0, W * np.log2(np.maximum(W, _TINY)), 0.0).sum(axis=-1)
+    """sum_y W log2 W per input row, with 0 log 0 = 0.  Shape (..., inputs).
+    The terms are built in one buffer the size of W."""
+    terms = np.maximum(W, _TINY)
+    np.log2(terms, out=terms)
+    terms *= W
+    terms[W == 0] = 0.0
+    return terms.sum(axis=-1)
 
 
 def _divergences(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -157,6 +181,9 @@ def _square_priors(W, wlogw, priors, sel, cols, support) -> np.ndarray:
     p_S W_S = q.  The inverse is the adjugate over the determinant.  A
     finite, nonnegative p_S is valid and is written into ``priors[sel]``.
     """
+    # the einsums below sum in an order set by their operands' memory layout;
+    # a C-ordered support keeps it the same for every stack a channel is in
+    support = np.ascontiguousarray(support)
     adj, det = _adjugate(W[sel[:, None, None], support[:, :, None], cols])
     ok = ~_repeats(support).any(axis=1) & (det != 0)
     det = np.where(ok, det, 1.0)[:, None]
@@ -200,9 +227,49 @@ def _pair_priors(W: np.ndarray, wlogw: np.ndarray, pair: np.ndarray) -> np.ndarr
     return priors
 
 
-def _leader_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray):
+def _width_classes(width, m: int):
+    """(w, rows) for each distinct input count w of a padded stack, or None
+    when ``width`` is None or every row has all ``m`` inputs."""
+    if width is None or (width == m).all():
+        return None
+    return [(w, np.flatnonzero(width == w)) for w in dict.fromkeys(width.tolist())]
+
+
+def _by_width(fn, width, *arrays) -> np.ndarray:
+    """``fn(*arrays)``, a reduction over the input (last) axis, on each row's
+    own inputs.  The bits of a sum depend on its length, so a padded stack is
+    reduced once per width on its unpadded columns, as its single call is;
+    padded inputs never reach a sum or a maximum."""
+    classes = _width_classes(width, arrays[0].shape[-1])
+    if classes is None:
+        return fn(*arrays)
+    out = np.empty(arrays[0].shape[:-1])
+    for w, rows in classes:
+        out[..., rows] = fn(*(a[..., rows, :w] for a in arrays))
+    return out
+
+
+def _order(d: np.ndarray, width) -> np.ndarray:
+    """Inputs of each row by increasing divergence, padded inputs first.
+
+    The order of ties depends on the row length, so a padded stack sorts
+    once per width on its unpadded columns."""
+    classes = _width_classes(width, d.shape[1])
+    if classes is None:
+        return np.argsort(d, axis=1)
+    m = d.shape[1]
+    order = np.empty(d.shape, np.intp)
+    for w, rows in classes:
+        order[rows, : m - w] = np.arange(w, m)
+        order[rows, m - w :] = np.argsort(d[rows, :w], axis=1)
+    return order
+
+
+def _leader_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray, width):
     """First polish: the KKT system on the inputs the outcomes decode to.
-    Returns (valid, priors), shaped (1, count) and (1, count, inputs)."""
+    Returns (valid, priors), shaped (1, count) and (1, count, inputs).  A
+    padded input has p W = 0 and comes after every real one, so argmax never
+    picks it."""
     count, m, _ = W.shape
     valid, priors = np.zeros((1, count), bool), np.zeros((1, count, m))
     leaders = _leaders(p, W)
@@ -211,7 +278,7 @@ def _leader_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarra
     return valid, priors
 
 
-def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray):
+def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray, width):
     """Second polish, for channels whose leaders gave no valid prior.
 
     Two guesses per channel: the KKT system on the k inputs of largest
@@ -219,13 +286,14 @@ def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndar
     twice, and the best prior on a pair of inputs, for an optimum on fewer
     inputs than outcomes: the leaders when they name exactly two inputs,
     else the two inputs of largest divergence.  Returns (valid, priors),
-    shaped (2, count) and (2, count, inputs).
+    shaped (2, count) and (2, count, inputs).  A channel with fewer than k
+    inputs of its own gets no square guess, as in its single call.
     """
     count, m, _ = W.shape
     valid, priors = np.zeros((2, count), bool), np.zeros((2, count, m))
     if m < 2:
         return valid, priors
-    order = np.argsort(d, axis=1)
+    order = _order(d, width)
     pairs = order[:, -2:].copy()
     leaders = _leaders(p, W)
     for sel, cols in _column_groups(W):
@@ -235,7 +303,8 @@ def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndar
         other = np.where(lead[:, 1] != lead[:, 0], lead[:, 1], lead[:, -1])
         pairs[sel[two]] = np.stack([lead[two, 0], other[two]], axis=1)
         if k <= m:
-            valid[0, sel] = _square_priors(W, wlogw, priors[0], sel, cols, order[sel, -k:])
+            square = sel if width is None else sel[width[sel] >= k]
+            valid[0, square] = _square_priors(W, wlogw, priors[0], square, cols, order[square, -k:])
     valid[1], priors[1] = True, _pair_priors(W, wlogw, pairs)
     return valid, priors
 
@@ -245,13 +314,7 @@ def _validate_tol(tol: float) -> None:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
-def blahut_arimoto(
-    matrices,
-    tol: float = BA_TOL,
-    max_iter: int = BA_MAX_ITER,
-    *,
-    _floor: float = -math.inf,
-) -> BAResult:
+def blahut_arimoto(matrices, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> BAResult:
     """Largest channel capacity in a stack, by the Blahut-Arimoto ascent.
 
     ``matrices`` is one channel (inputs, outcomes) or a stack (count, inputs,
@@ -271,11 +334,9 @@ def blahut_arimoto(
     channel's lower bound, within tol of the maximum capacity, the prior
     that attains it, ``iterations``, the iteration at which the certified
     bracket closed, polish steps included, and the channel's position
-    ``index`` in the stack.  ``_floor`` is a lower bound known from outside
-    the stack that joins the retirement test; a result at or below it is
-    not certified.  Raises ConvergenceError, carrying the best channel's
-    lower bound and last iterate, if some bracket stays open after max_iter
-    iterations.
+    ``index`` in the stack.  Raises ConvergenceError, carrying the best
+    channel's lower bound and last iterate, if some bracket stays open
+    after max_iter iterations.  This is the one-group case of ``_bracket``.
     """
     _validate_tol(tol)
     W = np.asarray(matrices, float)
@@ -284,12 +345,47 @@ def blahut_arimoto(
     if (W < -ROUNDOFF).any() or np.abs(W.sum(axis=-1) - 1.0).max() > PROB_TOL:
         raise ValueError("matrix rows must be probability vectors")
     W = np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)
-    count, m, _ = W.shape
+    (result,) = _bracket([W], [-math.inf], tol, max_iter)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
+
+
+def _bracket(stacks, floors, tol: float, max_iter: int) -> list:
+    """The ascent of ``blahut_arimoto`` on several channel stacks (groups) at once.
+
+    ``stacks`` are nonnegative stacks (count, inputs, outcomes) with one
+    outcome count; a group with fewer inputs than the widest is padded with
+    zero rows held at zero prior.  Each group keeps its own best lower bound,
+    started at its entry of ``floors``, a bound known from outside the group
+    that joins its retirement test (a result at or below it is not
+    certified).  Every sum, maximum and sort over inputs runs per width on
+    the unpadded columns, and a padded input never leads an outcome, so each
+    group gets what ``blahut_arimoto`` returns on it alone, as a BAResult,
+    or the ConvergenceError that call raises.
+    """
+    if not stacks:
+        return []
+    sizes = [len(s) for s in stacks]
+    widths = [s.shape[1] for s in stacks]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    m = max(widths)
+    gid = np.repeat(np.arange(len(stacks)), sizes)
+    if min(widths) == m:
+        W = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        width, p = None, np.full((len(gid), m), 1.0 / m)
+    else:
+        W = np.zeros((len(gid), m, stacks[0].shape[2]))
+        for g, start in enumerate(starts):
+            W[start : start + sizes[g], : widths[g]] = stacks[g]
+        width = np.repeat(widths, sizes)
+        p = np.where(np.arange(m) < width[:, None], 1.0 / width[:, None], 0.0)
+    count = len(W)
     wlogw = _row_log_entropy(W)
-    # ids, W, wlogw, p, the bounds lo, up and the certificate priors cert hold
-    # the channels still iterating; certified marks a lo attained at cert
+    # ids, gid (their groups), width, W, wlogw, p, the bounds lo, up and the
+    # certificate priors cert hold the channels still iterating; certified
+    # marks a lo attained at cert
     ids = np.arange(count)
-    p = np.full((count, m), 1.0 / m)
     lo = np.full(count, -math.inf)
     up = np.full(count, math.inf)
     cert = np.zeros((count, m))
@@ -297,16 +393,17 @@ def blahut_arimoto(
     lower = np.full(count, -math.inf)
     priors = p.copy()
     retired_at = np.zeros(count, int)
-    best = _floor
+    best = np.array(floors, float)
+    each_group = np.arange(len(stacks))[:, None]
     for it in range(1, max_iter + 1):
         d = _divergences(W, wlogw, p)
-        dmax = d.max(axis=1, keepdims=True)
-        info = np.einsum("cx,cx->c", p, d)
+        dmax = _by_width(_largest, width, d)[:, None]
+        info = _by_width(_mean_divergence, width, p, d)
         certified &= info <= lo
         lo = np.maximum(lo, info)
         up = np.minimum(up, dmax[:, 0])
-        best = max(best, float(lo.max()))
-        retire = (up - lo <= tol) | (up <= best)
+        best = np.maximum(best, np.where(gid == each_group, lo, -math.inf).max(axis=1))
+        retire = (up - lo <= tol) | (up <= best[gid])
         if it & (it - 1) == 0:
             # polish the channels still open; the fallback only takes those
             # the leaders gave no valid prior
@@ -315,46 +412,68 @@ def blahut_arimoto(
                 rows = np.flatnonzero(fresh & ~retire)
                 if not len(rows):
                     break
-                # a slice keeps the common case, every channel open, free of copies
-                sub = slice(None) if len(rows) == len(ids) else rows
-                Wr, hr = W[sub], wlogw[sub]
-                valid, prior = polish(Wr, hr, p[sub], d[sub])
-                fresh[rows[valid.any(axis=0)]] = False
-                dc = _divergences(Wr, hr, prior)
-                info = np.where(valid, np.einsum("rcx,rcx->rc", prior, dc), -math.inf)
-                pick = np.argmax(info, axis=0)
-                prior, info = prior[pick, np.arange(len(rows))], info.max(axis=0)
-                gain = info > lo[rows]
-                lo[rows[gain]], cert[rows[gain]], certified[rows[gain]] = info[gain], prior[gain], True
-                up[rows] = np.minimum(up[rows], np.where(valid, dc.max(axis=2), math.inf).min(axis=0))
-                best = max(best, float(lo.max()))
-                retire = (up - lo <= tol) | (up <= best)
+                fresh[rows[_polish(polish, rows, W, wlogw, p, d, width, lo, up, cert, certified)]] = False
+                best = np.maximum(best, np.where(gid == each_group, lo, -math.inf).max(axis=1))
+                retire = (up - lo <= tol) | (up <= best[gid])
         if retire.any():
             done = ids[retire]
             lower[done], retired_at[done] = lo[retire], it
             priors[done] = np.where(certified[retire, None], cert[retire], p[retire])
             keep = ~retire
-            ids, W, wlogw, p, d, dmax, lo, up, cert, certified = (
-                a[keep] for a in (ids, W, wlogw, p, d, dmax, lo, up, cert, certified)
+            ids, gid, W, wlogw, p, d, dmax, lo, up, cert, certified = (
+                a[keep] for a in (ids, gid, W, wlogw, p, d, dmax, lo, up, cert, certified)
             )
+            width = None if width is None else width[keep]
             if not len(ids):
                 break
         p = p * np.exp2(d - dmax)
-        p /= p.sum(axis=1, keepdims=True)
+        p /= _by_width(_total, width, p)[:, None]
     else:
         lower[ids], priors[ids] = lo, p
-        winner = int(np.argmax(lower))
-        raise ConvergenceError(
-            f"{len(ids)} of {count} channels kept brackets above tol={tol} "
-            f"after {max_iter} iterations",
-            max(float(lower[winner]), 0.0),
-            priors[winner],
-            max_iter,
-        )
-    winner = int(np.argmax(lower))
-    # a copy, so that a kept result does not hold the whole stack's priors
-    prior = priors[winner].copy()
-    return BAResult(max(float(lower[winner]), 0.0), prior, int(retired_at[winner]), winner)
+    still_open = np.bincount(gid, minlength=len(sizes)).tolist()
+    results = []
+    for start, size, w, left in zip(starts, sizes, widths, still_open):
+        winner = int(np.argmax(lower[start : start + size]))
+        bits = max(float(lower[start + winner]), 0.0)
+        # a copy, so that a kept result does not hold the whole stack's priors
+        prior = priors[start + winner, :w].copy()
+        if left:
+            message = f"{left} of {size} channels kept brackets above tol={tol} after {max_iter} iterations"
+            results.append(ConvergenceError(message, bits, prior, max_iter))
+        else:
+            results.append(BAResult(bits, prior, int(retired_at[start + winner]), winner))
+    return results
+
+
+def _polish(polish, rows, W, wlogw, p, d, width, lo, up, cert, certified) -> np.ndarray:
+    """Run ``polish`` on the open channels ``rows`` and let its valid priors
+    join their brackets: lo, up, cert and certified are updated in place.
+    Returns which of ``rows`` got a valid prior."""
+    # a slice keeps the common case, every channel open, free of copies
+    sub = slice(None) if len(rows) == len(W) else rows
+    Wr, hr, wr = W[sub], wlogw[sub], None if width is None else width[sub]
+    valid, prior = polish(Wr, hr, p[sub], d[sub], wr)
+    dc = _divergences(Wr, hr, prior)
+    info = np.where(valid, _by_width(_mean_divergence, wr, prior, dc), -math.inf)
+    pick = np.argmax(info, axis=0)
+    prior, info = prior[pick, np.arange(len(rows))], info.max(axis=0)
+    gain = info > lo[rows]
+    lo[rows[gain]], cert[rows[gain]], certified[rows[gain]] = info[gain], prior[gain], True
+    up[rows] = np.minimum(up[rows], np.where(valid, _by_width(_largest, wr, dc), math.inf).min(axis=0))
+    return valid.any(axis=0)
+
+
+def _mean_divergence(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_x p_x d_x per channel, the mutual information at p."""
+    return np.einsum("...x,...x->...", p, d)
+
+
+def _total(a: np.ndarray) -> np.ndarray:
+    return a.sum(axis=-1)
+
+
+def _largest(a: np.ndarray) -> np.ndarray:
+    return a.max(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,56 +497,112 @@ class CapacityResult:
             raise ValueError(f"capacity {self.capacity_bits} outside [0, log2(3)]")
 
 
-def capacity_candidates(theory: Theory) -> list[Measurement]:
-    """One measurement per dihedral orbit: the antipodal pair when n is even,
-    then the triple representatives without a gap of exactly n/2.  Such a
-    triple has a zero weight, so its channel is the pair's plus a zero column.
+def capacity_candidates(theory: Theory) -> list[tuple[int, ...]]:
+    """Indices of one measurement per dihedral orbit: the antipodal pair when
+    n is even, then the triple representatives without a gap of exactly n/2.
+    Such a triple has a zero weight, so its channel is the pair's plus a zero
+    column.  ``_candidate_count`` gives the length of this list in closed form.
     """
     n = theory.n
-    pair = [theory.measurement((0, n // 2))] if theory.even else []
+    pair = [(0, n // 2)] if theory.even else []
     # n - t[2] is the largest gap of a representative (0, g1, g1 + g2)
-    triples = [t for t in triple_representatives(theory) if 2 * (n - t[2]) < n]
-    mu, effects = _realize_triples(n, triples)
-    return pair + [Measurement(t, tuple(w), e) for t, w, e in zip(triples, mu.tolist(), effects)]
+    return pair + [t for t in triple_representatives(theory) if 2 * (n - t[2]) < n]
+
+
+def _candidate_count(n: int) -> int:
+    """len(capacity_candidates(Theory(n))) without building the list: the
+    triples are the integer triangles of perimeter n, round(n^2 / 48) of them
+    for even n and round((n + 3)^2 / 48) for odd n (Alcuin's sequence), and
+    even n adds the pair."""
+    if n % 2 == 0:
+        return (n * n + 24) // 48 + 1
+    return ((n + 3) ** 2 + 24) // 48
+
+
+def capacity_chunks(theories):
+    """Consecutive runs of ``theories`` that ``theory_capacities`` brackets
+    together, yielded as lists: a run grows while its candidates times its
+    largest n, the rows of its padded triple stack, stay within CHUNK_ROWS;
+    a size that exceeds it alone is a run of its own."""
+    chunk, count, width = [], 0, 0
+    for t in theories:
+        count, width = count + _candidate_count(t.n), max(width, t.n)
+        if chunk and count * width > CHUNK_ROWS:
+            yield chunk
+            chunk, count, width = [], _candidate_count(t.n), t.n
+        chunk.append(t)
+    if chunk:
+        yield chunk
+
+
+def theory_capacities(theories, *, tol: float = BA_TOL) -> list[CapacityResult]:
+    """Classical capacity of each model over canonical measurement classes.
+
+    For each n the candidates are those of ``capacity_candidates``.  For
+    even n the antipodal pair's lower bound joins the retirement test of
+    that n's triples, so a triple that cannot beat the pair stops early;
+    the pair is reported unless a triple's certified bound lies above it
+    (at n = 4 no triple is left).  The sizes run in the chunks of
+    ``capacity_chunks``, each as one pair stack for its even sizes, one
+    solve that realises all its triples and one triple stack with a group
+    per size, so every result has the bits of its size's own run.  Each
+    reported capacity is certified within tol of the true maximum.  n above
+    ENUMERATION_MAX is refused, and every bracket gets BA_MAX_ITER
+    iterations; both are read at call time.  A bracket that stays open
+    raises the ConvergenceError of the first such size, pair before triples.
+    """
+    _validate_tol(tol)
+    theories = list(theories)
+    for t in theories:
+        if t.n > ENUMERATION_MAX:
+            raise ValueError(f"n={t.n} above the enumeration bound {ENUMERATION_MAX}")
+    return [r for chunk in capacity_chunks(theories) for r in _chunk_capacities(chunk, tol)]
+
+
+def _chunk_capacities(theories: list[Theory], tol: float) -> list[CapacityResult]:
+    """``theory_capacities`` of one chunk."""
+    cands = [capacity_candidates(t) for t in theories]
+    even = [i for i, t in enumerate(theories) if t.even]
+    pairs = {i: theories[i].measurement(cands[i][0]) for i in even}
+    stacks = [theories[i].channel_matrix(pairs[i])[None] for i in even]
+    pair_results = dict(zip(even, _bracket(stacks, [-math.inf] * len(even), tol, BA_MAX_ITER)))
+
+    triples = [[c for c in cs if len(c) == 3] for cs in cands]
+    counts = [len(ts) for ts in triples]
+    starts = np.cumsum([0] + counts[:-1]).tolist()
+    sizes = np.repeat([t.n for t in theories], counts)
+    mu, effects = _realize_triples(sizes, [c for ts in triples for c in ts])
+    run = [i for i in range(len(theories)) if counts[i]]
+    stacks = [theories[i].channel_matrix(effects[starts[i] : starts[i] + counts[i]]) for i in run]
+    floors = [pair_results[i].capacity_bits if i in pair_results else -math.inf for i in run]
+    triple_results = dict(zip(run, _bracket(stacks, floors, tol, BA_MAX_ITER)))
+
+    results = []
+    for i, t in enumerate(theories):
+        best, stack = pair_results.get(i), triple_results.get(i)
+        for res in (best, stack):
+            if isinstance(res, ConvergenceError):
+                raise res
+        winner = pairs.get(i)
+        if stack is not None and (best is None or stack.capacity_bits > best.capacity_bits):
+            row = starts[i] + stack.index
+            winner = Measurement(triples[i][stack.index], tuple(mu[row].tolist()), effects[row].copy())
+            best = stack
+        results.append(CapacityResult(
+            n=t.n,
+            parity=t.parity,
+            capacity_bits=best.capacity_bits,
+            measurement=winner,
+            prior=best.prior,
+            support=tuple(int(x) for x in np.nonzero(best.prior > _SUPPORT_WEIGHT)[0]),
+            iterations=best.iterations,
+        ))
+    return results
 
 
 def theory_capacity(theory: Theory, *, tol: float = BA_TOL) -> CapacityResult:
-    """Classical capacity of the model over canonical measurement classes.
-
-    All triple candidates run as one Blahut-Arimoto stack.  For even n the
-    antipodal pair runs first and its lower bound joins the stack's
-    retirement test, so a triple that cannot beat the pair stops early; the
-    pair is reported unless a triple's certified bound lies above it (at
-    n = 4 no triple is left).  The reported capacity is certified within tol
-    of the true maximum.  n above ENUMERATION_MAX is refused, and every
-    bracket gets BA_MAX_ITER iterations; both are read at call time.
-    """
-    _validate_tol(tol)
-    if theory.n > ENUMERATION_MAX:
-        raise ValueError(f"n={theory.n} above the enumeration bound {ENUMERATION_MAX}")
-    S = theory.states()
-    cands = capacity_candidates(theory)
-    triples = [m for m in cands if len(m.indices) == 3]
-    floor = -math.inf
-    if theory.even:
-        pair = blahut_arimoto(theory.channel_matrix(cands[0], S), tol, BA_MAX_ITER)
-        best, winner, floor = pair, cands[0], pair.capacity_bits
-    if triples:
-        W = theory.channel_matrix(np.stack([m.effects for m in triples]), S)
-        stack = blahut_arimoto(W, tol, BA_MAX_ITER, _floor=floor)
-        if stack.capacity_bits > floor:
-            best, winner = stack, triples[stack.index]
-
-    support = tuple(int(i) for i in np.nonzero(best.prior > _SUPPORT_WEIGHT)[0])
-    return CapacityResult(
-        n=theory.n,
-        parity=theory.parity,
-        capacity_bits=best.capacity_bits,
-        measurement=winner,
-        prior=best.prior,
-        support=support,
-        iterations=best.iterations,
-    )
+    """Classical capacity of one model: ``theory_capacities`` of one item."""
+    return theory_capacities([theory], tol=tol)[0]
 
 
 def antipodal_pair_rate(theory: Theory) -> float:

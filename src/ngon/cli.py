@@ -5,7 +5,10 @@ polytope vertex enumeration, the communication protocols (ic, ne, simulate),
 and the acceptance checks (check).  JSON output is deterministic: keys are
 sorted, every float is rounded to 9 significant digits, and timing fields are
 kept out of JSON so identical invocations produce identical bytes.  CSV is
-for spreadsheet-style consumption and may include runtimes.
+for spreadsheet-style consumption and may include runtimes: the
+``runtime_ms`` column of ``capacity`` gives each size an even share of the
+elapsed time of its chunk, the run of sizes bracketed together (see
+``capacity.capacity_chunks``).
 
 The library returns plain data and this module is the one place that renders
 it: a dataclass record renders by its fields, an array as nested lists, and
@@ -33,7 +36,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .capacity import BA_TOL, ConvergenceError, theory_capacity
+from .capacity import BA_TOL, ConvergenceError, capacity_chunks, theory_capacities
 from .checks import NOTES, REGISTRY, run_checks
 from .decomposition import DecompositionError
 from .geometry import ROUNDOFF, Theory
@@ -190,14 +193,6 @@ def cmd_effects(args) -> tuple[dict, tuple]:
     return payload, (("index", "x", "y", "z"), _indexed(payload["effects"]))
 
 
-def _capacity_entry(n: int, tol: float):
-    t0 = time.perf_counter()
-    result = theory_capacity(Theory(n), tol=tol)
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
-    m = result.measurement
-    return {**_fields(result), "measurement": m.indices, "weights": m.weights}, runtime_ms
-
-
 def cmd_capacity(args) -> tuple[dict, tuple]:
     if args.n is not None:
         ns = [args.n]
@@ -205,10 +200,18 @@ def cmd_capacity(args) -> tuple[dict, tuple]:
         ns = [n for n in _parse_range(args.n_range) if n >= 3]
         if not ns:
             raise ValueError("the range contains no polygon size >= 3")
-    results = [_capacity_entry(n, args.tol) for n in ns]
-    header = ("n", "parity", "capacity_bits", "runtime_ms")
-    rows = [(d["n"], d["parity"], d["capacity_bits"], ms) for d, ms in results]
-    return {"results": [d for d, _ in results]}, (header, rows)
+    entries, rows = [], []
+    # the sizes of a chunk are bracketed together: each gets an even share
+    # of its chunk's time
+    for chunk in capacity_chunks(Theory(n) for n in ns):
+        t0 = time.perf_counter()
+        results = theory_capacities(chunk, tol=args.tol)
+        share_ms = (time.perf_counter() - t0) * 1000.0 / len(results)
+        for r in results:
+            m = r.measurement
+            entries.append({**_fields(r), "measurement": m.indices, "weights": m.weights})
+            rows.append((r.n, r.parity, r.capacity_bits, share_ms))
+    return {"results": entries}, (("n", "parity", "capacity_bits", "runtime_ms"), rows)
 
 
 def cmd_vertices(args) -> tuple[dict, tuple]:

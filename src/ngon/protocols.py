@@ -48,9 +48,12 @@ IC_SEARCH_MAX = 24
 # largest n of run_ic: it builds the polygon's tables, which grow as n;
 # n = 200,000 took 0.4-0.7 s and 96 MiB on 2 shared vCPUs
 IC_MAX = 200_000
-# largest max_n of the check ic sweep: the tables of every even n up to it stay
-# cached, max_n^2 / 4 rows; max_n = 1000 took 0.6-0.8 s and 42 MiB
-IC_SWEEP_MAX = 1000
+# largest max_n of the check ic sweep.  The check gates the excess of the
+# information sum over one bit at > 1e-9, and that excess falls as n^-4: 1.00e-9
+# at n = 728 and 9.90e-10 at n = 730, so a larger max_n fails a true claim.  The
+# tables of every even n up to it stay cached, max_n^2 / 4 rows; max_n = 728
+# took 0.3 s and 36 MiB on 2 shared vCPUs.
+IC_SWEEP_MAX = 728
 # largest n of a NOT-EQUAL matrix: the (n, n) table and its rendering grow as
 # n^2; n = 601 took 0.6 s and 103 MiB as JSON on 2 shared vCPUs
 NE_MAX = 600

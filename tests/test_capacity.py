@@ -1,7 +1,9 @@
 """Tests for channel capacity: Blahut-Arimoto core and polygon-theory rates."""
 
+import contextlib
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +41,10 @@ def odd_triple_rate_oracle(n):
     return math.log2(1.0 + 2.0 ** (1.0 - float(hb)))
 
 
+def _no_prior(W, *_):
+    return np.zeros((1, len(W)), bool), np.zeros((1, *W.shape[:2]))
+
+
 @pytest.fixture
 def unpolished(monkeypatch):
     """Plain Blahut-Arimoto iterations, no polish step.
@@ -47,12 +53,8 @@ def unpolished(monkeypatch):
     bracket may close for any tol; without it the iterate and the error
     path it feeds can be observed.  The iterate itself never sees the polish.
     """
-
-    def no_prior(W, wlogw, p, d):
-        return np.zeros((1, len(W)), bool), np.zeros((1, *W.shape[:2]))
-
-    monkeypatch.setattr(capacity, "_leader_priors", no_prior)
-    monkeypatch.setattr(capacity, "_fallback_priors", no_prior)
+    monkeypatch.setattr(capacity, "_leader_priors", _no_prior)
+    monkeypatch.setattr(capacity, "_fallback_priors", _no_prior)
 
 
 def test_ba_identity_channels():
@@ -261,10 +263,15 @@ def test_fixed_prior_is_suboptimal_for_n5():
 
 def test_capacity_candidates_shapes():
     even = capacity_candidates(Theory(6))
-    assert even[0].indices == (0, 3)
-    assert all(c.indices[0] == 0 for c in even)
+    assert even[0] == (0, 3)
+    assert all(c[0] == 0 for c in even)
     odd = capacity_candidates(Theory(5))
-    assert all(len(c.indices) == 3 for c in odd)
+    assert all(len(c) == 3 for c in odd)
+
+
+def test_candidate_count_is_the_length_of_the_candidate_list():
+    for n in range(3, 301):
+        assert capacity._candidate_count(n) == len(capacity_candidates(Theory(n))), n
 
 
 def test_theory_capacity_small_cases():
@@ -372,3 +379,88 @@ def test_a_mutual_information_stack_has_the_bits_of_its_single_calls():
         assert isinstance(single, float)
         assert value.tobytes() == np.float64(single).tobytes()
     assert mutual_information_bits(priors.reshape(20, 10, 12), channels.reshape(20, 10, 12, 3)).shape == (20, 10)
+
+
+def _fields_of(result):
+    """What a bracket reports, as bytes where it is an array."""
+    if isinstance(result, ConvergenceError):
+        return ("error", str(result), result.capacity_bits, result.prior.tobytes(), result.iterations)
+    return (result.capacity_bits, result.prior.tobytes(), result.iterations, result.index)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=2, max_value=6),
+            st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.6)),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(min_value=2, max_value=3),
+    st.sampled_from(["dirichlet", "repeated rows", "unpolished"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_grouped_brackets_have_the_bits_of_their_single_calls(groups, outcomes, kind, seed):
+    # groups of 1-4 channels with 2-6 inputs, padded to the widest; a floor of
+    # None is no floor, else a bound known from outside the group.  Rows drawn
+    # from a pool of three give tied divergences, which a sort over padded rows
+    # would order differently; without the polish, the iterate is renormalised
+    # at every step.
+    rng = np.random.default_rng(seed)
+    if kind == "repeated rows":
+        pool = rng.dirichlet(np.ones(outcomes), size=3)
+        stacks = [pool[rng.integers(0, 3, size=(count, inputs))] for count, inputs, _ in groups]
+    else:
+        stacks = [rng.dirichlet(np.ones(outcomes), size=(count, inputs)) for count, inputs, _ in groups]
+    floors = [-math.inf if floor is None else floor for _, _, floor in groups]
+    tol, max_iter = 1e-8, 2000 if kind != "unpolished" else 200
+    with contextlib.ExitStack() as patches:
+        if kind == "unpolished":
+            patches.enter_context(mock.patch.object(capacity, "_leader_priors", _no_prior))
+            patches.enter_context(mock.patch.object(capacity, "_fallback_priors", _no_prior))
+        grouped = capacity._bracket(stacks, floors, tol, max_iter)
+        assert len(grouped) == len(stacks)
+        for stack, floor, result in zip(stacks, floors, grouped):
+            (single,) = capacity._bracket([stack], [floor], tol, max_iter)
+            assert _fields_of(result) == _fields_of(single)
+            if floor == -math.inf:
+                try:
+                    public = blahut_arimoto(stack, tol, max_iter)
+                except ConvergenceError as exc:
+                    public = exc
+                assert _fields_of(result) == _fields_of(public)
+
+
+def test_a_sweep_has_the_bits_of_its_one_item_calls():
+    sweep = capacity.theory_capacities(Theory(n) for n in range(3, 65))
+    assert [r.n for r in sweep] == list(range(3, 65))
+    for r in sweep:
+        one = theory_capacity(Theory(r.n))
+        for field in ("n", "parity", "capacity_bits", "support", "iterations"):
+            assert getattr(r, field) == getattr(one, field), (r.n, field)
+        assert r.prior.tobytes() == one.prior.tobytes(), r.n
+        assert r.measurement.indices == one.measurement.indices, r.n
+        assert r.measurement.weights == one.measurement.weights, r.n
+        assert r.measurement.effects.tobytes() == one.measurement.effects.tobytes(), r.n
+
+
+def test_sizes_are_chunked_by_the_row_budget():
+    chunks = [[t.n for t in chunk] for chunk in capacity.capacity_chunks(Theory(n) for n in range(3, 65))]
+    assert [n for chunk in chunks for n in chunk] == list(range(3, 65))
+    for chunk in chunks:
+        rows = sum(capacity._candidate_count(n) for n in chunk) * max(chunk)
+        assert rows <= capacity.CHUNK_ROWS or len(chunk) == 1, chunk
+    assert len(chunks[0]) > 1 and chunks[-1] == [64]
+
+
+def test_a_sweep_raises_the_first_open_size_with_its_own_prior(unpolished, monkeypatch):
+    monkeypatch.setattr(capacity, "BA_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError) as single:
+        theory_capacity(Theory(5))
+    with pytest.raises(ConvergenceError) as sweep:
+        capacity.theory_capacities([Theory(5), Theory(7), Theory(9)])
+    assert _fields_of(sweep.value) == _fields_of(single.value)
+    assert sweep.value.prior.shape == (5,)

@@ -97,3 +97,10 @@ def test_reduction_check_splits_once_and_solves_once_per_stage(monkeypatch):
     # a pentagon ensemble has at most 3 stages, so it peels at most twice, and
     # its 10 triples fit one chunk: one batched solve per peel
     assert 1 <= len(solves) <= 3
+
+
+def test_ic_check_passes_at_its_sweep_bound():
+    # the gate asks an excess over one bit above 1e-9; the excess falls as n^-4
+    # and is 9.90e-10 at n = 730, so a larger bound would admit a false FAIL
+    result = checks.check_ic(max_n=protocols.IC_SWEEP_MAX)
+    assert result.passed, result.details

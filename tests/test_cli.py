@@ -459,10 +459,10 @@ def test_check_empty_sweep_exits_two(capsys, key, max_n):
     ],
 )
 def test_numerical_failure_exits_three(capsys, monkeypatch, error):
-    def failing(theory, **kwargs):
+    def failing(theories, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "theory_capacity", failing)
+    monkeypatch.setattr(cli, "theory_capacities", failing)
     code, out, err = run(capsys, "capacity", "--n", "5")
     assert code == 3 and out == ""
     assert err == f"error: {error}\n"
@@ -500,7 +500,7 @@ SIZE_BOUNDS = [
     (("ic", "--format", "csv", "--n"), 200_000, "the random access code is capped at n=200000"),
     (("simulate", "--n"), 200_000, "the simulation is capped at n=200000"),
     (("simulate", "--format", "csv", "--n"), 200_000, "the simulation is capped at n=200000"),
-    (("check", "--only", "ic", "--max-n"), 1000, "check ic: max_n={n} above the sweep bound 1000"),
+    (("check", "--only", "ic", "--max-n"), 728, "check ic: max_n={n} above the sweep bound 728"),
 ]
 
 

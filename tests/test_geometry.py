@@ -308,7 +308,7 @@ def test_capacity_candidates_are_the_pair_and_the_orbits_without_a_half_gap():
     total = 0
     for n in range(3, 65):
         t = Theory(n)
-        got = [m.indices for m in capacity_candidates(t)]
+        got = capacity_candidates(t)
         total += len(got)
         half_gap = {r for r in triple_representatives(t) if 2 * max(sorted_gaps(n, r)) == n}
         assert bool(half_gap) == (n % 2 == 0), n
@@ -317,14 +317,14 @@ def test_capacity_candidates_are_the_pair_and_the_orbits_without_a_half_gap():
             got = got[1:]
         assert got == [r for r in triple_representatives(t) if r not in half_gap], n
     assert total == 2022
-    assert [m.indices for m in capacity_candidates(Theory(4))] == [(0, 2)]
+    assert capacity_candidates(Theory(4)) == [(0, 2)]
 
 
 def test_theory_capacity_matches_the_full_candidate_list(monkeypatch):
     # the parent list: the pair, then every accepted (0, a, b)
     def full_list(t):
-        pair = [t.measurement((0, t.n // 2))] if t.n % 2 == 0 else []
-        return pair + [t.measurement(tr) for tr in trial_accepted_triples(t)]
+        pair = [(0, t.n // 2)] if t.n % 2 == 0 else []
+        return pair + trial_accepted_triples(t)
 
     # The full list holds up to 2n copies of each orbit's channel, rows and
     # columns permuted, and reports the copy whose roundoff came out highest:
