@@ -28,8 +28,9 @@ per sorted gap partition g1 <= g2 <= g3 <= n/2, less the triples with a gap of
 exactly n/2, whose zero weight leaves the pair's channel plus a zero column.
 Consecutive sizes run in chunks: one pair stack for the chunk's even sizes,
 one solve that realises all its triples and one triple stack with a group per
-size, floored by that size's pair.  A chunk holds at most CHUNK_ROWS padded
-input rows, since one stack of every size 3..64 raised the peak RSS of the
+size, floored by that size's pair.  A chunk grows while its candidates times
+its largest n, the input rows of its padded triple stack, stay within
+CHUNK_ROWS, since one stack of every size 3..64 raised the peak RSS of the
 sweep from about 31.5 to 45 MiB.
 """
 
@@ -227,20 +228,19 @@ def _pair_priors(W: np.ndarray, wlogw: np.ndarray, pair: np.ndarray) -> np.ndarr
     return priors
 
 
-def _width_classes(width, m: int):
+def _width_classes(width: np.ndarray, m: int):
     """(w, rows) for each distinct input count w of a padded stack, or None
-    when ``width`` is None or every row has all ``m`` inputs."""
-    if width is None or (width == m).all():
+    when every row has all ``m`` inputs; built once per set of rows."""
+    if width.min() == m:
         return None
     return [(w, np.flatnonzero(width == w)) for w in dict.fromkeys(width.tolist())]
 
 
-def _by_width(fn, width, *arrays) -> np.ndarray:
+def _by_width(fn, classes, *arrays) -> np.ndarray:
     """``fn(*arrays)``, a reduction over the input (last) axis, on each row's
     own inputs.  The bits of a sum depend on its length, so a padded stack is
-    reduced once per width on its unpadded columns, as its single call is;
-    padded inputs never reach a sum or a maximum."""
-    classes = _width_classes(width, arrays[0].shape[-1])
+    reduced once per width class on its unpadded columns, as its single call
+    is; padded inputs never reach a sum or a maximum."""
     if classes is None:
         return fn(*arrays)
     out = np.empty(arrays[0].shape[:-1])
@@ -249,12 +249,11 @@ def _by_width(fn, width, *arrays) -> np.ndarray:
     return out
 
 
-def _order(d: np.ndarray, width) -> np.ndarray:
+def _order(d: np.ndarray, classes) -> np.ndarray:
     """Inputs of each row by increasing divergence, padded inputs first.
 
     The order of ties depends on the row length, so a padded stack sorts
-    once per width on its unpadded columns."""
-    classes = _width_classes(width, d.shape[1])
+    once per width class on its unpadded columns."""
     if classes is None:
         return np.argsort(d, axis=1)
     m = d.shape[1]
@@ -293,7 +292,7 @@ def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndar
     valid, priors = np.zeros((2, count), bool), np.zeros((2, count, m))
     if m < 2:
         return valid, priors
-    order = _order(d, width)
+    order = _order(d, _width_classes(width, m))
     pairs = order[:, -2:].copy()
     leaders = _leaders(p, W)
     for sel, cols in _column_groups(W):
@@ -303,7 +302,7 @@ def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndar
         other = np.where(lead[:, 1] != lead[:, 0], lead[:, 1], lead[:, -1])
         pairs[sel[two]] = np.stack([lead[two, 0], other[two]], axis=1)
         if k <= m:
-            square = sel if width is None else sel[width[sel] >= k]
+            square = sel[width[sel] >= k]
             valid[0, square] = _square_priors(W, wlogw, priors[0], square, cols, order[square, -k:])
     valid[1], priors[1] = True, _pair_priors(W, wlogw, pairs)
     return valid, priors
@@ -371,14 +370,14 @@ def _bracket(stacks, floors, tol: float, max_iter: int) -> list:
     starts = np.cumsum([0] + sizes[:-1]).tolist()
     m = max(widths)
     gid = np.repeat(np.arange(len(stacks)), sizes)
-    if min(widths) == m:
-        W = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-        width, p = None, np.full((len(gid), m), 1.0 / m)
+    width = np.repeat(widths, sizes)
+    classes = _width_classes(width, m)
+    if len(stacks) == 1:
+        W, p = stacks[0], np.full((sizes[0], m), 1.0 / m)
     else:
         W = np.zeros((len(gid), m, stacks[0].shape[2]))
         for g, start in enumerate(starts):
             W[start : start + sizes[g], : widths[g]] = stacks[g]
-        width = np.repeat(widths, sizes)
         p = np.where(np.arange(m) < width[:, None], 1.0 / width[:, None], 0.0)
     count = len(W)
     wlogw = _row_log_entropy(W)
@@ -397,8 +396,8 @@ def _bracket(stacks, floors, tol: float, max_iter: int) -> list:
     each_group = np.arange(len(stacks))[:, None]
     for it in range(1, max_iter + 1):
         d = _divergences(W, wlogw, p)
-        dmax = _by_width(_largest, width, d)[:, None]
-        info = _by_width(_mean_divergence, width, p, d)
+        dmax = _by_width(_largest, classes, d)[:, None]
+        info = _by_width(_mean_divergence, classes, p, d)
         certified &= info <= lo
         lo = np.maximum(lo, info)
         up = np.minimum(up, dmax[:, 0])
@@ -420,14 +419,14 @@ def _bracket(stacks, floors, tol: float, max_iter: int) -> list:
             lower[done], retired_at[done] = lo[retire], it
             priors[done] = np.where(certified[retire, None], cert[retire], p[retire])
             keep = ~retire
-            ids, gid, W, wlogw, p, d, dmax, lo, up, cert, certified = (
-                a[keep] for a in (ids, gid, W, wlogw, p, d, dmax, lo, up, cert, certified)
+            ids, gid, width, W, wlogw, p, d, dmax, lo, up, cert, certified = (
+                a[keep] for a in (ids, gid, width, W, wlogw, p, d, dmax, lo, up, cert, certified)
             )
-            width = None if width is None else width[keep]
             if not len(ids):
                 break
+            classes = _width_classes(width, m)
         p = p * np.exp2(d - dmax)
-        p /= _by_width(_total, width, p)[:, None]
+        p /= _by_width(_total, classes, p)[:, None]
     else:
         lower[ids], priors[ids] = lo, p
     still_open = np.bincount(gid, minlength=len(sizes)).tolist()
@@ -451,15 +450,16 @@ def _polish(polish, rows, W, wlogw, p, d, width, lo, up, cert, certified) -> np.
     Returns which of ``rows`` got a valid prior."""
     # a slice keeps the common case, every channel open, free of copies
     sub = slice(None) if len(rows) == len(W) else rows
-    Wr, hr, wr = W[sub], wlogw[sub], None if width is None else width[sub]
+    Wr, hr, wr = W[sub], wlogw[sub], width[sub]
+    classes = _width_classes(wr, W.shape[1])
     valid, prior = polish(Wr, hr, p[sub], d[sub], wr)
     dc = _divergences(Wr, hr, prior)
-    info = np.where(valid, _by_width(_mean_divergence, wr, prior, dc), -math.inf)
+    info = np.where(valid, _by_width(_mean_divergence, classes, prior, dc), -math.inf)
     pick = np.argmax(info, axis=0)
     prior, info = prior[pick, np.arange(len(rows))], info.max(axis=0)
     gain = info > lo[rows]
     lo[rows[gain]], cert[rows[gain]], certified[rows[gain]] = info[gain], prior[gain], True
-    up[rows] = np.minimum(up[rows], np.where(valid, _by_width(_largest, wr, dc), math.inf).min(axis=0))
+    up[rows] = np.minimum(up[rows], np.where(valid, _by_width(_largest, classes, dc), math.inf).min(axis=0))
     return valid.any(axis=0)
 
 
@@ -501,38 +501,12 @@ def capacity_candidates(theory: Theory) -> list[tuple[int, ...]]:
     """Indices of one measurement per dihedral orbit: the antipodal pair when
     n is even, then the triple representatives without a gap of exactly n/2.
     Such a triple has a zero weight, so its channel is the pair's plus a zero
-    column.  ``_candidate_count`` gives the length of this list in closed form.
+    column.
     """
     n = theory.n
     pair = [(0, n // 2)] if theory.even else []
     # n - t[2] is the largest gap of a representative (0, g1, g1 + g2)
     return pair + [t for t in triple_representatives(theory) if 2 * (n - t[2]) < n]
-
-
-def _candidate_count(n: int) -> int:
-    """len(capacity_candidates(Theory(n))) without building the list: the
-    triples are the integer triangles of perimeter n, round(n^2 / 48) of them
-    for even n and round((n + 3)^2 / 48) for odd n (Alcuin's sequence), and
-    even n adds the pair."""
-    if n % 2 == 0:
-        return (n * n + 24) // 48 + 1
-    return ((n + 3) ** 2 + 24) // 48
-
-
-def capacity_chunks(theories):
-    """Consecutive runs of ``theories`` that ``theory_capacities`` brackets
-    together, yielded as lists: a run grows while its candidates times its
-    largest n, the rows of its padded triple stack, stay within CHUNK_ROWS;
-    a size that exceeds it alone is a run of its own."""
-    chunk, count, width = [], 0, 0
-    for t in theories:
-        count, width = count + _candidate_count(t.n), max(width, t.n)
-        if chunk and count * width > CHUNK_ROWS:
-            yield chunk
-            chunk, count, width = [], _candidate_count(t.n), t.n
-        chunk.append(t)
-    if chunk:
-        yield chunk
 
 
 def theory_capacities(theories, *, tol: float = BA_TOL) -> list[CapacityResult]:
@@ -542,26 +516,33 @@ def theory_capacities(theories, *, tol: float = BA_TOL) -> list[CapacityResult]:
     even n the antipodal pair's lower bound joins the retirement test of
     that n's triples, so a triple that cannot beat the pair stops early;
     the pair is reported unless a triple's certified bound lies above it
-    (at n = 4 no triple is left).  The sizes run in the chunks of
-    ``capacity_chunks``, each as one pair stack for its even sizes, one
-    solve that realises all its triples and one triple stack with a group
-    per size, so every result has the bits of its size's own run.  Each
-    reported capacity is certified within tol of the true maximum.  n above
-    ENUMERATION_MAX is refused, and every bracket gets BA_MAX_ITER
-    iterations; both are read at call time.  A bracket that stays open
-    raises the ConvergenceError of the first such size, pair before triples.
+    (at n = 4 no triple is left).  Consecutive sizes run in chunks, each
+    grown while its candidates times its largest n stay within CHUNK_ROWS
+    (a size above that is a chunk alone): one pair stack, one triple solve
+    and one triple stack with a group per size, so every result has the
+    bits of its size's own run, certified within tol of the true maximum.
+    The first n above ENUMERATION_MAX is refused when it is reached, before
+    any bracket runs; every bracket gets BA_MAX_ITER iterations, and both
+    are read at call time.  A bracket that stays open raises the
+    ConvergenceError of the first such size, pair before triples.
     """
     _validate_tol(tol)
-    theories = list(theories)
+    chunks, count, width = [], 0, 0
     for t in theories:
         if t.n > ENUMERATION_MAX:
             raise ValueError(f"n={t.n} above the enumeration bound {ENUMERATION_MAX}")
-    return [r for chunk in capacity_chunks(theories) for r in _chunk_capacities(chunk, tol)]
+        cands = capacity_candidates(t)
+        count, width = count + len(cands), max(width, t.n)
+        if not chunks or count * width > CHUNK_ROWS:
+            chunks.append([])
+            count, width = len(cands), t.n
+        chunks[-1].append((t, cands))
+    return [r for chunk in chunks for r in _chunk_capacities(chunk, tol)]
 
 
-def _chunk_capacities(theories: list[Theory], tol: float) -> list[CapacityResult]:
-    """``theory_capacities`` of one chunk."""
-    cands = [capacity_candidates(t) for t in theories]
+def _chunk_capacities(chunk: list[tuple[Theory, list]], tol: float) -> list[CapacityResult]:
+    """``theory_capacities`` of one chunk of (theory, candidates) pairs."""
+    theories, cands = zip(*chunk)
     even = [i for i, t in enumerate(theories) if t.even]
     pairs = {i: theories[i].measurement(cands[i][0]) for i in even}
     stacks = [theories[i].channel_matrix(pairs[i])[None] for i in even]

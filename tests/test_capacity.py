@@ -270,8 +270,12 @@ def test_capacity_candidates_shapes():
 
 
 def test_candidate_count_is_the_length_of_the_candidate_list():
+    # the triples are the integer triangles of perimeter n, round(n^2 / 48) of
+    # them for even n and round((n + 3)^2 / 48) for odd n (Alcuin's sequence),
+    # and even n adds the pair
     for n in range(3, 301):
-        assert capacity._candidate_count(n) == len(capacity_candidates(Theory(n))), n
+        alcuin = (n * n + 24) // 48 + 1 if n % 2 == 0 else ((n + 3) ** 2 + 24) // 48
+        assert len(capacity_candidates(Theory(n))) == alcuin, n
 
 
 def test_theory_capacity_small_cases():
@@ -447,13 +451,27 @@ def test_a_sweep_has_the_bits_of_its_one_item_calls():
         assert r.measurement.effects.tobytes() == one.measurement.effects.tobytes(), r.n
 
 
-def test_sizes_are_chunked_by_the_row_budget():
-    chunks = [[t.n for t in chunk] for chunk in capacity.capacity_chunks(Theory(n) for n in range(3, 65))]
-    assert [n for chunk in chunks for n in chunk] == list(range(3, 65))
+def test_sizes_are_chunked_by_the_row_budget(monkeypatch):
+    chunks = []
+    bracket_chunk = capacity._chunk_capacities
+
+    def recording(chunk, tol):
+        chunks.append([t.n for t, _ in chunk])
+        return bracket_chunk(chunk, tol)
+
+    monkeypatch.setattr(capacity, "_chunk_capacities", recording)
+    results = capacity.theory_capacities(Theory(n) for n in range(3, 65))
+    assert [r.n for r in results] == [n for chunk in chunks for n in chunk] == list(range(3, 65))
+
+    def rows(sizes):
+        return sum(len(capacity_candidates(Theory(n))) for n in sizes) * max(sizes)
+
     for chunk in chunks:
-        rows = sum(capacity._candidate_count(n) for n in chunk) * max(chunk)
-        assert rows <= capacity.CHUNK_ROWS or len(chunk) == 1, chunk
-    assert len(chunks[0]) > 1 and chunks[-1] == [64]
+        assert rows(chunk) <= capacity.CHUNK_ROWS or len(chunk) == 1, chunk
+    # maximal: the next size would take each chunk over the budget
+    for chunk, after in zip(chunks, chunks[1:]):
+        assert rows(chunk + after[:1]) > capacity.CHUNK_ROWS, chunk
+    assert len(chunks) == 27 and chunks[-1] == [64]
 
 
 def test_a_sweep_raises_the_first_open_size_with_its_own_prior(unpolished, monkeypatch):

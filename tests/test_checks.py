@@ -104,3 +104,23 @@ def test_ic_check_passes_at_its_sweep_bound():
     # and is 9.90e-10 at n = 730, so a larger bound would admit a false FAIL
     result = checks.check_ic(max_n=protocols.IC_SWEEP_MAX)
     assert result.passed, result.details
+
+
+def test_vertices_check_states_the_census_of_the_open_interval(monkeypatch):
+    calls = []
+    enumerate_vertices = checks.enumerate_vertices
+
+    def recording(alphabet_size, c):
+        calls.append((alphabet_size, c))
+        return enumerate_vertices(alphabet_size, c)
+
+    monkeypatch.setattr(checks, "enumerate_vertices", recording)
+    result = checks.check_vertices()
+    assert result.passed and calls == [(3, 2.0), (3, 2.25)]
+    assert result.details.endswith("; every c in (2, 3): 99 vertices, 0 unclassified")
+    # the gate still holds: unclassified interior vertices fail the check
+    monkeypatch.setattr(
+        checks, "classify_vertex", lambda v: checks.UNCLASSIFIED if v.c > 2 else checks.ZERO_WEIGHT
+    )
+    result = checks.check_vertices()
+    assert not result.passed and result.details.endswith("99 vertices, 99 unclassified")

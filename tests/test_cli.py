@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -501,7 +502,11 @@ SIZE_BOUNDS = [
     (("simulate", "--n"), 200_000, "the simulation is capped at n=200000"),
     (("simulate", "--format", "csv", "--n"), 200_000, "the simulation is capped at n=200000"),
     (("check", "--only", "ic", "--max-n"), 728, "check ic: max_n={n} above the sweep bound 728"),
+    (("capacity", "--n"), 64, "n={n} above the enumeration bound 64"),
+    (("capacity", "--n-range"), 64, "n={n} above the enumeration bound 64"),
 ]
+# the size argument of each option, where it is not the size alone
+SIZE_ARGUMENT = {"--n-range": "{n}..2000000"}
 
 
 @pytest.mark.parametrize(
@@ -520,9 +525,15 @@ def test_a_size_above_its_bound_exits_two_before_it_allocates(capsys, monkeypatc
         raise AssertionError(f"the polygon tables of n={size} were built")
 
     monkeypatch.setattr(geometry, "_tables", unbuilt)
-    code, out, err = run(capsys, *argv, str(n))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, SIZE_ARGUMENT.get(argv[-1], "{n}").format(n=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2 and out == ""
     assert err == f"error: {bound.format(n=n)}\n"
+    assert peak < 2**20, peak
 
 
 def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):
