@@ -160,10 +160,7 @@ def cmd_effects(args) -> tuple[dict, tuple]:
     t = Theory(args.n)
     effects = t.effects()
     overlap = effects @ t.states().T
-    saturating = [
-        [int(i) for i in range(t.n) if abs(overlap[j, i] - 1.0) <= ROUNDOFF]
-        for j in range(t.n)
-    ]
+    saturating = [np.flatnonzero(np.abs(row - 1.0) <= ROUNDOFF).tolist() for row in overlap]
     payload = {
         "n": t.n,
         "parity": t.parity,

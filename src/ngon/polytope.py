@@ -21,10 +21,17 @@ every basis of tight constraints:
    (1, 1, 0) at c = 2.  Either way two weights lie in {0, 1} and the third
    is c minus their sum: at most 12 candidate weight vectors.
 3. For each candidate lam every tuple of column vertices is a candidate
-   point.  It is a vertex iff the equalities plus its tight inequalities
-   have full rank 3|X| + 3.  Every coefficient is 0 or +-1, so the Gram
-   matrix of those rows is an integer matrix whose determinant is a whole
-   number; a threshold of 0.5 separates singular from nonsingular exactly.
+   point, and it is a vertex iff its tight constraints fix lam: each column
+   is a vertex of Q(lam), so fixing lam fixes P.  A tight lam_y >= 0 fixes
+   lam_y.  A column whose three entries are all tight adds one condition:
+   the variations of its weights at nonzero caps sum to 0.  On the candidate
+   weights such a column has exactly one entry at a nonzero cap, which
+   carries the whole column and fixes its weight at 1: the nonzero weights
+   come from {1, c - 2, c - 1, c} with at most one outside {0, 1}, so no two
+   nonzero caps sum to 1, and an entry both 0 and capped has a zero weight,
+   which the first case already counts.  So a weight is fixed when it is 0
+   or held at a nonzero cap by an all-tight column, and since the weights
+   sum to c a candidate is a vertex iff at least two weights are fixed.
 
 Every coordinate and every slack is an integer affine form a + b*c.  With
 the float c written exactly as num/den, den * (a + b*c) = a*den + b*num is an
@@ -42,10 +49,9 @@ vertex can hold (0, 1, c, c - 1, c - 2, 2 - c, 3 - c) comes out exact.
 The construction runs in one pass.  The at most 12 weight vectors and the
 at most 6 vertices of each column polygon are built in plain Python integers;
 the candidate points of all weight vectors, at most 12 * 6^|X| (3,267 at
-|X| = 5 for c in (2, 3)), are then stacked, and one tight mask, one Gram
-product, one batched determinant and one sort decide and order them all.
-Up to |X| = 4 the Gram matrices fit one batch; at |X| = 5 they are decided
-in slices, which keeps 2.6 MB of them alive instead of 8.5 MB.
+|X| = 5 for c in (2, 3)), are then stacked, one count of fixed weights
+decides them all, and one sort orders the vertices.  The tight mask that
+names ``saturated`` is built for the vertices only.
 The brute force over bases would solve C(6|X| + 3, 2|X| + 2) square systems.
 """
 
@@ -63,12 +69,10 @@ CANONICAL_FOUR = "CANONICAL_FOUR"
 UNCLASSIFIED = "UNCLASSIFIED"
 
 MAX_ALPHABET = 5
-# candidate points whose Gram matrices are decided at once: 2.6 MB at |X| = 5
-_GRAM_BATCH = 1024
 
 
 class ResourceBoundError(ValueError):
-    """Requested alphabet size exceeds the enumeration bound."""
+    """A request exceeds the size bound of its enumeration, table or search."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +80,8 @@ class VertexPoint:
     """A vertex of the capped-channel polytope.
 
     ``P`` is the 3 x alphabet conditional matrix, ``lam`` the outcome
-    weights, ``saturated`` the names of all constraints tight at the point.
+    weights, ``saturated`` the names of the inequalities tight at the point
+    (the equalities hold at every point).
     """
 
     P: np.ndarray
@@ -85,38 +90,15 @@ class VertexPoint:
     saturated: tuple
 
 
-def _constraint_system(alphabet_size: int):
-    """Equality matrix (right-hand side 1 per column sum, c for the weights),
-    inequality matrix (rows >= 0), and inequality names."""
-    X = alphabet_size
-    dim = 3 * X + 3
-    eq = np.zeros((X + 1, dim))
-    for x in range(X):
-        for y in range(3):
-            eq[x, y * X + x] = 1.0
-    eq[X, 3 * X :] = 1.0
-
-    rows = []
-    names = []
-    for y in range(3):
-        for x in range(X):
-            row = np.zeros(dim)
-            row[y * X + x] = 1.0
-            rows.append(row)
-            names.append(f"P[{y},{x}]>=0")
-    for y in range(3):
-        for x in range(X):
-            row = np.zeros(dim)
-            row[3 * X + y] = 1.0
-            row[y * X + x] = -1.0
-            rows.append(row)
-            names.append(f"P[{y},{x}]<=lam[{y}]")
-    for y in range(3):
-        row = np.zeros(dim)
-        row[3 * X + y] = 1.0
-        rows.append(row)
-        names.append(f"lam[{y}]>=0")
-    return eq, np.array(rows), names
+def _constraint_names(alphabet_size: int) -> list[str]:
+    """Names of the inequalities, in the order of ``VertexPoint.saturated``:
+    P >= 0, then P <= lam, each by outcome then input, then lam >= 0."""
+    entries = [(y, x) for y in range(3) for x in range(alphabet_size)]
+    return (
+        [f"P[{y},{x}]>=0" for y, x in entries]
+        + [f"P[{y},{x}]<=lam[{y}]" for y, x in entries]
+        + [f"lam[{y}]>=0" for y in range(3)]
+    )
 
 
 def _validate_request(alphabet_size: int, c: float) -> None:
@@ -199,26 +181,23 @@ def enumerate_vertices(alphabet_size: int, c: float) -> list[VertexPoint]:
     every tuple of vertices of its column polygon (see the module
     docstring).  Every candidate is feasible by construction and distinct
     from every other, so no dedup step is needed.  A candidate is kept iff
-    the equalities plus its tight inequalities have full rank; degenerate
-    vertices (more than the minimum tight) pass the same test.  The
-    candidates of all weight vectors form one batch: one tight mask, one
-    Gram product and one determinant (in slices of ``_GRAM_BATCH``
-    candidates at alphabet 5), and one sort.
+    at least two of its weights are fixed: at 0, or at a nonzero cap of a
+    column whose three entries are all tight.  The rule is decided in
+    integers and holds for degenerate vertices (more than the minimum
+    tight) as well.
     """
     _validate_request(alphabet_size, c)
     X = alphabet_size
-    dim = 3 * X + 3
     num, den = float(c).as_integer_ratio()
-    eq, ineq, names = _constraint_system(X)
-    # Gram matrix of any row subset = mask @ outer, reshaped to dim x dim.
-    rows = np.vstack([eq, ineq])
-    outer = np.einsum("ri,rj->rij", rows, rows).reshape(len(rows), dim * dim)
-
     lam_forms, cols, col_lam = _forms(num, den)
     lam = _scaled(lam_forms, num, den)
     p = _scaled(cols, num, den)
     # per column vertex (k, kind, y): P[y,x] >= 0 tight, then P[y,x] <= lam[y]
     col_tight = np.stack([p == 0, p == lam[col_lam]], axis=1)
+    lam_zero = lam == 0
+    # a column vertex whose three entries are all tight fixes the weight of
+    # its entry at a nonzero cap
+    fixes = col_tight[:, 1] & ~col_tight[:, 0] & col_tight.any(axis=1).all(axis=1, keepdims=True)
     # every tuple of X column vertices of one weight vector, in product order
     sizes = np.bincount(col_lam)
     starts = np.cumsum(sizes) - sizes
@@ -226,22 +205,22 @@ def enumerate_vertices(alphabet_size: int, c: float) -> list[VertexPoint]:
         [s + np.indices((k,) * X).reshape(X, -1).T for s, k in zip(starts.tolist(), sizes.tolist())]
     )
     lam_of = col_lam[picks[:, 0]]
-    mask = np.ones((len(picks), len(rows)), bool)
-    mask[:, len(eq) : len(eq) + 6 * X] = col_tight[picks].transpose(0, 2, 3, 1).reshape(len(picks), 6 * X)
-    mask[:, len(eq) + 6 * X :] = (lam == 0)[lam_of]
-    keep = np.flatnonzero(np.concatenate([
-        np.abs(np.linalg.det((part @ outer).reshape(-1, dim, dim))) > 0.5
-        for part in np.split(mask, range(_GRAM_BATCH, len(mask), _GRAM_BATCH))
-    ]))
-    forms = np.empty((len(keep), dim, 2), np.int64)
-    forms[:, : 3 * X] = cols[picks[keep]].transpose(0, 2, 1, 3).reshape(-1, 3 * X, 2)
-    forms[:, 3 * X :] = lam_forms[lam_of[keep]]
+    fixed = lam_zero[lam_of] | fixes[picks].any(axis=1)
+    keep = fixed.sum(axis=1) >= 2
+    picks, lam_of = picks[keep], lam_of[keep]
+    forms = np.empty((len(picks), 3 * X + 3, 2), np.int64)
+    forms[:, : 3 * X] = cols[picks].transpose(0, 2, 1, 3).reshape(-1, 3 * X, 2)
+    forms[:, 3 * X :] = lam_forms[lam_of]
 
     order = np.lexsort(_scaled(forms, num, den).T[::-1])
     coords = _affine(forms[order], float(c))
     Ps = coords[:, : 3 * X].reshape(-1, 3, X)
     lams = coords[:, 3 * X :]
-    tight = mask[keep[order], len(eq) :].tolist()
+    picks, lam_of = picks[order], lam_of[order]
+    tight = np.concatenate(
+        [col_tight[picks].transpose(0, 2, 3, 1).reshape(-1, 6 * X), lam_zero[lam_of]], axis=1
+    ).tolist()
+    names = _constraint_names(X)
     return [
         VertexPoint(P=P, lam=w, c=float(c), saturated=tuple(itertools.compress(names, t)))
         for P, w, t in zip(Ps, lams, tight)

@@ -311,6 +311,8 @@ def simulate_transmission(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > np.iinfo(np.int64).max:  # numpy's multinomial takes an int64 count
+        raise ValueError(f"samples={samples} above the int64 maximum {np.iinfo(np.int64).max}")
     state = np.asarray(state, float)
     weights = extremal_decomposition(theory, state)  # raises InvalidStateError
     rows = theory.channel_matrix(measurement)

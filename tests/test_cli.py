@@ -1,7 +1,9 @@
 """Command line interface: payloads, formats, determinism, exit codes."""
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ngon
@@ -281,6 +283,13 @@ def test_simulate_default_and_vertex(capsys):
     assert len(d["analytic_dist"]) == 2
     code, _, err = run(capsys, "simulate", "--n", "6", "--vertex", "9")
     assert code == 2 and "vertex" in err
+
+
+@pytest.mark.parametrize("samples", [2**63, 10**30])
+def test_simulate_samples_above_int64_exits_two(capsys, samples):
+    code, out, err = run(capsys, "simulate", "--n", "5", "--samples", str(samples))
+    assert code == 2 and out == ""
+    assert err == f"error: samples={samples} above the int64 maximum {2**63 - 1}\n"
 
 
 def test_simulate_deterministic_for_fixed_seed(capsys):
@@ -633,3 +642,85 @@ def test_a_failing_check_exits_one_and_writes_its_report(capsys, monkeypatch, fm
         d = json.loads(out)
         assert d["passed"] is False
         assert [(r["key"], r["passed"]) for r in d["results"]] == [("ic", False), ("ne", True)]
+
+
+# values every numeric flag is fuzzed with, around and far beyond each bound
+EXTREMES = ("-7", "0", "nan", "inf", str(2**63), str(10**30))
+SMALL_N = ("3", "4", "5", "8")
+# the numeric flags of each subcommand with small valid values; --n is always
+# given (capacity takes --n or --n-range), the others only when drawn
+FUZZED_FLAGS = {
+    "states": {"--n": SMALL_N},
+    "effects": {"--n": SMALL_N},
+    "capacity": {"--tol": ("1e-6", "1e-3")},
+    "vertices": {"--alphabet-size": ("2", "3"), "--c": ("2", "2.5", "3")},
+    "ic": {"--n": ("4", "6", "8")},
+    "ne": {"--n": SMALL_N},
+    "simulate": {"--n": SMALL_N, "--samples": ("1", "100"), "--seed": ("0", "7"), "--vertex": ("0", "2")},
+    "check": {"--max-n": ("5", "8")},
+}
+# the polygon tables a fuzzed request may build: capacity --n-range 3..10^30
+# reaches n = 65 through every size up to the enumeration bound
+FUZZ_TABLE_MAX = 64
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """argv of any subcommand, each numeric flag an extreme or a small valid value."""
+    command = draw(st.sampled_from(sorted(FUZZED_FLAGS)))
+    value = lambda valid: draw(st.sampled_from(EXTREMES + valid))
+    argv = [command]
+    for flag, valid in FUZZED_FLAGS[command].items():
+        if flag == "--n" or draw(st.booleans()):
+            argv += [flag, value(valid)]
+    if command == "capacity":
+        single = draw(st.booleans())
+        argv += ["--n", value(SMALL_N)] if single else ["--n-range", f"{value(SMALL_N)}..{value(SMALL_N)}"]
+    elif command == "simulate" and draw(st.booleans()):
+        argv += ["--indices", ",".join(draw(st.lists(st.sampled_from(EXTREMES + SMALL_N), min_size=1, max_size=3)))]
+    elif command == "ic" and draw(st.booleans()):
+        argv.append("--search")
+    elif command == "check":
+        argv += ["--only", draw(st.sampled_from(list(checks.REGISTRY)))]
+    if draw(st.booleans()):
+        argv += ["--format", "json" if command == "check" else "csv"]
+    return argv
+
+
+def run_quietly(argv):
+    """(exit code, stdout, stderr) of one request; argparse's exit is a code too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_argv())
+@example(["simulate", "--n", "5", "--samples", str(2**63)])
+@example(["simulate", "--n", "5", "--samples", str(10**30), "--seed", "7"])
+def test_every_request_keeps_the_exit_code_contract(argv):
+    original = geometry._tables
+
+    def bounded(size):
+        assert size <= FUZZ_TABLE_MAX, f"the polygon tables of n={size} were built"
+        return original(size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_tables", bounded)
+        code, out, err = run_quietly(argv)
+    assert code in (0, 1, 2, 3)
+    lines = err.splitlines()
+    if code in (0, 1):
+        assert err == ""
+    elif code == 2 and lines and lines[0].startswith("usage:"):
+        # argparse's own refusal: its usage, then one error line
+        assert out == ""
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert lines[-1].startswith(f"ngon {argv[0]}: error: ")
+    else:
+        assert out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -20,7 +20,6 @@ from ngon.polytope import (
     ZERO_WEIGHT,
     ResourceBoundError,
     VertexPoint,
-    _constraint_system,
     _forms,
     classify_vertex,
     enumerate_vertices,
@@ -42,6 +41,33 @@ def census(vertices):
     return [(tuple(flatten(v)), v.saturated) for v in vertices]
 
 
+def constraint_system(alphabet_size):
+    """The polytope written out for the oracles: equality matrix (right-hand
+    side 1 per column sum, c for the weights), inequality matrix (rows >= 0)
+    and inequality names, with variables P[y, x] at y * X + x and lam[y] at
+    3X + y."""
+    X = alphabet_size
+    dim = 3 * X + 3
+    eq = np.zeros((X + 1, dim))
+    for x in range(X):
+        eq[x, [y * X + x for y in range(3)]] = 1.0
+    eq[X, 3 * X :] = 1.0
+    ineq = np.zeros((6 * X + 3, dim))
+    names = []
+    for y in range(3):
+        for x in range(X):
+            ineq[len(names), y * X + x] = 1.0
+            names.append(f"P[{y},{x}]>=0")
+    for y in range(3):
+        for x in range(X):
+            ineq[len(names), [3 * X + y, y * X + x]] = 1.0, -1.0
+            names.append(f"P[{y},{x}]<=lam[{y}]")
+    for y in range(3):
+        ineq[len(names), 3 * X + y] = 1.0
+        names.append(f"lam[{y}]>=0")
+    return eq, ineq, names
+
+
 @functools.lru_cache(maxsize=None)
 def brute_force_forms(alphabet_size):
     """Oracle: solve every choice of 2|X| + 2 tight inequalities, once.
@@ -53,7 +79,7 @@ def brute_force_forms(alphabet_size):
     assert alphabet_size <= 3, "the brute force is only an oracle for small alphabets"
     X = alphabet_size
     dim = 3 * X + 3
-    eq, ineq, _ = _constraint_system(X)
+    eq, ineq, _ = constraint_system(X)
     need = dim - (X + 1)
     combos = np.array(list(itertools.combinations(range(len(ineq)), need)))
     rhs = np.zeros((dim, 2))
@@ -80,7 +106,7 @@ def brute_force_census(alphabet_size, c):
     with their tight inequalities: decided exactly on den * (u + c*v) for
     c = num/den."""
     forms = brute_force_forms(alphabet_size)
-    _, ineq, names = _constraint_system(alphabet_size)
+    _, ineq, names = constraint_system(alphabet_size)
     num, den = float(c).as_integer_ratio()
     values, first = np.unique(forms[..., 0] * den + forms[..., 1] * num, axis=0, return_index=True)
     slack = values @ ineq.astype(np.int64).T
@@ -209,15 +235,31 @@ def test_matches_brute_force_oracle_for_any_c(c):
 
 
 # (vertices, ZERO_WEIGHT, CANONICAL_FOUR) for c strictly between 2 and 3
-INTERIOR_CENSUS = {2: (27, 21, 6), 3: (99, 45, 54), 4: (423, 93, 330)}
+INTERIOR_CENSUS = {2: (27, 21, 6), 3: (99, 45, 54), 4: (423, 93, 330), 5: (1899, 189, 1710)}
+# the same at c = 2 and at c = 3 (the README's vertex census table)
+END_CENSUS = {
+    (2, 2.0): (15, 15, 0), (2, 3.0): (27, 21, 6),
+    (3, 2.0): (27, 27, 0), (3, 3.0): (69, 45, 24),
+    (4, 2.0): (51, 51, 0), (4, 3.0): (171, 93, 78),
+    (5, 2.0): (99, 99, 0), (5, 3.0): (429, 189, 240),
+}
+
+
+def class_counts(vertices):
+    tags = Counter(classify_vertex(v) for v in vertices)
+    assert tags[UNCLASSIFIED] == 0
+    return sum(tags.values()), tags[ZERO_WEIGHT], tags[CANONICAL_FOUR]
 
 
 @pytest.mark.parametrize("c", [2.0 + 1e-11, 2.0 + 1e-9, 2.5, 3.0 - 1e-9])
-@pytest.mark.parametrize("alphabet_size", [2, 3, 4])
+@pytest.mark.parametrize("alphabet_size", [2, 3, 4, 5])
 def test_census_next_to_c_2_and_3_equals_the_interior_census(alphabet_size, c):
-    tags = Counter(classify_vertex(v) for v in verts(alphabet_size, c))
-    got = (sum(tags.values()), tags[ZERO_WEIGHT], tags[CANONICAL_FOUR])
-    assert got == INTERIOR_CENSUS[alphabet_size]
+    assert class_counts(verts(alphabet_size, c)) == INTERIOR_CENSUS[alphabet_size]
+
+
+@pytest.mark.parametrize("alphabet_size, c", list(END_CENSUS))
+def test_census_at_c_2_and_3(alphabet_size, c):
+    assert class_counts(verts(alphabet_size, c)) == END_CENSUS[alphabet_size, c]
 
 
 RATIONAL_CS = [Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(2.3456), Fraction(3)]
@@ -227,7 +269,7 @@ CERTIFIED = [(X, k) for X in (2, 3) for k in range(len(RATIONAL_CS))] + [(4, 2)]
 @pytest.mark.parametrize("alphabet_size, k", CERTIFIED, ids=[f"{X}-c{k}" for X, k in CERTIFIED])
 def test_vertices_certified_in_rationals(alphabet_size, k):
     X, c = alphabet_size, RATIONAL_CS[k]
-    eq, ineq, names = _constraint_system(X)
+    eq, ineq, names = constraint_system(X)
     eq_rhs = [Fraction(1)] * X + [c]
     as_fractions = lambda A: [[Fraction(int(a)) for a in row] for row in A]
     eq_q, ineq_q = as_fractions(eq), as_fractions(ineq)
