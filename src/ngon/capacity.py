@@ -17,8 +17,8 @@ bound known from outside the group), and retires its channels against it.
 Groups with fewer inputs than the widest are padded with zero rows held at
 zero prior.  Every sum, maximum and sort over inputs runs per width on the
 unpadded columns, so padded rows never enter a bound, a sort or a polish and
-each group gets the bits of its own run.  ``blahut_arimoto`` is the
-one-group case and pays no padding.
+each group gets the bits of its own run.  ``blahut_arimoto`` runs it on one
+group, and every run gets BA_MAX_ITER iterations, read at call time.
 
 ``theory_capacities`` maximises the capacity over one canonical measurement
 per dihedral orbit, with all n extremal states as the input alphabet: rotating
@@ -313,7 +313,7 @@ def _validate_tol(tol: float) -> None:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
-def blahut_arimoto(matrices, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> BAResult:
+def blahut_arimoto(matrices, tol: float = BA_TOL) -> BAResult:
     """Largest channel capacity in a stack, by the Blahut-Arimoto ascent.
 
     ``matrices`` is one channel (inputs, outcomes) or a stack (count, inputs,
@@ -335,7 +335,8 @@ def blahut_arimoto(matrices, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -
     bracket closed, polish steps included, and the channel's position
     ``index`` in the stack.  Raises ConvergenceError, carrying the best
     channel's lower bound and last iterate, if some bracket stays open
-    after max_iter iterations.  This is the one-group case of ``_bracket``.
+    after BA_MAX_ITER iterations, read at call time.  This is ``_bracket``
+    on one group.
     """
     _validate_tol(tol)
     W = np.asarray(matrices, float)
@@ -344,13 +345,13 @@ def blahut_arimoto(matrices, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -
     if (W < -ROUNDOFF).any() or np.abs(W.sum(axis=-1) - 1.0).max() > PROB_TOL:
         raise ValueError("matrix rows must be probability vectors")
     W = np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)
-    (result,) = _bracket([W], [-math.inf], tol, max_iter)
+    (result,) = _bracket([W], [-math.inf], tol)
     if isinstance(result, ConvergenceError):
         raise result
     return result
 
 
-def _bracket(stacks, floors, tol: float, max_iter: int) -> list:
+def _bracket(stacks, floors, tol: float) -> list:
     """The ascent of ``blahut_arimoto`` on several channel stacks (groups) at once.
 
     ``stacks`` are nonnegative stacks (count, inputs, outcomes) with one
@@ -361,7 +362,9 @@ def _bracket(stacks, floors, tol: float, max_iter: int) -> list:
     certified).  Every sum, maximum and sort over inputs runs per width on
     the unpadded columns, and a padded input never leads an outcome, so each
     group gets what ``blahut_arimoto`` returns on it alone, as a BAResult,
-    or the ConvergenceError that call raises.
+    or the ConvergenceError that call raises after BA_MAX_ITER iterations.
+    One set-up serves every call: the groups are copied into one zero-padded
+    stack, each channel starting from the uniform prior on its own inputs.
     """
     if not stacks:
         return []
@@ -372,13 +375,10 @@ def _bracket(stacks, floors, tol: float, max_iter: int) -> list:
     gid = np.repeat(np.arange(len(stacks)), sizes)
     width = np.repeat(widths, sizes)
     classes = _width_classes(width, m)
-    if len(stacks) == 1:
-        W, p = stacks[0], np.full((sizes[0], m), 1.0 / m)
-    else:
-        W = np.zeros((len(gid), m, stacks[0].shape[2]))
-        for g, start in enumerate(starts):
-            W[start : start + sizes[g], : widths[g]] = stacks[g]
-        p = np.where(np.arange(m) < width[:, None], 1.0 / width[:, None], 0.0)
+    W = np.zeros((len(gid), m, stacks[0].shape[2]))
+    for g, start in enumerate(starts):
+        W[start : start + sizes[g], : widths[g]] = stacks[g]
+    p = np.where(np.arange(m) < width[:, None], 1.0 / width[:, None], 0.0)
     count = len(W)
     wlogw = _row_log_entropy(W)
     # ids, gid (their groups), width, W, wlogw, p, the bounds lo, up and the
@@ -394,7 +394,7 @@ def _bracket(stacks, floors, tol: float, max_iter: int) -> list:
     retired_at = np.zeros(count, int)
     best = np.array(floors, float)
     each_group = np.arange(len(stacks))[:, None]
-    for it in range(1, max_iter + 1):
+    for it in range(1, BA_MAX_ITER + 1):
         d = _divergences(W, wlogw, p)
         dmax = _by_width(_largest, classes, d)[:, None]
         info = _by_width(_mean_divergence, classes, p, d)
@@ -437,8 +437,8 @@ def _bracket(stacks, floors, tol: float, max_iter: int) -> list:
         # a copy, so that a kept result does not hold the whole stack's priors
         prior = priors[start + winner, :w].copy()
         if left:
-            message = f"{left} of {size} channels kept brackets above tol={tol} after {max_iter} iterations"
-            results.append(ConvergenceError(message, bits, prior, max_iter))
+            message = f"{left} of {size} channels kept brackets above tol={tol} after {BA_MAX_ITER} iterations"
+            results.append(ConvergenceError(message, bits, prior, BA_MAX_ITER))
         else:
             results.append(BAResult(bits, prior, int(retired_at[start + winner]), winner))
     return results
@@ -546,7 +546,7 @@ def _chunk_capacities(chunk: list[tuple[Theory, list]], tol: float) -> list[Capa
     even = [i for i, t in enumerate(theories) if t.even]
     pairs = {i: theories[i].measurement(cands[i][0]) for i in even}
     stacks = [theories[i].channel_matrix(pairs[i])[None] for i in even]
-    pair_results = dict(zip(even, _bracket(stacks, [-math.inf] * len(even), tol, BA_MAX_ITER)))
+    pair_results = dict(zip(even, _bracket(stacks, [-math.inf] * len(even), tol)))
 
     triples = [[c for c in cs if len(c) == 3] for cs in cands]
     counts = [len(ts) for ts in triples]
@@ -556,7 +556,7 @@ def _chunk_capacities(chunk: list[tuple[Theory, list]], tol: float) -> list[Capa
     run = [i for i in range(len(theories)) if counts[i]]
     stacks = [theories[i].channel_matrix(effects[starts[i] : starts[i] + counts[i]]) for i in run]
     floors = [pair_results[i].capacity_bits if i in pair_results else -math.inf for i in run]
-    triple_results = dict(zip(run, _bracket(stacks, floors, tol, BA_MAX_ITER)))
+    triple_results = dict(zip(run, _bracket(stacks, floors, tol)))
 
     results = []
     for i, t in enumerate(theories):

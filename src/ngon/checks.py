@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import capacity
 from .capacity import (
-    ENUMERATION_MAX,
     binary_entropy,
     blahut_arimoto,
     mutual_information_bits,
@@ -78,12 +78,14 @@ class CheckResult:
     elapsed_s: float = 0.0  # set by run_checks
 
 
-def _sweep(key: str, sizes: range) -> range:
-    """The polygon sizes a check sweeps; an empty sweep is a usage error."""
-    if not sizes:
+def _sweep(key: str, sizes: range, least: int | None = None) -> range:
+    """The polygon sizes a check sweeps.  A sweep that stops below ``least``,
+    the smallest size at which the check can pass (by default its first
+    size, so an empty sweep), is a usage error."""
+    least = sizes.start if least is None else least
+    if not sizes or sizes[-1] < least:
         raise ValueError(
-            f"check {key}: max_n={sizes.stop - 1} leaves an empty sweep "
-            f"(the sweep starts at n={sizes.start})"
+            f"check {key}: max_n={sizes.stop - 1} is below {least}, the smallest max_n the sweep accepts"
         )
     return sizes
 
@@ -103,7 +105,8 @@ def check_even_capacity(max_n: int = 64) -> CheckResult:
 
 def check_odd_capacity(max_n: int = 64) -> CheckResult:
     """Odd capacities: log2(3) at the triangle, then strictly above 1 bit."""
-    sizes = _sweep("odd-capacity", range(3, max_n + 1, 2))
+    # the 3-state rate first lies within 0.02 of 1 bit at n = 7 (1.0204 at n = 5)
+    sizes = _sweep("odd-capacity", range(3, max_n + 1, 2), least=7)
     rows = {r.n: r.capacity_bits for r in theory_capacities(Theory(n) for n in sizes)}
     top = max(rows)
     tri_gap = abs(rows[3] - LOG2_3)
@@ -433,8 +436,9 @@ def run_checks(only=None, max_n: int = 64):
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}; known: {', '.join(REGISTRY)}")
     capped = [key for key in keys if key in ("even-capacity", "odd-capacity")]
-    if capped and max_n > ENUMERATION_MAX:
-        raise ValueError(f"check {capped[0]}: max_n={max_n} above the enumeration bound {ENUMERATION_MAX}")
+    bound = capacity.ENUMERATION_MAX
+    if capped and max_n > bound:
+        raise ValueError(f"check {capped[0]}: max_n={max_n} above the enumeration bound {bound}")
     if "ne" in keys and max_n > NE_MAX:
         raise ResourceBoundError(f"check ne: max_n={max_n} above the NOT-EQUAL bound {NE_MAX}")
     if "ic" in keys and max_n > IC_SWEEP_MAX:

@@ -108,21 +108,13 @@ class Theory:
         """Circumradius sqrt(sec(pi/n)) of the state polygon."""
         return math.sqrt(1.0 / math.cos(math.pi / self.n))
 
-    @cached_property
-    def _state_table(self) -> np.ndarray:
-        return _tables(int(self.n))[0]
-
     def states(self) -> np.ndarray:
         """All n extremal states, shape (n, 3); a copy of a table built once per n."""
-        return self._state_table.copy()
-
-    @cached_property
-    def _effect_table(self) -> np.ndarray:
-        return _tables(int(self.n))[1]
+        return _tables(int(self.n))[0].copy()
 
     def effects(self) -> np.ndarray:
         """All n extremal effects, shape (n, 3); a copy of a table built once per n."""
-        return self._effect_table.copy()
+        return _tables(int(self.n))[1].copy()
 
     def channel_matrix(self, measurement, states=None) -> np.ndarray:
         """P(outcome | state), shape (..., inputs, outcomes), clipped to [0, 1]
@@ -132,7 +124,7 @@ class Theory:
         shape (..., outcomes, 3); ``states`` defaults to all n extremal
         states and broadcasts against the stack.
         """
-        S = self._state_table if states is None else states
+        S = _tables(int(self.n))[0] if states is None else states
         E = measurement.effects if isinstance(measurement, Measurement) else measurement
         P = S @ np.swapaxes(E, -1, -2)
         return np.clip(P, 0.0, 1.0, out=P)
@@ -151,7 +143,7 @@ class Theory:
                 raise InfeasibleMeasurementError("two-outcome measurements require even n")
             if (idx[1] - idx[0]) % self.n != self.n // 2:
                 raise InfeasibleMeasurementError(f"pair {idx} is not antipodal for n={self.n}")
-            return Measurement(idx, (1.0, 1.0), self._effect_table[list(idx)])
+            return Measurement(idx, (1.0, 1.0), _tables(int(self.n))[1][list(idx)])
         if len(idx) != 3:
             raise ValueError("a canonical measurement has 2 or 3 outcomes")
         mu, effects = _realize_triples(self.n, [idx])
@@ -294,7 +286,8 @@ def min_effect_weight(theory: Theory) -> float:
 def _outside_states(theory: Theory, V: np.ndarray) -> np.ndarray:
     """Which rows of a stack V (k, 3) are not normalised states of the
     model: off the plane z = 1 or outside the state cone, beyond PROB_TOL."""
-    return (np.abs(V[:, 2] - 1.0) > PROB_TOL) | ~(V @ theory._effect_table.T >= -PROB_TOL).all(axis=1)
+    inside = (V @ _tables(int(theory.n))[1].T >= -PROB_TOL).all(axis=1)
+    return (np.abs(V[:, 2] - 1.0) > PROB_TOL) | ~inside
 
 
 def extremal_decomposition(theory: Theory, state) -> np.ndarray:
@@ -312,7 +305,7 @@ def extremal_decomposition(theory: Theory, state) -> np.ndarray:
     if _outside_states(theory, V).any():
         raise InvalidStateError("not a normalised state of the model")
     n = theory.n
-    verts = theory._state_table
+    verts = _tables(int(n))[0]
     rows = np.arange(len(V))
     # the slice of each state: the arc that holds its angle, in [0, 2*pi)
     theta = np.array([math.atan2(y, x) % (2.0 * math.pi) for x, y in V[:, :2].tolist()])

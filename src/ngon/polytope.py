@@ -50,8 +50,7 @@ The construction runs in one pass.  The at most 12 weight vectors and the
 at most 6 vertices of each column polygon are built in plain Python integers;
 the candidate points of all weight vectors, at most 12 * 6^|X| (3,267 at
 |X| = 5 for c in (2, 3)), are then stacked, one count of fixed weights
-decides them all, and one sort orders the vertices.  The tight mask that
-names ``saturated`` is built for the vertices only.
+decides them all, and one sort orders the vertices.
 The brute force over bases would solve C(6|X| + 3, 2|X| + 2) square systems.
 """
 
@@ -80,25 +79,12 @@ class VertexPoint:
     """A vertex of the capped-channel polytope.
 
     ``P`` is the 3 x alphabet conditional matrix, ``lam`` the outcome
-    weights, ``saturated`` the names of the inequalities tight at the point
-    (the equalities hold at every point).
+    weights and ``c`` their sum.
     """
 
     P: np.ndarray
     lam: np.ndarray
     c: float
-    saturated: tuple
-
-
-def _constraint_names(alphabet_size: int) -> list[str]:
-    """Names of the inequalities, in the order of ``VertexPoint.saturated``:
-    P >= 0, then P <= lam, each by outcome then input, then lam >= 0."""
-    entries = [(y, x) for y in range(3) for x in range(alphabet_size)]
-    return (
-        [f"P[{y},{x}]>=0" for y, x in entries]
-        + [f"P[{y},{x}]<=lam[{y}]" for y, x in entries]
-        + [f"lam[{y}]>=0" for y in range(3)]
-    )
 
 
 def _validate_request(alphabet_size: int, c: float) -> None:
@@ -216,15 +202,7 @@ def enumerate_vertices(alphabet_size: int, c: float) -> list[VertexPoint]:
     coords = _affine(forms[order], float(c))
     Ps = coords[:, : 3 * X].reshape(-1, 3, X)
     lams = coords[:, 3 * X :]
-    picks, lam_of = picks[order], lam_of[order]
-    tight = np.concatenate(
-        [col_tight[picks].transpose(0, 2, 3, 1).reshape(-1, 6 * X), lam_zero[lam_of]], axis=1
-    ).tolist()
-    names = _constraint_names(X)
-    return [
-        VertexPoint(P=P, lam=w, c=float(c), saturated=tuple(itertools.compress(names, t)))
-        for P, w, t in zip(Ps, lams, tight)
-    ]
+    return [VertexPoint(P=P, lam=w, c=float(c)) for P, w in zip(Ps, lams)]
 
 
 _PERMUTATIONS = tuple(itertools.permutations(range(3)))

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import capacity
 from .capacity import antipodal_pair_rate, binary_entropy, theory_capacity
 from .geometry import (
     InvalidStateError,
@@ -352,17 +353,18 @@ def ic_bound_check(theory: Theory) -> bool:
     """Witness that decodable information beats the one-shot capacity.
 
     True iff the random access code's information sum exceeds 1 + 1e-9
-    while the theory's capacity equals 1 within 1e-6.  Up to n = 64 the
-    capacity comes from the full measurement enumeration; beyond it the
-    antipodal pair provides the achievability side and the exact vertex
-    bound (decided once and cached) certifies the converse, so the check
-    stays exact at sizes where enumeration is impractical.
+    while the theory's capacity equals 1 within 1e-6.  Up to n =
+    ENUMERATION_MAX, read at call time, the capacity comes from the full
+    measurement enumeration; beyond it the antipodal pair provides the
+    achievability side and the exact vertex bound (decided once and cached)
+    certifies the converse, so the check stays exact at sizes where
+    enumeration is impractical.
     """
     _require_even(theory)
     info = run_ic(theory).info_sum_bits
     if not info > 1.0 + 1e-9:
         return False
-    if theory.n <= 64:
+    if theory.n <= capacity.ENUMERATION_MAX:
         return abs(theory_capacity(theory).capacity_bits - 1.0) <= 1e-6
     lower = antipodal_pair_rate(theory)
     return abs(lower - 1.0) <= 1e-6 and _even_vertex_bound()

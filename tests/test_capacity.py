@@ -77,22 +77,32 @@ def test_ba_objective_monotone(unpolished):
     w = rng.dirichlet(np.ones(3), size=4)
     values = []
     for k in range(1, 120):
-        with pytest.raises(ConvergenceError) as err:
-            blahut_arimoto(w, tol=1e-15, max_iter=k)
+        with mock.patch.object(capacity, "BA_MAX_ITER", k), pytest.raises(ConvergenceError) as err:
+            blahut_arimoto(w, tol=1e-15)
         values.append(mutual_information_bits(err.value.prior, w))
     assert (np.diff(values) >= -1e-12).all()
     assert values[-1] > values[0]
     assert abs(values[-1] - blahut_arimoto(w).capacity_bits) < 1e-8
 
 
-def test_ba_convergence_error_carries_state(unpolished):
+def test_ba_convergence_error_carries_state(unpolished, monkeypatch):
+    monkeypatch.setattr(capacity, "BA_MAX_ITER", 2)
     w = np.array([[0.9, 0.1], [0.3, 0.7]])
     with pytest.raises(ConvergenceError) as err:
-        blahut_arimoto(w, tol=1e-15, max_iter=2)
+        blahut_arimoto(w, tol=1e-15)
     assert err.value.iterations == 2
     assert 0.0 < err.value.capacity_bits < 1.0
     assert abs(err.value.prior.sum() - 1.0) < 1e-12
     assert np.abs(err.value.prior - 0.5).max() > 1e-3  # not the uniform start
+
+
+def test_ba_reads_the_iteration_bound_at_call_time(unpolished, monkeypatch):
+    w = np.array([[0.9, 0.1], [0.3, 0.7]])
+    for bound in (1, 5, 3):
+        monkeypatch.setattr(capacity, "BA_MAX_ITER", bound)
+        with pytest.raises(ConvergenceError, match=f"after {bound} iterations") as err:
+            blahut_arimoto(w, tol=1e-15)
+        assert err.value.iterations == bound
 
 
 def test_theory_capacity_convergence_error_carries_last_iterate(unpolished, monkeypatch):
@@ -116,8 +126,9 @@ def test_ba_stack_matches_best_single_channel(count, inputs, outcomes, seed):
     stack = np.random.default_rng(seed).dirichlet(np.ones(outcomes), size=(count, inputs))
     tol = 1e-8
     slack = tol + 1e-12  # the bracket bounds carry float roundoff
-    singles = [blahut_arimoto(w, tol, max_iter=2000).capacity_bits for w in stack]
-    res = blahut_arimoto(stack, tol, max_iter=2000)
+    with mock.patch.object(capacity, "BA_MAX_ITER", 2000):
+        singles = [blahut_arimoto(w, tol).capacity_bits for w in stack]
+        res = blahut_arimoto(stack, tol)
     assert abs(res.capacity_bits - max(singles)) <= slack
     assert abs(singles[res.index] - res.capacity_bits) <= slack
     assert abs(mutual_information_bits(res.prior, stack[res.index]) - res.capacity_bits) <= slack
@@ -422,17 +433,18 @@ def test_grouped_brackets_have_the_bits_of_their_single_calls(groups, outcomes, 
     floors = [-math.inf if floor is None else floor for _, _, floor in groups]
     tol, max_iter = 1e-8, 2000 if kind != "unpolished" else 200
     with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(capacity, "BA_MAX_ITER", max_iter))
         if kind == "unpolished":
             patches.enter_context(mock.patch.object(capacity, "_leader_priors", _no_prior))
             patches.enter_context(mock.patch.object(capacity, "_fallback_priors", _no_prior))
-        grouped = capacity._bracket(stacks, floors, tol, max_iter)
+        grouped = capacity._bracket(stacks, floors, tol)
         assert len(grouped) == len(stacks)
         for stack, floor, result in zip(stacks, floors, grouped):
-            (single,) = capacity._bracket([stack], [floor], tol, max_iter)
+            (single,) = capacity._bracket([stack], [floor], tol)
             assert _fields_of(result) == _fields_of(single)
             if floor == -math.inf:
                 try:
-                    public = blahut_arimoto(stack, tol, max_iter)
+                    public = blahut_arimoto(stack, tol)
                 except ConvergenceError as exc:
                     public = exc
                 assert _fields_of(result) == _fields_of(public)

@@ -453,12 +453,19 @@ def test_capacity_has_no_jobs_option(capsys):
 
 
 @pytest.mark.parametrize(
-    "key, max_n", [("ic", "3"), ("even-capacity", "3"), ("odd-capacity", "2"), ("ne", "2")]
+    "key, max_n",
+    [("ic", "3"), ("even-capacity", "3"), ("odd-capacity", "2"), ("ne", "2")]
+    # the odd-capacity gate asks the 3-state rate at the top size to lie
+    # within 0.02 of 1 bit, which first holds at n = 7
+    + [("odd-capacity", str(n)) for n in range(3, 7)],
 )
 def test_check_empty_sweep_exits_two(capsys, key, max_n):
     code, out, err = run(capsys, "check", "--only", key, "--max-n", max_n)
     assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err and "sweep" in err
+    with pytest.raises(ValueError, match=f"check {key}: max_n={max_n} is below"):
+        run_checks(only=[key], max_n=int(max_n))
 
 
 @pytest.mark.parametrize(
@@ -615,6 +622,8 @@ def test_stdout_keeps_its_bytes(capsys, argv, digest):
         ("ne", "--n", "10", "--format", "csv"),
         ("check", "--only", "ne", "--max-n", "6"),
         ("check", "--only", "ne", "--max-n", "6", "--format", "json"),
+        # the smallest max_n the odd-capacity sweep accepts, and it passes
+        ("check", "--only", "odd-capacity", "--max-n", "7"),
     ],
 )
 def test_out_writes_the_bytes_of_stdout(tmp_path, capsys, argv):

@@ -37,15 +37,15 @@ def flatten(v):
 
 
 def census(vertices):
-    """(coordinates, saturated names) per vertex, in returned order."""
-    return [(tuple(flatten(v)), v.saturated) for v in vertices]
+    """Coordinates per vertex, in returned order."""
+    return [tuple(flatten(v)) for v in vertices]
 
 
 def constraint_system(alphabet_size):
     """The polytope written out for the oracles: equality matrix (right-hand
-    side 1 per column sum, c for the weights), inequality matrix (rows >= 0)
-    and inequality names, with variables P[y, x] at y * X + x and lam[y] at
-    3X + y."""
+    side 1 per column sum, c for the weights) and inequality matrix (rows
+    >= 0: P >= 0, then lam[y] - P[y, x] >= 0, each by outcome then input,
+    then lam >= 0), with variables P[y, x] at y * X + x and lam[y] at 3X + y."""
     X = alphabet_size
     dim = 3 * X + 3
     eq = np.zeros((X + 1, dim))
@@ -53,19 +53,11 @@ def constraint_system(alphabet_size):
         eq[x, [y * X + x for y in range(3)]] = 1.0
     eq[X, 3 * X :] = 1.0
     ineq = np.zeros((6 * X + 3, dim))
-    names = []
-    for y in range(3):
-        for x in range(X):
-            ineq[len(names), y * X + x] = 1.0
-            names.append(f"P[{y},{x}]>=0")
-    for y in range(3):
-        for x in range(X):
-            ineq[len(names), [3 * X + y, y * X + x]] = 1.0, -1.0
-            names.append(f"P[{y},{x}]<=lam[{y}]")
-    for y in range(3):
-        ineq[len(names), 3 * X + y] = 1.0
-        names.append(f"lam[{y}]>=0")
-    return eq, ineq, names
+    ineq[: 3 * X, : 3 * X] = np.eye(3 * X)
+    ineq[3 * X : 6 * X, : 3 * X] = -np.eye(3 * X)
+    ineq[3 * X : 6 * X, 3 * X :] = np.repeat(np.eye(3), X, axis=0)
+    ineq[6 * X :, 3 * X :] = np.eye(3)
+    return eq, ineq
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,7 +71,7 @@ def brute_force_forms(alphabet_size):
     assert alphabet_size <= 3, "the brute force is only an oracle for small alphabets"
     X = alphabet_size
     dim = 3 * X + 3
-    eq, ineq, _ = constraint_system(X)
+    eq, ineq = constraint_system(X)
     need = dim - (X + 1)
     combos = np.array(list(itertools.combinations(range(len(ineq)), need)))
     rhs = np.zeros((dim, 2))
@@ -102,20 +94,16 @@ def brute_force_forms(alphabet_size):
 
 @functools.lru_cache(maxsize=None)
 def brute_force_census(alphabet_size, c):
-    """The basis solutions feasible at c, each once, sorted by coordinates,
-    with their tight inequalities: decided exactly on den * (u + c*v) for
-    c = num/den."""
+    """The coordinates of the basis solutions feasible at c, each once, sorted:
+    decided exactly on den * (u + c*v) for c = num/den."""
     forms = brute_force_forms(alphabet_size)
-    _, ineq, names = constraint_system(alphabet_size)
+    _, ineq = constraint_system(alphabet_size)
     num, den = float(c).as_integer_ratio()
     values, first = np.unique(forms[..., 0] * den + forms[..., 1] * num, axis=0, return_index=True)
     slack = values @ ineq.astype(np.int64).T
     order = [i for i in np.lexsort(values.T[::-1]) if (slack[i] >= 0).all()]
     coords = forms[first, :, 0] + forms[first, :, 1] * c
-    return [
-        (tuple(coords[i]), tuple(n for n, s in zip(names, slack[i]) if s == 0))
-        for i in order
-    ]
+    return [tuple(coords[i]) for i in order]
 
 
 def exact_solve(rows, rhs):
@@ -268,19 +256,22 @@ CERTIFIED = [(X, k) for X in (2, 3) for k in range(len(RATIONAL_CS))] + [(4, 2)]
 
 @pytest.mark.parametrize("alphabet_size, k", CERTIFIED, ids=[f"{X}-c{k}" for X, k in CERTIFIED])
 def test_vertices_certified_in_rationals(alphabet_size, k):
+    # every coordinate is 0, 1, c, c - 1, c - 2, 2 - c or 3 - c, exact in
+    # floats for c in [2, 3], so its Fraction is the rational vertex and the
+    # tight rows are those of slack exactly 0
     X, c = alphabet_size, RATIONAL_CS[k]
-    eq, ineq, names = constraint_system(X)
+    eq, ineq = constraint_system(X)
     eq_rhs = [Fraction(1)] * X + [c]
     as_fractions = lambda A: [[Fraction(int(a)) for a in row] for row in A]
     eq_q, ineq_q = as_fractions(eq), as_fractions(ineq)
     for v in verts(X, float(c)):
-        tight = [ineq_q[names.index(s)] for s in v.saturated]
+        point = [Fraction(f) for f in flatten(v).tolist()]
+        slack = [sum(a * zi for a, zi in zip(row, point)) for row in ineq_q]
+        assert min(slack) >= 0
+        tight = [row for row, s in zip(ineq_q, slack) if s == 0]
         rank, z = exact_solve(eq_q + tight, eq_rhs + [Fraction(0)] * len(tight))
-        assert rank == 3 * X + 3 and z is not None
-        for row, b in zip(eq_q, eq_rhs):
-            assert sum(a * zi for a, zi in zip(row, z)) == b
-        assert all(sum(a * zi for a, zi in zip(row, z)) >= 0 for row in ineq_q)
-        assert max(abs(float(zi) - f) for zi, f in zip(z, flatten(v))) <= 1e-12
+        # the tight rows and the equalities pin the point, which meets them
+        assert rank == 3 * X + 3 and z == point
 
 
 def test_alphabet_four_census_is_fast():
@@ -292,17 +283,10 @@ def test_alphabet_four_census_is_fast():
     assert elapsed < 1.0
 
 
-def test_saturated_constraints_recorded():
-    vs = verts(2, 2.0)
-    for v in vs:
-        assert len(v.saturated) >= 6  # at least the basis count beyond equalities
-        assert all(isinstance(s, str) for s in v.saturated)
-
-
 def test_classify_negative_control():
     lam = np.array([0.4, 1.2, 0.9])
     P = np.array([[0.4, 0.1], [0.3, 0.5], [0.3, 0.4]])
-    fake = VertexPoint(P=P, lam=lam, c=2.5, saturated=())
+    fake = VertexPoint(P=P, lam=lam, c=2.5)
     assert classify_vertex(fake) == UNCLASSIFIED
 
 
@@ -368,13 +352,13 @@ vertex_of = enumerated_vertex()
 
 
 def as_lists(v):
-    return VertexPoint(P=v.P.tolist(), lam=v.lam.tolist(), c=v.c, saturated=v.saturated)
+    return VertexPoint(P=v.P.tolist(), lam=v.lam.tolist(), c=v.c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(vertex_of, st.permutations(range(3)))
 def test_permuting_the_outcomes_keeps_the_class(v, perm):
-    moved = VertexPoint(P=v.P[list(perm)], lam=v.lam[list(perm)], c=v.c, saturated=())
+    moved = VertexPoint(P=v.P[list(perm)], lam=v.lam[list(perm)], c=v.c)
     assert classify_vertex(moved) == classify_vertex(v) == numpy_rule(v)
 
 
@@ -389,7 +373,7 @@ def nudged_canonical(draw):
     i = draw(st.integers(0, len(flat) - 1))
     flat[i] = np.nextafter(flat[i], draw(st.sampled_from([-math.inf, math.inf])))
     X = v.P.shape[1]
-    return VertexPoint(P=flat[: 3 * X].reshape(3, X), lam=flat[3 * X :], c=v.c, saturated=())
+    return VertexPoint(P=flat[: 3 * X].reshape(3, X), lam=flat[3 * X :], c=v.c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,7 +381,7 @@ def nudged_canonical(draw):
 def test_permuting_the_columns_keeps_the_class(v, random):
     order = list(range(v.P.shape[1]))
     random.shuffle(order)
-    moved = VertexPoint(P=v.P[:, order], lam=v.lam, c=v.c, saturated=())
+    moved = VertexPoint(P=v.P[:, order], lam=v.lam, c=v.c)
     assert classify_vertex(moved) == classify_vertex(v)
 
 
@@ -416,7 +400,7 @@ finite = st.floats(min_value=-1.0, max_value=4.0)
     st.one_of(
         vertex_of,
         st.builds(
-            lambda lam, P, c: VertexPoint(P=np.array(P), lam=np.array(lam), c=c, saturated=()),
+            lambda lam, P, c: VertexPoint(P=np.array(P), lam=np.array(lam), c=c),
             st.lists(finite, min_size=3, max_size=3),
             st.lists(st.lists(finite, min_size=2, max_size=2), min_size=3, max_size=3),
             st.floats(min_value=2.0, max_value=3.0),

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngon import capacity
 from ngon.capacity import binary_entropy
+from ngon.checks import run_checks
 from ngon.geometry import InvalidStateError, Theory
 from ngon.polytope import ResourceBoundError
 from ngon.protocols import (
@@ -269,6 +271,14 @@ def test_ic_bound_check_small_and_large():
     assert ic_bound_check(Theory(1000)) is False
     with pytest.raises(ValueError):
         ic_bound_check(Theory(5))
+
+
+def test_ic_bound_check_reads_the_enumeration_bound_at_call_time(monkeypatch):
+    # above the bound the vertex bound certifies the converse, not the sweep
+    monkeypatch.setattr(capacity, "ENUMERATION_MAX", 8)
+    assert ic_bound_check(Theory(10)) is True
+    with pytest.raises(ValueError, match="check even-capacity: max_n=10 above the enumeration bound 8"):
+        run_checks(only=["even-capacity"], max_n=10)
 
 
 def test_even_vertex_bound_is_decided_exactly():
