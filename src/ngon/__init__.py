@@ -32,18 +32,13 @@ from .geometry import (
     InfeasibleMeasurementError,
     InvalidStateError,
     Measurement,
+    ResourceBoundError,
     Theory,
     closed_form_triple_weights,
     extremal_decomposition,
     min_effect_weight,
 )
-from .polytope import (
-    ResourceBoundError,
-    VertexPoint,
-    classify_vertex,
-    enumerate_vertices,
-    vertex_summary,
-)
+from .polytope import VertexPoint, classify_vertex, enumerate_vertices, vertex_summary
 from .protocols import (
     ICReport,
     NEReport,

@@ -42,7 +42,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PROB_TOL, ROUNDOFF, Measurement, Theory, _realize_triples, triple_representatives
+from .geometry import (
+    PROB_TOL,
+    ROUNDOFF,
+    Measurement,
+    ResourceBoundError,
+    Theory,
+    _realize_triples,
+    triple_representatives,
+)
 
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
@@ -229,10 +237,11 @@ def _pair_priors(W: np.ndarray, wlogw: np.ndarray, pair: np.ndarray) -> np.ndarr
 
 
 def _width_classes(width: np.ndarray, m: int):
-    """(w, rows) for each distinct input count w of a padded stack, or None
-    when every row has all ``m`` inputs; built once per set of rows."""
+    """(w, rows) for each distinct input count w of a padded stack; built
+    once per set of rows.  When every row has all ``m`` inputs the one class
+    takes its rows as a slice, which keeps that common case free of copies."""
     if width.min() == m:
-        return None
+        return [(m, slice(None))]
     return [(w, np.flatnonzero(width == w)) for w in dict.fromkeys(width.tolist())]
 
 
@@ -241,8 +250,6 @@ def _by_width(fn, classes, *arrays) -> np.ndarray:
     own inputs.  The bits of a sum depend on its length, so a padded stack is
     reduced once per width class on its unpadded columns, as its single call
     is; padded inputs never reach a sum or a maximum."""
-    if classes is None:
-        return fn(*arrays)
     out = np.empty(arrays[0].shape[:-1])
     for w, rows in classes:
         out[..., rows] = fn(*(a[..., rows, :w] for a in arrays))
@@ -254,8 +261,6 @@ def _order(d: np.ndarray, classes) -> np.ndarray:
 
     The order of ties depends on the row length, so a padded stack sorts
     once per width class on its unpadded columns."""
-    if classes is None:
-        return np.argsort(d, axis=1)
     m = d.shape[1]
     order = np.empty(d.shape, np.intp)
     for w, rows in classes:
@@ -530,7 +535,7 @@ def theory_capacities(theories, *, tol: float = BA_TOL) -> list[CapacityResult]:
     chunks, count, width = [], 0, 0
     for t in theories:
         if t.n > ENUMERATION_MAX:
-            raise ValueError(f"n={t.n} above the enumeration bound {ENUMERATION_MAX}")
+            raise ResourceBoundError(f"n={t.n} above the enumeration bound {ENUMERATION_MAX}")
         cands = capacity_candidates(t)
         count, width = count + len(cands), max(width, t.n)
         if not chunks or count * width > CHUNK_ROWS:

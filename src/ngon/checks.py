@@ -1,12 +1,12 @@
 """Acceptance checks: every headline claim as a pass/fail computation.
 
 Each check is a pure function returning a CheckResult; the registry maps
-stable keys to checks so the command line can run any subset, and
-``run_checks`` rejects an unknown key, or a max_n above the enumeration
-bound for a capacity check, above ``IC_SWEEP_MAX`` for the random access
-code check or above ``NE_MAX`` for the NOT-EQUAL check, before any check
-runs.  ``notes`` lists construction pitfalls that the library corrects by
-design; they are informational, not failures.
+stable keys to checks so the command line can run any subset.  The four
+checks that sweep polygon sizes up to max_n read their sizes and bounds from
+one table, ``_sweep``, and ``run_checks`` asks it of every selected sweep, as
+it rejects an unknown key, before any check runs.  ``notes`` lists
+construction pitfalls that the library corrects by design; they are
+informational, not failures.
 
 The simulation, weights, decomposition and reduction checks work on
 stacks, one solve per polygon size.  ``check_simulation`` draws its triples
@@ -42,6 +42,7 @@ from .capacity import (
 from .decomposition import caratheodory_reduce, decompose_into_binary_channels, trace_information
 from .geometry import (
     InfeasibleMeasurementError,
+    ResourceBoundError,
     Theory,
     _feasible_triples,
     _realize_triples,
@@ -49,16 +50,8 @@ from .geometry import (
     extremal_decomposition,
     min_effect_weight,
 )
-from .polytope import (
-    UNCLASSIFIED,
-    ZERO_WEIGHT,
-    ResourceBoundError,
-    _max_capacity,
-    classify_vertex,
-    enumerate_vertices,
-)
+from .polytope import UNCLASSIFIED, ZERO_WEIGHT, _max_capacity, classify_vertex, enumerate_vertices
 from .protocols import (
-    IC_SWEEP_MAX,
     NE_MAX,
     best_ic_encoding,
     even_full_alphabet_ne_matrix,
@@ -68,6 +61,12 @@ from .protocols import (
 )
 
 LOG2_3 = math.log2(3.0)
+# largest max_n of the check ic sweep.  The check gates the excess of the
+# information sum over one bit at > 1e-9, and that excess falls as n^-4: 1.00e-9
+# at n = 728 and 9.90e-10 at n = 730, so a larger max_n fails a true claim.  The
+# tables of every even n up to it stay cached, max_n^2 / 4 rows; max_n = 728
+# took 0.3 s and 36 MiB on 2 shared vCPUs.
+IC_SWEEP_MAX = 728
 
 
 @dataclass(frozen=True)
@@ -78,21 +77,35 @@ class CheckResult:
     elapsed_s: float = 0.0  # set by run_checks
 
 
-def _sweep(key: str, sizes: range, least: int | None = None) -> range:
-    """The polygon sizes a check sweeps.  A sweep that stops below ``least``,
-    the smallest size at which the check can pass (by default its first
-    size, so an empty sweep), is a usage error."""
-    least = sizes.start if least is None else least
-    if not sizes or sizes[-1] < least:
-        raise ValueError(
-            f"check {key}: max_n={sizes.stop - 1} is below {least}, the smallest max_n the sweep accepts"
-        )
-    return sizes
+# the checks that sweep polygon sizes up to max_n
+_SWEEPS = ("even-capacity", "odd-capacity", "ic", "ne")
+
+
+def _sweep(key: str, max_n: int) -> range:
+    """The polygon sizes the sweep check ``key`` runs up to max_n.
+
+    One table holds every sweep's first size, step, least max_n (the
+    smallest at which the check can pass) and size bound; the bounds are read
+    at call time.  A max_n above the bound raises ResourceBoundError and one
+    below the least is a usage error (ValueError), both before any work.
+    """
+    first, step, least, bound, name = {
+        "even-capacity": (4, 2, 4, capacity.ENUMERATION_MAX, "the enumeration bound"),
+        # the 3-state rate first lies within 0.02 of 1 bit at n = 7 (1.0204 at n = 5)
+        "odd-capacity": (3, 2, 7, capacity.ENUMERATION_MAX, "the enumeration bound"),
+        "ic": (4, 2, 4, IC_SWEEP_MAX, "the sweep bound"),
+        "ne": (3, 1, 3, NE_MAX, "the NOT-EQUAL bound"),
+    }[key]
+    if max_n > bound:
+        raise ResourceBoundError(f"check {key}: max_n={max_n} above {name} {bound}")
+    if max_n < least:
+        raise ValueError(f"check {key}: max_n={max_n} is below {least}, the smallest max_n the sweep accepts")
+    return range(first, max_n + 1, step)
 
 
 def check_even_capacity(max_n: int = 64) -> CheckResult:
     """Every even polygon up to max_n has one-shot capacity exactly 1 bit."""
-    sizes = _sweep("even-capacity", range(4, max_n + 1, 2))
+    sizes = _sweep("even-capacity", max_n)
     caps = [r.capacity_bits for r in theory_capacities(Theory(n) for n in sizes)]
     worst = max(abs(cap - 1.0) for cap in caps)
     passed = worst <= 1e-6
@@ -105,8 +118,7 @@ def check_even_capacity(max_n: int = 64) -> CheckResult:
 
 def check_odd_capacity(max_n: int = 64) -> CheckResult:
     """Odd capacities: log2(3) at the triangle, then strictly above 1 bit."""
-    # the 3-state rate first lies within 0.02 of 1 bit at n = 7 (1.0204 at n = 5)
-    sizes = _sweep("odd-capacity", range(3, max_n + 1, 2), least=7)
+    sizes = _sweep("odd-capacity", max_n)
     rows = {r.n: r.capacity_bits for r in theory_capacities(Theory(n) for n in sizes)}
     top = max(rows)
     tri_gap = abs(rows[3] - LOG2_3)
@@ -222,7 +234,7 @@ def check_ic(max_n: int = 64) -> CheckResult:
     worst_s1 = 0.0
     worst_info = 0.0
     min_excess = math.inf
-    for n in _sweep("ic", range(4, max_n + 1, 2)):
+    for n in _sweep("ic", max_n):
         r = run_ic(Theory(n))
         cos = math.cos(2.0 * math.pi / n)
         worst_s0 = max(worst_s0, abs(r.success_bit0 - 1.0))
@@ -264,7 +276,7 @@ def check_ne(max_n: int = 64) -> CheckResult:
     """NOT-EQUAL witness: zero diagonal, strictly positive off-diagonal."""
     worst_diag = 0.0
     min_off = math.inf
-    for n in _sweep("ne", range(3, max_n + 1)):
+    for n in _sweep("ne", max_n):
         r = ne_matrix(Theory(n))
         worst_diag = max(worst_diag, r.max_diag)
         min_off = min(min_off, r.min_offdiag)
@@ -423,26 +435,17 @@ NOTES = (
 )
 
 
-# the checks that sweep polygon sizes up to max_n
-_SWEEPS = ("even-capacity", "odd-capacity", "ic", "ne")
-
-
 def run_checks(only=None, max_n: int = 64):
     """Run all (or selected) checks, each timed; max_n goes to the sweeps.
-    An unknown key, or a max_n above the bound of a selected capacity,
-    random access code or NOT-EQUAL sweep, fails before any check runs."""
+    An unknown key, or a max_n that ``_sweep`` refuses for a selected sweep
+    (the first such sweep in the order asked), fails before any check runs."""
     keys = list(REGISTRY) if not only else list(only)
     unknown = [key for key in keys if key not in REGISTRY]
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}; known: {', '.join(REGISTRY)}")
-    capped = [key for key in keys if key in ("even-capacity", "odd-capacity")]
-    bound = capacity.ENUMERATION_MAX
-    if capped and max_n > bound:
-        raise ValueError(f"check {capped[0]}: max_n={max_n} above the enumeration bound {bound}")
-    if "ne" in keys and max_n > NE_MAX:
-        raise ResourceBoundError(f"check ne: max_n={max_n} above the NOT-EQUAL bound {NE_MAX}")
-    if "ic" in keys and max_n > IC_SWEEP_MAX:
-        raise ResourceBoundError(f"check ic: max_n={max_n} above the sweep bound {IC_SWEEP_MAX}")
+    for key in keys:
+        if key in _SWEEPS:
+            _sweep(key, max_n)
     results = []
     for key in keys:
         fn = REGISTRY[key]

@@ -38,8 +38,8 @@ from . import __version__
 from .capacity import BA_TOL, ConvergenceError, theory_capacities
 from .checks import NOTES, REGISTRY, run_checks
 from .decomposition import DecompositionError
-from .geometry import ROUNDOFF, Theory
-from .polytope import ResourceBoundError, classify_vertex, enumerate_vertices, vertex_summary
+from .geometry import ROUNDOFF, ResourceBoundError, Theory
+from .polytope import classify_vertex, enumerate_vertices, vertex_summary
 from .protocols import (
     NEReport,
     SimulationReport,
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
         _write(text, args.out)
         # only check's payload carries "passed"; ne and simulate return records
         return 0 if not isinstance(payload, dict) or payload.get("passed", True) else 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, DecompositionError) as exc:

@@ -66,6 +66,10 @@ class InvalidStateError(ValueError):
     """Raised when a vector is not a normalised state of the model."""
 
 
+class ResourceBoundError(ValueError):
+    """A request exceeds the size bound of its enumeration, table or search."""
+
+
 def unit_effect() -> np.ndarray:
     """The unit effect u = (0, 0, 1)."""
     return np.array([0.0, 0.0, 1.0])

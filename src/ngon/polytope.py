@@ -62,16 +62,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import blahut_arimoto
+from .geometry import ResourceBoundError
 
 ZERO_WEIGHT = "ZERO_WEIGHT"
 CANONICAL_FOUR = "CANONICAL_FOUR"
 UNCLASSIFIED = "UNCLASSIFIED"
 
 MAX_ALPHABET = 5
-
-
-class ResourceBoundError(ValueError):
-    """A request exceeds the size bound of its enumeration, table or search."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,6 +24,11 @@ Four executable constructions:
   classical messages: the sender splits the state into extremal vertices,
   transmits a vertex index (log2 n bits), and the receiver samples the
   measurement on that vertex.
+
+The random access code, its search and the even NOT-EQUAL witness all read
+antipodal pair channels, and one builder makes them: the pairs of all the
+anchors a call needs are one stack, one gather of the effect table and one
+stacked ``channel_matrix`` call, with the bits of a per-anchor measurement.
 """
 
 from __future__ import annotations
@@ -39,22 +44,18 @@ from .capacity import antipodal_pair_rate, binary_entropy, theory_capacity
 from .geometry import (
     InvalidStateError,
     Measurement,
+    ResourceBoundError,
     Theory,
     _realize_triples,
+    _tables,
     extremal_decomposition,
 )
-from .polytope import ZERO_WEIGHT, ResourceBoundError, classify_vertex, enumerate_vertices
+from .polytope import ZERO_WEIGHT, classify_vertex, enumerate_vertices
 
 IC_SEARCH_MAX = 24
 # largest n of run_ic: it builds the polygon's tables, which grow as n;
 # n = 200,000 took 0.4-0.7 s and 96 MiB on 2 shared vCPUs
 IC_MAX = 200_000
-# largest max_n of the check ic sweep.  The check gates the excess of the
-# information sum over one bit at > 1e-9, and that excess falls as n^-4: 1.00e-9
-# at n = 728 and 9.90e-10 at n = 730, so a larger max_n fails a true claim.  The
-# tables of every even n up to it stay cached, max_n^2 / 4 rows; max_n = 728
-# took 0.3 s and 36 MiB on 2 shared vCPUs.
-IC_SWEEP_MAX = 728
 # largest n of a NOT-EQUAL matrix: the (n, n) table and its rendering grow as
 # n^2; n = 601 took 0.6 s and 103 MiB as JSON on 2 shared vCPUs
 NE_MAX = 600
@@ -120,10 +121,12 @@ def ic_encoding(theory: Theory) -> dict:
     }
 
 
-def _pair_outcome_table(theory: Theory, anchor: int) -> np.ndarray:
-    """P(first outcome | state i) for the antipodal pair at ``anchor``."""
-    pair = theory.measurement((anchor, anchor + theory.n // 2))
-    return theory.channel_matrix(pair)[:, 0]
+def _pair_channels(theory: Theory, anchors: np.ndarray) -> np.ndarray:
+    """P(outcome | state) of the antipodal pair (a, a + n/2) at each anchor a,
+    shape (k, n, 2).  A pair's realised effects are its two extremal effects,
+    so the pairs of all anchors are one gather of the effect table."""
+    n = theory.n
+    return theory.channel_matrix(_tables(n)[1][np.stack([anchors, anchors + n // 2], axis=1) % n])
 
 
 def _binary_info(t0: float, t1: float) -> float:
@@ -143,29 +146,20 @@ def run_ic(theory: Theory) -> ICReport:
     if theory.n > IC_MAX:
         raise ResourceBoundError(f"the random access code is capped at n={IC_MAX}")
     _require_even(theory)
-    if theory.n < 4:
-        raise ValueError("need n >= 4")
     enc = ic_encoding(theory)
-    g_bit0 = _pair_outcome_table(theory, 1)
-    g_bit1 = _pair_outcome_table(theory, 0)
+    # first[j, x0, x1]: P(first outcome | state enc[(x0, x1)]) under the pair
+    # read for bit j
+    first = _pair_channels(theory, np.array([1, 0]))[:, list(enc.values()), 0].reshape(2, 2, 2)
 
-    # per-input probability that the requested bit is decoded correctly
-    succ0 = []
-    succ1 = []
-    for (x0, x1), i in sorted(enc.items()):
-        p_first0 = g_bit0[i]
-        succ0.append(p_first0 if x0 == 0 else 1.0 - p_first0)
-        p_first1 = g_bit1[i]
-        succ1.append(p_first1 if x1 == 0 else 1.0 - p_first1)
-    success_bit0 = float(np.mean(succ0))
-    success_bit1 = float(np.mean(succ1))
+    # per-input probability that the requested bit is decoded correctly; the
+    # first outcome means bit j = 0, and np.indices((2, 2))[j] holds bit j
+    success = np.where(np.indices((2, 2)) == 0, first, 1.0 - first).reshape(2, 4)
+    success_bit0, success_bit1 = (float(np.mean(row)) for row in success)
 
     # I(x_j; outcome | j): average the other bit out of the outcome law
-    t0 = 0.5 * (g_bit0[enc[(0, 0)]] + g_bit0[enc[(0, 1)]])
-    t1 = 0.5 * (g_bit0[enc[(1, 0)]] + g_bit0[enc[(1, 1)]])
+    t0, t1 = 0.5 * (first[0, :, 0] + first[0, :, 1])
     info0 = _binary_info(float(t0), float(t1))
-    s0 = 0.5 * (g_bit1[enc[(0, 0)]] + g_bit1[enc[(1, 0)]])
-    s1 = 0.5 * (g_bit1[enc[(0, 1)]] + g_bit1[enc[(1, 1)]])
+    s0, s1 = 0.5 * (first[1, 0] + first[1, 1])
     info1 = _binary_info(float(s0), float(s1))
 
     return ICReport(
@@ -201,7 +195,7 @@ def best_ic_encoding(theory: Theory):
     _require_even(theory)
     half = n // 2
     # G[a, i] = P(first outcome | state i) under the pair anchored at a
-    G = np.stack([_pair_outcome_table(theory, a) for a in range(half)])
+    G = _pair_channels(theory, np.arange(half))[:, :, 0]
 
     # pair-average tables: PA[a, i, k] = mean outcome law when the averaged
     # bit picks state i or k equiprobably
@@ -221,16 +215,11 @@ def best_ic_encoding(theory: Theory):
     info_sum = float(total[e01, e10, e11])
 
     enc = {(0, 0): 0, (0, 1): e01, (1, 0): e10, (1, 1): e11}
-    # recover the winning anchors for the report
-    def best_anchor(i, k, r, s):
-        vals = []
-        for a in range(half):
-            vals.append(_binary_info(float(PA[a, i, k]), float(PA[a, r, s])))
-        return int(np.argmax(vals))
-
-    a0 = best_anchor(0, e01, e10, e11)
-    a1 = best_anchor(0, e10, e01, e11)
-    return enc, (a0, a1), info_sum
+    # the winning anchors for the report: per bit, the first anchor of largest
+    # information for the pairs (i, k) and (r, s) the bit separates
+    i, k, r, s = np.array([[0, e01, e10, e11], [0, e10, e01, e11]]).T
+    info = binary_entropy(0.5 * (PA[:, i, k] + PA[:, r, s])) - 0.5 * (HPA[:, i, k] + HPA[:, r, s])
+    return enc, tuple(np.argmax(info, axis=0).tolist()), info_sum
 
 
 def _ne_report(n: int, matrix: np.ndarray) -> NEReport:
@@ -247,13 +236,10 @@ def _ne_report(n: int, matrix: np.ndarray) -> NEReport:
 def _pair_ne_report(theory: Theory, stride: int) -> NEReport:
     """The even-n witness on the inputs 0, stride, 2*stride, ...: the receiver
     measures the antipodal pair (stride*y, stride*y + n/2) and answers 1 on
-    the far outcome.  An antipodal pair's realised effects are the two
-    extremal effects, so the pairs of all y form one stack of effects."""
+    the far outcome."""
     n = theory.n
-    ys = stride * np.arange(n // stride)
-    pairs = theory.effects()[np.stack([ys, ys + n // 2], axis=1) % n]
     # channels[y, x, k]: outcome k of pair y on vertex x
-    channels = theory.channel_matrix(pairs)
+    channels = _pair_channels(theory, stride * np.arange(n // stride))
     return _ne_report(n, channels[:, ::stride, 1].T)
 
 

@@ -24,7 +24,7 @@ from ngon.capacity import (
     odd_triple_rate,
     theory_capacity,
 )
-from ngon.geometry import Theory
+from ngon.geometry import ResourceBoundError, Theory
 
 LOG2_3 = math.log2(3.0)
 
@@ -313,8 +313,9 @@ def test_theory_capacity_result_fields():
 
 
 def test_theory_capacity_enforces_bound(monkeypatch):
-    with pytest.raises(ValueError):
-        theory_capacity(Theory(66))
+    for n in (65, 66):
+        with pytest.raises(ResourceBoundError, match=f"^n={n} above the enumeration bound 64$"):
+            theory_capacity(Theory(n))
     monkeypatch.setattr(capacity, "ENUMERATION_MAX", 66)
     r = theory_capacity(Theory(66))
     assert abs(r.capacity_bits - 1.0) < 1e-6

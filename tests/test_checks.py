@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ngon import checks, decomposition, geometry, protocols
-from ngon.geometry import InfeasibleMeasurementError, Theory
+from ngon.geometry import InfeasibleMeasurementError, ResourceBoundError, Theory
 
 
 @pytest.mark.parametrize("module", [checks, protocols])
@@ -102,8 +102,56 @@ def test_reduction_check_splits_once_and_solves_once_per_stage(monkeypatch):
 def test_ic_check_passes_at_its_sweep_bound():
     # the gate asks an excess over one bit above 1e-9; the excess falls as n^-4
     # and is 9.90e-10 at n = 730, so a larger bound would admit a false FAIL
-    result = checks.check_ic(max_n=protocols.IC_SWEEP_MAX)
+    result = checks.check_ic(max_n=checks.IC_SWEEP_MAX)
     assert result.passed, result.details
+
+
+@pytest.mark.parametrize(
+    "key, max_n, message",
+    [
+        ("even-capacity", 65, "check even-capacity: max_n=65 above the enumeration bound 64"),
+        ("odd-capacity", 65, "check odd-capacity: max_n=65 above the enumeration bound 64"),
+        ("ic", 729, "check ic: max_n=729 above the sweep bound 728"),
+        # the sweep check alone once ran to n = 800 and reported a false FAIL
+        ("ic", 800, "check ic: max_n=800 above the sweep bound 728"),
+        ("ne", 601, "check ne: max_n=601 above the NOT-EQUAL bound 600"),
+        ("ne", 700, "check ne: max_n=700 above the NOT-EQUAL bound 600"),
+    ],
+)
+def test_a_sweep_check_refuses_its_bound_before_any_work(monkeypatch, key, max_n, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    for name in ("theory_capacities", "run_ic", "ne_matrix"):
+        monkeypatch.setattr(checks, name, unreachable)
+    with pytest.raises(ResourceBoundError) as alone:
+        checks.REGISTRY[key](max_n=max_n)
+    with pytest.raises(ResourceBoundError) as selected:
+        checks.run_checks(only=[key], max_n=max_n)
+    assert str(alone.value) == str(selected.value) == message
+
+
+def test_every_sweep_is_checked_before_the_first_check_runs(monkeypatch):
+    calls = []
+    theory_capacities = checks.theory_capacities
+
+    def counted(theories):
+        calls.append(theories)
+        return theory_capacities(theories)
+
+    monkeypatch.setattr(checks, "theory_capacities", counted)
+    # the even sweep would pass at 6; the odd one needs max_n >= 7
+    with pytest.raises(ValueError, match="check odd-capacity: max_n=6 is below 7"):
+        checks.run_checks(max_n=6)
+    assert calls == []
+    with pytest.raises(ResourceBoundError, match="check even-capacity: max_n=65 above the enumeration bound 64"):
+        checks.run_checks(max_n=65)
+    # several sweeps over their bounds: the first in the order asked is named
+    with pytest.raises(ResourceBoundError, match="check ic: max_n=800 above the sweep bound"):
+        checks.run_checks(only=["ic", "ne"], max_n=800)
+    with pytest.raises(ResourceBoundError, match="check ne: max_n=700 above the NOT-EQUAL bound"):
+        checks.run_checks(only=["ne", "even-capacity"], max_n=700)
+    assert calls == []
 
 
 def test_vertices_check_states_the_census_of_the_open_interval(monkeypatch):

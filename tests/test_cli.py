@@ -468,6 +468,32 @@ def test_check_empty_sweep_exits_two(capsys, key, max_n):
         run_checks(only=[key], max_n=int(max_n))
 
 
+def test_a_short_sweep_exits_two_before_any_sweep_runs(capsys, monkeypatch):
+    calls = []
+    theory_capacities = checks.theory_capacities
+
+    def counted(theories):
+        calls.append(theories)
+        return theory_capacities(theories)
+
+    monkeypatch.setattr(checks, "theory_capacities", counted)
+    code, out, err = run(capsys, "check", "--max-n", "6")
+    assert code == 2 and out == ""
+    assert err == "error: check odd-capacity: max_n=6 is below 7, the smallest max_n the sweep accepts\n"
+    assert calls == []
+
+
+def test_a_key_error_is_not_a_usage_error(monkeypatch):
+    # no request raises KeyError on purpose (an unknown check is a ValueError),
+    # so one is a library fault and must not be reported as exit 2
+    def faulty(theory):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "run_ic", faulty)
+    with pytest.raises(KeyError):
+        main(["ic", "--n", "6"])
+
+
 @pytest.mark.parametrize(
     "error",
     [

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ngon import polytope
+from ngon.capacity import capacity_candidates
+from ngon.geometry import ROUNDOFF, Theory, _feasible_triples, _realize_triples
 from ngon.polytope import (
     CANONICAL_FOUR,
     UNCLASSIFIED,
@@ -281,6 +283,23 @@ def test_alphabet_four_census_is_fast():
     assert len(vs) == 423
     assert all(classify_vertex(v) != UNCLASSIFIED for v in vs)
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_polygon_channels_lie_in_the_capped_polytope(n):
+    # the premise that links the geometry to the vertex bound: every canonical
+    # channel is a point of the polytope at c_n, its outcome weights being the
+    # caps, c_n = 2 for even n (every even effect has z = 1/2) and 1 + sec(pi/n)
+    # for odd n; restricted to any inputs it stays a point of that polytope
+    t = Theory(n)
+    c = 2.0 if t.even else 1.0 + 1.0 / math.cos(math.pi / n)
+    assert 2.0 <= c <= 3.0
+    channels = [(t.channel_matrix(m), np.array(m.weights)) for m in map(t.measurement, capacity_candidates(t))]
+    weights, effects = _realize_triples(n, _feasible_triples(n))
+    channels += zip(t.channel_matrix(effects), weights)
+    for P, lam in channels:
+        assert (P <= lam + ROUNDOFF).all(), (n, lam)
+        assert abs(lam.sum() - c) <= 1e-12, (n, lam)
 
 
 def test_classify_negative_control():

@@ -15,7 +15,7 @@ from ngon.polytope import ResourceBoundError
 from ngon.protocols import (
     _binary_info,
     _even_vertex_bound,
-    _pair_outcome_table,
+    _pair_channels,
     best_ic_encoding,
     even_full_alphabet_ne_matrix,
     ic_bound_check,
@@ -83,9 +83,17 @@ def test_exhaustive_search_dominates_protocol():
     assert abs(best8 - 1.127570660143532) < 1e-9
 
 
+def test_pair_channels_have_the_bits_of_each_pair_measurement():
+    for n in range(4, 65, 2):
+        t = Theory(n)
+        anchors = np.arange(n)
+        per_anchor = np.stack([t.channel_matrix(t.measurement((a, a + n // 2))) for a in anchors])
+        assert np.array_equal(_pair_channels(t, anchors), per_anchor), n
+
+
 def _pair_average_tables(t):
     """PA[a, i, k]: first-outcome law of the pair at anchor a, states i and k equiprobable."""
-    G = np.stack([_pair_outcome_table(t, a) for a in range(t.n // 2)])
+    G = _pair_channels(t, np.arange(t.n // 2))[:, :, 0]
     return 0.5 * (G[:, :, None] + G[:, None, :])
 
 
