@@ -18,7 +18,8 @@ Groups with fewer inputs than the widest are padded with zero rows held at
 zero prior.  Every sum, maximum and sort over inputs runs per width on the
 unpadded columns, so padded rows never enter a bound, a sort or a polish and
 each group gets the bits of its own run.  ``blahut_arimoto`` runs it on one
-group, and every run gets BA_MAX_ITER iterations, read at call time.
+group.  Every run closes its brackets to BA_TOL within BA_MAX_ITER
+iterations, both read at call time; no caller sets either.
 
 ``theory_capacities`` maximises the capacity over one canonical measurement
 per dihedral orbit, with all n extremal states as the input alphabet: rotating
@@ -313,12 +314,7 @@ def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndar
     return valid, priors
 
 
-def _validate_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
-
-
-def blahut_arimoto(matrices, tol: float = BA_TOL) -> BAResult:
+def blahut_arimoto(matrices) -> BAResult:
     """Largest channel capacity in a stack, by the Blahut-Arimoto ascent.
 
     ``matrices`` is one channel (inputs, outcomes) or a stack (count, inputs,
@@ -333,30 +329,30 @@ def blahut_arimoto(matrices, tol: float = BA_TOL) -> BAResult:
     channel that gets no such prior tries the inputs of largest divergence
     and the best prior on a pair of inputs instead.  Certificate priors
     never replace the iterate.  A channel retires when its bracket closes
-    to tol or its upper bound falls to the best lower bound in the stack,
+    to BA_TOL or its upper bound falls to the best lower bound in the stack,
     since it can then no longer be the maximum.  The result is the best
-    channel's lower bound, within tol of the maximum capacity, the prior
+    channel's lower bound, within BA_TOL of the maximum capacity, the prior
     that attains it, ``iterations``, the iteration at which the certified
     bracket closed, polish steps included, and the channel's position
     ``index`` in the stack.  Raises ConvergenceError, carrying the best
     channel's lower bound and last iterate, if some bracket stays open
-    after BA_MAX_ITER iterations, read at call time.  This is ``_bracket``
-    on one group.
+    after BA_MAX_ITER iterations.  BA_TOL and BA_MAX_ITER are read at call
+    time.  This is ``_bracket`` on one group.
     """
-    _validate_tol(tol)
     W = np.asarray(matrices, float)
     if W.ndim not in (2, 3) or 0 in W.shape:
         raise ValueError("expected a nonempty channel (inputs, outcomes) or stack of them")
-    if (W < -ROUNDOFF).any() or np.abs(W.sum(axis=-1) - 1.0).max() > PROB_TOL:
+    # written so that a NaN fails it
+    if not ((W >= -ROUNDOFF).all() and np.abs(W.sum(axis=-1) - 1.0).max() <= PROB_TOL):
         raise ValueError("matrix rows must be probability vectors")
     W = np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)
-    (result,) = _bracket([W], [-math.inf], tol)
+    (result,) = _bracket([W], [-math.inf])
     if isinstance(result, ConvergenceError):
         raise result
     return result
 
 
-def _bracket(stacks, floors, tol: float) -> list:
+def _bracket(stacks, floors) -> list:
     """The ascent of ``blahut_arimoto`` on several channel stacks (groups) at once.
 
     ``stacks`` are nonnegative stacks (count, inputs, outcomes) with one
@@ -407,7 +403,7 @@ def _bracket(stacks, floors, tol: float) -> list:
         lo = np.maximum(lo, info)
         up = np.minimum(up, dmax[:, 0])
         best = np.maximum(best, np.where(gid == each_group, lo, -math.inf).max(axis=1))
-        retire = (up - lo <= tol) | (up <= best[gid])
+        retire = (up - lo <= BA_TOL) | (up <= best[gid])
         if it & (it - 1) == 0:
             # polish the channels still open; the fallback only takes those
             # the leaders gave no valid prior
@@ -418,7 +414,7 @@ def _bracket(stacks, floors, tol: float) -> list:
                     break
                 fresh[rows[_polish(polish, rows, W, wlogw, p, d, width, lo, up, cert, certified)]] = False
                 best = np.maximum(best, np.where(gid == each_group, lo, -math.inf).max(axis=1))
-                retire = (up - lo <= tol) | (up <= best[gid])
+                retire = (up - lo <= BA_TOL) | (up <= best[gid])
         if retire.any():
             done = ids[retire]
             lower[done], retired_at[done] = lo[retire], it
@@ -442,7 +438,7 @@ def _bracket(stacks, floors, tol: float) -> list:
         # a copy, so that a kept result does not hold the whole stack's priors
         prior = priors[start + winner, :w].copy()
         if left:
-            message = f"{left} of {size} channels kept brackets above tol={tol} after {BA_MAX_ITER} iterations"
+            message = f"{left} of {size} channels kept brackets above tol={BA_TOL} after {BA_MAX_ITER} iterations"
             results.append(ConvergenceError(message, bits, prior, BA_MAX_ITER))
         else:
             results.append(BAResult(bits, prior, int(retired_at[start + winner]), winner))
@@ -514,7 +510,7 @@ def capacity_candidates(theory: Theory) -> list[tuple[int, ...]]:
     return pair + [t for t in triple_representatives(theory) if 2 * (n - t[2]) < n]
 
 
-def theory_capacities(theories, *, tol: float = BA_TOL) -> list[CapacityResult]:
+def theory_capacities(theories) -> list[CapacityResult]:
     """Classical capacity of each model over canonical measurement classes.
 
     For each n the candidates are those of ``capacity_candidates``.  For
@@ -525,13 +521,13 @@ def theory_capacities(theories, *, tol: float = BA_TOL) -> list[CapacityResult]:
     grown while its candidates times its largest n stay within CHUNK_ROWS
     (a size above that is a chunk alone): one pair stack, one triple solve
     and one triple stack with a group per size, so every result has the
-    bits of its size's own run, certified within tol of the true maximum.
+    bits of its size's own run, certified within BA_TOL of the true maximum.
     The first n above ENUMERATION_MAX is refused when it is reached, before
-    any bracket runs; every bracket gets BA_MAX_ITER iterations, and both
-    are read at call time.  A bracket that stays open raises the
-    ConvergenceError of the first such size, pair before triples.
+    any bracket runs; every bracket closes to BA_TOL within BA_MAX_ITER
+    iterations, and all three are read at call time.  A bracket that stays
+    open raises the ConvergenceError of the first such size, pair before
+    triples.
     """
-    _validate_tol(tol)
     chunks, count, width = [], 0, 0
     for t in theories:
         if t.n > ENUMERATION_MAX:
@@ -542,16 +538,16 @@ def theory_capacities(theories, *, tol: float = BA_TOL) -> list[CapacityResult]:
             chunks.append([])
             count, width = len(cands), t.n
         chunks[-1].append((t, cands))
-    return [r for chunk in chunks for r in _chunk_capacities(chunk, tol)]
+    return [r for chunk in chunks for r in _chunk_capacities(chunk)]
 
 
-def _chunk_capacities(chunk: list[tuple[Theory, list]], tol: float) -> list[CapacityResult]:
+def _chunk_capacities(chunk: list[tuple[Theory, list]]) -> list[CapacityResult]:
     """``theory_capacities`` of one chunk of (theory, candidates) pairs."""
     theories, cands = zip(*chunk)
     even = [i for i, t in enumerate(theories) if t.even]
     pairs = {i: theories[i].measurement(cands[i][0]) for i in even}
     stacks = [theories[i].channel_matrix(pairs[i])[None] for i in even]
-    pair_results = dict(zip(even, _bracket(stacks, [-math.inf] * len(even), tol)))
+    pair_results = dict(zip(even, _bracket(stacks, [-math.inf] * len(even))))
 
     triples = [[c for c in cs if len(c) == 3] for cs in cands]
     counts = [len(ts) for ts in triples]
@@ -561,7 +557,7 @@ def _chunk_capacities(chunk: list[tuple[Theory, list]], tol: float) -> list[Capa
     run = [i for i in range(len(theories)) if counts[i]]
     stacks = [theories[i].channel_matrix(effects[starts[i] : starts[i] + counts[i]]) for i in run]
     floors = [pair_results[i].capacity_bits if i in pair_results else -math.inf for i in run]
-    triple_results = dict(zip(run, _bracket(stacks, floors, tol)))
+    triple_results = dict(zip(run, _bracket(stacks, floors)))
 
     results = []
     for i, t in enumerate(theories):
@@ -586,9 +582,9 @@ def _chunk_capacities(chunk: list[tuple[Theory, list]], tol: float) -> list[Capa
     return results
 
 
-def theory_capacity(theory: Theory, *, tol: float = BA_TOL) -> CapacityResult:
+def theory_capacity(theory: Theory) -> CapacityResult:
     """Classical capacity of one model: ``theory_capacities`` of one item."""
-    return theory_capacities([theory], tol=tol)[0]
+    return theory_capacities([theory])[0]
 
 
 def antipodal_pair_rate(theory: Theory) -> float:

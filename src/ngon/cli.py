@@ -35,7 +35,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .capacity import BA_TOL, ConvergenceError, theory_capacities
+from .capacity import ConvergenceError, theory_capacities
 from .checks import NOTES, REGISTRY, run_checks
 from .decomposition import DecompositionError
 from .geometry import ROUNDOFF, ResourceBoundError, Theory
@@ -180,7 +180,7 @@ def cmd_capacity(args) -> tuple[dict, tuple]:
         if not ns:
             raise ValueError("the range contains no polygon size >= 3")
     t0 = time.perf_counter()
-    results = theory_capacities((Theory(n) for n in ns), tol=args.tol)
+    results = theory_capacities(Theory(n) for n in ns)
     share_ms = (time.perf_counter() - t0) * 1000.0 / len(results)
     entries = [
         {**_fields(r), "measurement": r.measurement.indices, "weights": r.measurement.weights}
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None, help="single polygon size")
     group.add_argument("--n-range", default=None, help="inclusive range, e.g. 4..12")
-    p.add_argument("--tol", type=float, default=BA_TOL)
     add_common(p, n_flag=False)
     p.set_defaults(func=cmd_capacity)
 

@@ -103,12 +103,13 @@ def decompose_into_binary_channels(matrix, weights) -> DecompositionResult:
     if w.shape != P.shape[:-1]:
         raise InfeasibleChannelError("weights must be a 3-vector per channel")
     stacked = P.ndim == 3
+    # each test is written so that a NaN fails it
     for bad, message in (
-        (np.abs(w.sum(axis=-1) - 2.0) > PROB_TOL, "weights must sum to 2"),
-        (((w < -PROB_TOL) | (w > 1.0 + PROB_TOL)).any(axis=-1), "each weight must lie in [0, 1]"),
-        ((P < -PROB_TOL).any(axis=-2) | (np.abs(P.sum(axis=-2) - 1.0) > PROB_TOL),
+        (~(np.abs(w.sum(axis=-1) - 2.0) <= PROB_TOL), "weights must sum to 2"),
+        (~((w >= -PROB_TOL) & (w <= 1.0 + PROB_TOL)).all(axis=-1), "each weight must lie in [0, 1]"),
+        (~((P >= -PROB_TOL).all(axis=-2) & (np.abs(P.sum(axis=-2) - 1.0) <= PROB_TOL)),
          "columns must be probability vectors"),
-        ((P > w[..., None] + PROB_TOL).any(axis=-2), "matrix entries exceed their outcome caps"),
+        (~(P <= w[..., None] + PROB_TOL).all(axis=-2), "matrix entries exceed their outcome caps"),
     ):
         _raise_at(InfeasibleChannelError, bad, message, stacked)
 
@@ -259,9 +260,10 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
     lead = p.shape[:-1]
     P = p.reshape(-1, p.shape[-1])
     k, size = P.shape
+    # each test is written so that a NaN fails it
     for bad, message in (
-        ((P <= 0).any(axis=1), "weights must be strictly positive"),
-        (np.abs(P.sum(axis=1) - 1.0) > PROB_TOL, "weights must sum to 1"),
+        (~(P > 0).all(axis=1), "weights must be strictly positive"),
+        (~(np.abs(P.sum(axis=1) - 1.0) <= PROB_TOL), "weights must sum to 1"),
     ):
         _ensemble_error(ValueError, bad, message, lead)
     outside = _outside_states(theory, S.reshape(-1, 3)).reshape(k, size)

@@ -1,7 +1,6 @@
 """Tests for channel capacity: Blahut-Arimoto core and polygon-theory rates."""
 
 import contextlib
-import inspect
 import math
 from unittest import mock
 
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from ngon import capacity
 from ngon.capacity import (
-    BA_TOL,
     BAResult,
     CapacityResult,
     ConvergenceError,
@@ -77,8 +75,12 @@ def test_ba_objective_monotone(unpolished):
     w = rng.dirichlet(np.ones(3), size=4)
     values = []
     for k in range(1, 120):
-        with mock.patch.object(capacity, "BA_MAX_ITER", k), pytest.raises(ConvergenceError) as err:
-            blahut_arimoto(w, tol=1e-15)
+        with (
+            mock.patch.object(capacity, "BA_MAX_ITER", k),
+            mock.patch.object(capacity, "BA_TOL", 1e-15),
+            pytest.raises(ConvergenceError) as err,
+        ):
+            blahut_arimoto(w)
         values.append(mutual_information_bits(err.value.prior, w))
     assert (np.diff(values) >= -1e-12).all()
     assert values[-1] > values[0]
@@ -87,9 +89,10 @@ def test_ba_objective_monotone(unpolished):
 
 def test_ba_convergence_error_carries_state(unpolished, monkeypatch):
     monkeypatch.setattr(capacity, "BA_MAX_ITER", 2)
+    monkeypatch.setattr(capacity, "BA_TOL", 1e-15)
     w = np.array([[0.9, 0.1], [0.3, 0.7]])
     with pytest.raises(ConvergenceError) as err:
-        blahut_arimoto(w, tol=1e-15)
+        blahut_arimoto(w)
     assert err.value.iterations == 2
     assert 0.0 < err.value.capacity_bits < 1.0
     assert abs(err.value.prior.sum() - 1.0) < 1e-12
@@ -97,11 +100,12 @@ def test_ba_convergence_error_carries_state(unpolished, monkeypatch):
 
 
 def test_ba_reads_the_iteration_bound_at_call_time(unpolished, monkeypatch):
+    monkeypatch.setattr(capacity, "BA_TOL", 1e-15)
     w = np.array([[0.9, 0.1], [0.3, 0.7]])
     for bound in (1, 5, 3):
         monkeypatch.setattr(capacity, "BA_MAX_ITER", bound)
         with pytest.raises(ConvergenceError, match=f"after {bound} iterations") as err:
-            blahut_arimoto(w, tol=1e-15)
+            blahut_arimoto(w)
         assert err.value.iterations == bound
 
 
@@ -126,19 +130,20 @@ def test_ba_stack_matches_best_single_channel(count, inputs, outcomes, seed):
     stack = np.random.default_rng(seed).dirichlet(np.ones(outcomes), size=(count, inputs))
     tol = 1e-8
     slack = tol + 1e-12  # the bracket bounds carry float roundoff
-    with mock.patch.object(capacity, "BA_MAX_ITER", 2000):
-        singles = [blahut_arimoto(w, tol).capacity_bits for w in stack]
-        res = blahut_arimoto(stack, tol)
+    with mock.patch.object(capacity, "BA_MAX_ITER", 2000), mock.patch.object(capacity, "BA_TOL", tol):
+        singles = [blahut_arimoto(w).capacity_bits for w in stack]
+        res = blahut_arimoto(stack)
     assert abs(res.capacity_bits - max(singles)) <= slack
     assert abs(singles[res.index] - res.capacity_bits) <= slack
     assert abs(mutual_information_bits(res.prior, stack[res.index]) - res.capacity_bits) <= slack
 
 
-def test_nearly_useless_channel_converges():
+def test_nearly_useless_channel_converges(monkeypatch):
     # capacity 1.4e-5 bits; plain iterations close this bracket sublinearly and
     # stood at 1.2e-8 after 100,000 of them
+    monkeypatch.setattr(capacity, "BA_TOL", 1e-8)
     w = np.random.default_rng(30643848).dirichlet(np.ones(2), size=(1, 2))[0]
-    res = blahut_arimoto(w, tol=1e-8)
+    res = blahut_arimoto(w)
     assert 1e-5 < res.capacity_bits < 2e-5
     assert abs(mutual_information_bits(res.prior, w) - res.capacity_bits) <= 1e-12
 
@@ -161,7 +166,8 @@ def _simplex_grid(inputs, steps):
 def test_returned_prior_attains_a_capacity_no_grid_prior_beats(inputs, outcomes, seed):
     w = np.random.default_rng(seed).dirichlet(np.ones(outcomes), size=inputs)
     tol = 1e-9
-    res = blahut_arimoto(w, tol)
+    with mock.patch.object(capacity, "BA_TOL", tol):
+        res = blahut_arimoto(w)
     assert abs(mutual_information_bits(res.prior, w) - res.capacity_bits) <= 1e-12
     grid = _simplex_grid(inputs, 400)
     joint = grid[:, :, None] * w
@@ -194,7 +200,8 @@ def test_polished_capacity_lies_in_the_plain_iteration_bracket(inputs, outcomes,
     # but suboptimal prior, and only the full-channel upper bound rejects it
     w = np.random.default_rng(seed).dirichlet(np.ones(outcomes), size=inputs)
     tol = 1e-9
-    res = blahut_arimoto(w, tol)
+    with mock.patch.object(capacity, "BA_TOL", tol):
+        res = blahut_arimoto(w)
     lower, upper = plain_ba_bracket(w)
     assert lower - tol <= res.capacity_bits <= upper + 1e-12
 
@@ -210,9 +217,11 @@ def test_ba_rejects_bad_matrix():
     assert blahut_arimoto(np.array([[1.0 + 5e-13, -5e-13], [0.0, 1.0]])).capacity_bits > 0.99
 
 
-def test_theory_capacity_default_tol_is_the_bracket_default():
-    assert inspect.signature(theory_capacity).parameters["tol"].default == BA_TOL
-    assert inspect.signature(blahut_arimoto).parameters["tol"].default == BA_TOL
+def test_ba_rejects_a_nan_matrix_before_iterating():
+    # refused before the ascent: a NaN must not run BA_MAX_ITER iterations
+    # into a ConvergenceError
+    with pytest.raises(ValueError, match="probability vectors"):
+        blahut_arimoto(np.array([[math.nan, 1.0], [0.5, 0.5]]))
 
 
 def test_binary_entropy_endpoints():
@@ -330,14 +339,15 @@ def test_reported_measurement_is_the_canonical_strategy():
         assert r.measurement.indices == expected, n
 
 
-def test_reported_measurement_attains_the_capacity():
+def test_reported_measurement_attains_the_capacity(monkeypatch):
     # each dihedral orbit has one candidate, so the winner is no longer picked
     # by roundoff among copies of one channel; it must attain the capacity alone
     tol = 1e-9
+    monkeypatch.setattr(capacity, "BA_TOL", tol)
     for n in range(3, 65):
         t = Theory(n)
-        r = theory_capacity(t, tol=tol)
-        got = blahut_arimoto(t.channel_matrix(r.measurement), tol=tol).capacity_bits
+        r = theory_capacity(t)
+        got = blahut_arimoto(t.channel_matrix(r.measurement)).capacity_bits
         assert abs(got - r.capacity_bits) <= tol + 1e-12, n
 
 
@@ -367,14 +377,6 @@ def test_capacity_result_validates_range():
     m = t.measurement((0, 1, 3))
     with pytest.raises(ValueError):
         CapacityResult(5, "odd", 2.5, m, (0.2, 0.2, 0.2, 0.2, 0.2), (0, 1), 10)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_bad_tolerances_are_rejected(tol):
-    with pytest.raises(ValueError, match="tol"):
-        blahut_arimoto(np.eye(2), tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        theory_capacity(Theory(5), tol=tol)
 
 
 def test_a_mutual_information_stack_has_the_bits_of_its_single_calls():
@@ -435,17 +437,18 @@ def test_grouped_brackets_have_the_bits_of_their_single_calls(groups, outcomes, 
     tol, max_iter = 1e-8, 2000 if kind != "unpolished" else 200
     with contextlib.ExitStack() as patches:
         patches.enter_context(mock.patch.object(capacity, "BA_MAX_ITER", max_iter))
+        patches.enter_context(mock.patch.object(capacity, "BA_TOL", tol))
         if kind == "unpolished":
             patches.enter_context(mock.patch.object(capacity, "_leader_priors", _no_prior))
             patches.enter_context(mock.patch.object(capacity, "_fallback_priors", _no_prior))
-        grouped = capacity._bracket(stacks, floors, tol)
+        grouped = capacity._bracket(stacks, floors)
         assert len(grouped) == len(stacks)
         for stack, floor, result in zip(stacks, floors, grouped):
-            (single,) = capacity._bracket([stack], [floor], tol)
+            (single,) = capacity._bracket([stack], [floor])
             assert _fields_of(result) == _fields_of(single)
             if floor == -math.inf:
                 try:
-                    public = blahut_arimoto(stack, tol)
+                    public = blahut_arimoto(stack)
                 except ConvergenceError as exc:
                     public = exc
                 assert _fields_of(result) == _fields_of(public)
@@ -468,9 +471,9 @@ def test_sizes_are_chunked_by_the_row_budget(monkeypatch):
     chunks = []
     bracket_chunk = capacity._chunk_capacities
 
-    def recording(chunk, tol):
+    def recording(chunk):
         chunks.append([t.n for t, _ in chunk])
-        return bracket_chunk(chunk, tol)
+        return bracket_chunk(chunk)
 
     monkeypatch.setattr(capacity, "_chunk_capacities", recording)
     results = capacity.theory_capacities(Theory(n) for n in range(3, 65))

@@ -154,6 +154,22 @@ def test_every_sweep_is_checked_before_the_first_check_runs(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("max_n, sizes", [(8, [4, 6, 8, 10, 12]), (64, list(range(4, 65, 2)))])
+def test_the_ic_check_runs_each_size_once(monkeypatch, max_n, sizes):
+    # the square and the search comparisons read the sweep's reports; only
+    # sizes the sweep did not cover are run again
+    calls = []
+    run_ic = checks.run_ic
+
+    def counted(theory):
+        calls.append(theory.n)
+        return run_ic(theory)
+
+    monkeypatch.setattr(checks, "run_ic", counted)
+    assert checks.check_ic(max_n).passed
+    assert calls == sizes
+
+
 def test_vertices_check_states_the_census_of_the_open_interval(monkeypatch):
     calls = []
     enumerate_vertices = checks.enumerate_vertices

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import ngon
 from ngon import checks, cli, geometry
-from ngon.capacity import BA_TOL, ConvergenceError
+from ngon.capacity import ConvergenceError
 from ngon.checks import run_checks
 from ngon.cli import main
 from ngon.decomposition import DecompositionError
@@ -419,12 +419,6 @@ def test_nine_significant_digits(capsys):
     assert d["results"][0]["capacity_bits"] == 1.02043332
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-def test_capacity_bad_tol_exits_two(capsys, tol):
-    code, out, err = run(capsys, "capacity", "--n", "5", "--tol", tol)
-    assert code == 2 and out == "" and "tol" in err
-
-
 @pytest.mark.parametrize(
     "n, digest",
     [
@@ -440,16 +434,21 @@ def test_ic_beyond_the_enumeration_bound_keeps_its_bytes(capsys, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_capacity_tol_defaults_to_the_bracket_default():
-    assert cli.build_parser().parse_args(["capacity", "--n", "5"]).tol == BA_TOL
-
-
 def test_capacity_has_no_jobs_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["capacity", "--n", "5", "--jobs", "2"])
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert "unrecognized arguments: --jobs 2" in err
+
+
+def test_capacity_has_no_tol_option(capsys):
+    # the bracket width is the library's BA_TOL; no request sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "--n", "5", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --tol 1e-6" in err
 
 
 @pytest.mark.parametrize(
@@ -687,7 +686,7 @@ SMALL_N = ("3", "4", "5", "8")
 FUZZED_FLAGS = {
     "states": {"--n": SMALL_N},
     "effects": {"--n": SMALL_N},
-    "capacity": {"--tol": ("1e-6", "1e-3")},
+    "capacity": {},
     "vertices": {"--alphabet-size": ("2", "3"), "--c": ("2", "2.5", "3")},
     "ic": {"--n": ("4", "6", "8")},
     "ne": {"--n": SMALL_N},

@@ -181,6 +181,16 @@ def test_decomposition_rejects_bad_inputs():
         decompose_into_binary_channels(np.array([[0.9], [0.2], [0.0]]), [1.0, 0.5, 0.5])
 
 
+def test_decomposition_rejects_nan_inputs():
+    # a NaN fails every precondition; it is never passed through to q or left
+    # to the reconstruction check
+    col = np.array([[1.0], [0.0], [0.0]])
+    with pytest.raises(InfeasibleChannelError, match="weights must sum to 2"):
+        decompose_into_binary_channels(col, [math.nan, 0.5, 0.5])
+    with pytest.raises(InfeasibleChannelError, match="probability vectors, channel 1, column 0"):
+        decompose_into_binary_channels([col[:, :], [[math.nan], [0.0], [1.0]]], [[1.0, 0.5, 0.5]] * 2)
+
+
 @pytest.mark.parametrize("err", [5e-10, -5e-10])
 def test_column_sums_within_prob_tol_are_accepted(err):
     w = np.array([0.9, 0.6, 0.5])
@@ -314,6 +324,15 @@ def test_reduce_input_validation():
     # a sum within PROB_TOL of 1 is accepted
     trace = caratheodory_reduce(t, t.states()[:2], [0.5, 0.5 + 5e-10], m)
     assert trace.stages[0][1] == (0, 1)
+
+
+def test_reduce_rejects_nan_weights():
+    t = Theory(5)
+    m = t.measurement((0, 1, 3))
+    with pytest.raises(ValueError, match="weights must be strictly positive$"):
+        caratheodory_reduce(t, t.states()[:3], [0.5, math.nan, 0.5], m)
+    with pytest.raises(ValueError, match="weights must be strictly positive, ensemble 1$"):
+        caratheodory_reduce(t, [t.states()[:2]] * 2, [[0.5, 0.5], [math.nan, 1.0]], m)
 
 
 def trace_bits(trace, info):

@@ -1,6 +1,7 @@
 """Tests of the package's public surface."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -60,6 +61,19 @@ def test_package_exports_only_the_documented_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert bound == set(ngon.__all__)
+
+
+def test_no_public_callable_takes_a_stopping_rule():
+    # the Blahut-Arimoto bracket closes to BA_TOL within BA_MAX_ITER
+    # iterations, both read at call time; no caller sets either
+    functions = [name for name in ngon.__all__ if inspect.isfunction(getattr(ngon, name))]
+    taking = [
+        f"{name}({param})"
+        for name in functions
+        for param in inspect.signature(getattr(ngon, name)).parameters
+        if param in ("tol", "max_iter")
+    ]
+    assert len(functions) == 19 and taking == []
 
 
 def test_tolerances_are_named_at_module_level():
