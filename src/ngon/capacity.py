@@ -12,10 +12,9 @@ Newton search on a pair), and the solution joins the bracket as a separate
 certificate prior.  Every polygon capacity closes this way at iteration 1.
 
 One engine runs the ascent on a list of channel stacks (groups) at once.
-Each group keeps its own best lower bound, started at its own floor (a
-bound known from outside the group), and retires its channels against it.
-Groups with fewer inputs than the widest are padded with zero rows held at
-zero prior.  Every sum, maximum and sort over inputs runs per width on the
+Each group keeps its own best lower bound and retires its channels against
+it.  Groups with fewer inputs than the widest are padded with zero rows held
+at zero prior.  Every sum, maximum and sort over inputs runs per width on the
 unpadded columns, so padded rows never enter a bound, a sort or a polish and
 each group gets the bits of its own run.  ``blahut_arimoto`` runs it on one
 group.  Every run closes its brackets to BA_TOL within BA_MAX_ITER
@@ -27,12 +26,12 @@ or reflecting a measurement only permutes the channel's inputs and outcomes.
 The candidates are the antipodal pair for even n and one triple (0, g1, g1 + g2)
 per sorted gap partition g1 <= g2 <= g3 <= n/2, less the triples with a gap of
 exactly n/2, whose zero weight leaves the pair's channel plus a zero column.
-Consecutive sizes run in chunks: one pair stack for the chunk's even sizes,
-one solve that realises all its triples and one triple stack with a group per
-size, floored by that size's pair.  A chunk grows while its candidates times
-its largest n, the input rows of its padded triple stack, stay within
-CHUNK_ROWS, since one stack of every size 3..64 raised the peak RSS of the
-sweep from about 31.5 to 45 MiB.
+Consecutive sizes run in chunks: one solve realises every candidate of the
+chunk, the pair as the triple (0, n/2, 1) with weight 0 on index 1, and one
+stack runs them with a group per size, the pair in row 0.  A chunk grows
+while its candidates times its largest n, the input rows of its padded
+stack, stay within CHUNK_ROWS, since one stack of every size 3..64 raised
+the peak RSS of the sweep from about 31.5 to 45 MiB.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .geometry import (
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
 ENUMERATION_MAX = 64
-# input rows of one chunk's padded triple stack in theory_capacities, its
+# input rows of one chunk's padded stack in theory_capacities, its
 # candidates times its largest n.  For `capacity --n-range 3..64` on 2 shared
 # vCPUs: 27 chunks, 31.5 MiB peak RSS and about 33 ms in the library; 8,192
 # rows gave 16 chunks, 31.7 MiB and 30 ms; one stack, 44.9 MiB.
@@ -175,8 +174,14 @@ def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         adj = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]], axis=1)
         return adj.reshape(-1, 2, 2), M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     r0, r1, r2 = M[:, 0], M[:, 1], M[:, 2]
-    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=2)
+    adj = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)], axis=2)
     return adj, np.einsum("cy,cy->c", r0, adj[:, :, 0])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (count, 3) stacks: the products and
+    differences of ``np.cross`` in its order, without its axis handling."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
 
 
 def _square_priors(W, wlogw, priors, sel, cols, support) -> np.ndarray:
@@ -345,30 +350,23 @@ def blahut_arimoto(matrices) -> BAResult:
     # written so that a NaN fails it
     if not ((W >= -ROUNDOFF).all() and np.abs(W.sum(axis=-1) - 1.0).max() <= PROB_TOL):
         raise ValueError("matrix rows must be probability vectors")
-    W = np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)
-    (result,) = _bracket([W], [-math.inf])
-    if isinstance(result, ConvergenceError):
-        raise result
-    return result
+    return _bracket([np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)])[0]
 
 
-def _bracket(stacks, floors) -> list:
+def _bracket(stacks) -> list[BAResult]:
     """The ascent of ``blahut_arimoto`` on several channel stacks (groups) at once.
 
     ``stacks`` are nonnegative stacks (count, inputs, outcomes) with one
     outcome count; a group with fewer inputs than the widest is padded with
-    zero rows held at zero prior.  Each group keeps its own best lower bound,
-    started at its entry of ``floors``, a bound known from outside the group
-    that joins its retirement test (a result at or below it is not
-    certified).  Every sum, maximum and sort over inputs runs per width on
-    the unpadded columns, and a padded input never leads an outcome, so each
-    group gets what ``blahut_arimoto`` returns on it alone, as a BAResult,
-    or the ConvergenceError that call raises after BA_MAX_ITER iterations.
-    One set-up serves every call: the groups are copied into one zero-padded
-    stack, each channel starting from the uniform prior on its own inputs.
+    zero rows held at zero prior.  Each group keeps its own best lower
+    bound.  Every sum, maximum and sort over inputs runs per width on the
+    unpadded columns, and a padded input never leads an outcome, so each
+    group gets the BAResult ``blahut_arimoto`` returns on it alone.  If
+    some group's call would raise a ConvergenceError after BA_MAX_ITER
+    iterations, the first such group's error is raised.  One set-up serves
+    every call: the groups are copied into one zero-padded stack, each
+    channel starting from the uniform prior on its own inputs.
     """
-    if not stacks:
-        return []
     sizes = [len(s) for s in stacks]
     widths = [s.shape[1] for s in stacks]
     starts = np.cumsum([0] + sizes[:-1]).tolist()
@@ -393,7 +391,7 @@ def _bracket(stacks, floors) -> list:
     lower = np.full(count, -math.inf)
     priors = p.copy()
     retired_at = np.zeros(count, int)
-    best = np.array(floors, float)
+    best = np.full(len(stacks), -math.inf)
     each_group = np.arange(len(stacks))[:, None]
     for it in range(1, BA_MAX_ITER + 1):
         d = _divergences(W, wlogw, p)
@@ -439,9 +437,8 @@ def _bracket(stacks, floors) -> list:
         prior = priors[start + winner, :w].copy()
         if left:
             message = f"{left} of {size} channels kept brackets above tol={BA_TOL} after {BA_MAX_ITER} iterations"
-            results.append(ConvergenceError(message, bits, prior, BA_MAX_ITER))
-        else:
-            results.append(BAResult(bits, prior, int(retired_at[start + winner]), winner))
+            raise ConvergenceError(message, bits, prior, BA_MAX_ITER)
+        results.append(BAResult(bits, prior, int(retired_at[start + winner]), winner))
     return results
 
 
@@ -513,20 +510,18 @@ def capacity_candidates(theory: Theory) -> list[tuple[int, ...]]:
 def theory_capacities(theories) -> list[CapacityResult]:
     """Classical capacity of each model over canonical measurement classes.
 
-    For each n the candidates are those of ``capacity_candidates``.  For
-    even n the antipodal pair's lower bound joins the retirement test of
-    that n's triples, so a triple that cannot beat the pair stops early;
-    the pair is reported unless a triple's certified bound lies above it
-    (at n = 4 no triple is left).  Consecutive sizes run in chunks, each
-    grown while its candidates times its largest n stay within CHUNK_ROWS
-    (a size above that is a chunk alone): one pair stack, one triple solve
-    and one triple stack with a group per size, so every result has the
-    bits of its size's own run, certified within BA_TOL of the true maximum.
-    The first n above ENUMERATION_MAX is refused when it is reached, before
-    any bracket runs; every bracket closes to BA_TOL within BA_MAX_ITER
-    iterations, and all three are read at call time.  A bracket that stays
-    open raises the ConvergenceError of the first such size, pair before
-    triples.
+    For each n the candidates are those of ``capacity_candidates``, run as
+    one group with the antipodal pair first, so the pair is reported unless
+    a triple's certified bound lies above it (at n = 4 no triple is left).
+    Consecutive sizes run in chunks, each grown while its candidates times
+    its largest n stay within CHUNK_ROWS (a size above that is a chunk
+    alone): one solve realises the chunk's candidates and one stack with a
+    group per size runs them, so every result has the bits of its size's
+    own run, certified within BA_TOL of the true maximum.  The first n above
+    ENUMERATION_MAX is refused when it is reached, before any bracket runs;
+    every bracket closes to BA_TOL within BA_MAX_ITER iterations, and all
+    three are read at call time.  A bracket that stays open raises the
+    ConvergenceError of the first such size.
     """
     chunks, count, width = [], 0, 0
     for t in theories:
@@ -544,37 +539,21 @@ def theory_capacities(theories) -> list[CapacityResult]:
 def _chunk_capacities(chunk: list[tuple[Theory, list]]) -> list[CapacityResult]:
     """``theory_capacities`` of one chunk of (theory, candidates) pairs."""
     theories, cands = zip(*chunk)
-    even = [i for i, t in enumerate(theories) if t.even]
-    pairs = {i: theories[i].measurement(cands[i][0]) for i in even}
-    stacks = [theories[i].channel_matrix(pairs[i])[None] for i in even]
-    pair_results = dict(zip(even, _bracket(stacks, [-math.inf] * len(even))))
-
-    triples = [[c for c in cs if len(c) == 3] for cs in cands]
-    counts = [len(ts) for ts in triples]
+    counts = [len(cs) for cs in cands]
     starts = np.cumsum([0] + counts[:-1]).tolist()
     sizes = np.repeat([t.n for t in theories], counts)
-    mu, effects = _realize_triples(sizes, [c for ts in triples for c in ts])
-    run = [i for i in range(len(theories)) if counts[i]]
-    stacks = [theories[i].channel_matrix(effects[starts[i] : starts[i] + counts[i]]) for i in run]
-    floors = [pair_results[i].capacity_bits if i in pair_results else -math.inf for i in run]
-    triple_results = dict(zip(run, _bracket(stacks, floors)))
-
+    # the pair (0, n/2) is realised as the triple (0, n/2, 1), exactly 0 on index 1
+    mu, effects = _realize_triples(sizes, [c if len(c) == 3 else (*c, 1) for cs in cands for c in cs])
+    stacks = [t.channel_matrix(effects[s : s + k]) for t, s, k in zip(theories, starts, counts)]
     results = []
-    for i, t in enumerate(theories):
-        best, stack = pair_results.get(i), triple_results.get(i)
-        for res in (best, stack):
-            if isinstance(res, ConvergenceError):
-                raise res
-        winner = pairs.get(i)
-        if stack is not None and (best is None or stack.capacity_bits > best.capacity_bits):
-            row = starts[i] + stack.index
-            winner = Measurement(triples[i][stack.index], tuple(mu[row].tolist()), effects[row].copy())
-            best = stack
+    for t, cs, start, best in zip(theories, cands, starts, _bracket(stacks)):
+        indices, row = cs[best.index], start + best.index
+        outcomes = len(indices)
         results.append(CapacityResult(
             n=t.n,
             parity=t.parity,
             capacity_bits=best.capacity_bits,
-            measurement=winner,
+            measurement=Measurement(indices, tuple(mu[row, :outcomes].tolist()), effects[row, :outcomes].copy()),
             prior=best.prior,
             support=tuple(int(x) for x in np.nonzero(best.prior > _SUPPORT_WEIGHT)[0]),
             iterations=best.iterations,

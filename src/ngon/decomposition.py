@@ -248,8 +248,10 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
     traces.  A stack splits all its states at once, solves each peeling
     stage's barycentric triples in batches over all ensembles, and builds
     one channel for every stage; every ensemble gets the bits of its single
-    call.  A bad weight vector or a failed peel names its ensemble, and a
-    letter that is not a normalised state names its ensemble and the letter.
+    call.  A bad weight vector, a measurement whose outcome law on some
+    extremal state is not a probability vector to PROB_TOL, or a failed peel
+    names its ensemble, and a letter that is not a normalised state names
+    its ensemble and the letter.
     """
     p = np.asarray(weights, float)
     S = np.asarray(states, float)
@@ -269,7 +271,12 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
     outside = _outside_states(theory, S.reshape(-1, 3)).reshape(k, size)
     _ensemble_error(InvalidStateError, outside, "not a normalised state of the model", lead)
     E = measurement.effects if isinstance(measurement, Measurement) else np.asarray(measurement, float)
-    E = np.broadcast_to(E, (k,) + E.shape[-2:])
+    # every vertex against each ensemble's measurement, one product per ensemble;
+    # a stage reads its letters' rows, which have the bits of any product of two or more rows
+    channel = theory.channel_matrix(np.broadcast_to(E, (k,) + E.shape[-2:]))
+    # written so that a NaN fails it
+    improper = ~(np.abs(channel.sum(axis=-1) - 1.0) <= PROB_TOL).all(axis=-1)
+    _ensemble_error(ValueError, improper, "effects must give a probability vector on every state", lead)
 
     n = theory.n
     verts = theory.states()
@@ -313,9 +320,6 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
     else:
         _ensemble_error(DecompositionError, peeling, "peeling failed to terminate", lead)
 
-    # every vertex against each ensemble's measurement, one product per ensemble;
-    # a stage reads its letters' rows, which have the bits of any product of two or more rows
-    channel = theory.channel_matrix(E)
     owner, letters, priors = zip(*[(e, J, beta) for e in range(k) for _, J, beta in stages[e]])
     stage_rows = channel[np.array(owner)[:, None], _padded(letters, np.intp)]
     information = iter(mutual_information_bits(_padded(priors), stage_rows).tolist())

@@ -196,7 +196,8 @@ def _realize_triples(n, indices) -> tuple[np.ndarray, np.ndarray]:
     that does not raises DegenerateTripleError or InfeasibleMeasurementError.
     A row with a gap of exactly n/2 spans an antipodal pair, whose effects
     already sum to the unit effect: weight 1 on the pair and exactly 0 on
-    the third index.  The other rows solve sum_k mu_k * effect(j_k) = u in
+    the third index; the capacity sweep builds each pair (0, n/2) this way,
+    as the row (0, n/2, 1).  The other rows solve sum_k mu_k * effect(j_k) = u in
     one batched solve, whose rows have the bits of their single solves.
     """
     idx = np.asarray(indices, dtype=np.intp).reshape(-1, 3)

@@ -332,11 +332,18 @@ def test_theory_capacity_enforces_bound(monkeypatch):
 
 def test_reported_measurement_is_the_canonical_strategy():
     # even n: the antipodal pair; odd n: (0, 1, (n+1)/2), the rotation of the
-    # paper's (0, (n-1)/2, (n+1)/2) that represents its dihedral orbit
+    # paper's (0, (n-1)/2, (n+1)/2) that represents its dihedral orbit.  The
+    # sweep realises the pair as the zero-weight triple (0, n/2, 1); what it
+    # reports is still the two-outcome measurement, weights (1, 1) on two rows
+    # of the effect table
     for n in range(3, 65):
         r = theory_capacity(Theory(n))
         expected = (0, n // 2) if n % 2 == 0 else (0, 1, (n + 1) // 2)
+        m = Theory(n).measurement(expected)
         assert r.measurement.indices == expected, n
+        assert r.measurement.weights == m.weights, n
+        assert r.measurement.effects.shape == m.effects.shape, n
+        assert r.measurement.effects.tobytes() == m.effects.tobytes(), n
 
 
 def test_reported_measurement_attains_the_capacity(monkeypatch):
@@ -363,13 +370,19 @@ def test_measurement_capacity_cyclic_symmetry():
         assert abs(capacity_of(rotated) - base) < 1e-9
 
 
-def test_every_size_certifies_at_the_first_iteration():
-    # a count, not a timing: the polish closes every bracket at iteration 1
-    for n in range(3, 65):
-        r = theory_capacity(Theory(n))
-        assert r.iterations == 1, n
-        if n % 2 == 0:
-            assert abs(r.capacity_bits - 1.0) <= 1e-14, n
+def test_every_size_certifies_at_the_first_iteration(monkeypatch):
+    # a count, not a timing: the leader polish closes every bracket at
+    # iteration 1, so no polygon bracket reaches the fallback polish, which
+    # stays for general channels (test_nearly_useless_channel_converges)
+    def unreached(*_):
+        raise AssertionError("a polygon bracket reached the fallback polish")
+
+    monkeypatch.setattr(capacity, "_fallback_priors", unreached)
+    sweep = capacity.theory_capacities(Theory(n) for n in range(3, 65))
+    for r in sweep + [theory_capacity(Theory(n)) for n in range(3, 65)]:
+        assert r.iterations == 1, r.n
+        if r.n % 2 == 0:
+            assert abs(r.capacity_bits - 1.0) <= 1e-14, r.n
 
 
 def test_capacity_result_validates_range():
@@ -399,21 +412,24 @@ def test_a_mutual_information_stack_has_the_bits_of_its_single_calls():
     assert mutual_information_bits(priors.reshape(20, 10, 12), channels.reshape(20, 10, 12, 3)).shape == (20, 10)
 
 
-def _fields_of(result):
-    """What a bracket reports, as bytes where it is an array."""
-    if isinstance(result, ConvergenceError):
-        return ("error", str(result), result.capacity_bits, result.prior.tobytes(), result.iterations)
-    return (result.capacity_bits, result.prior.tobytes(), result.iterations, result.index)
+def _error_fields(exc):
+    return ("error", str(exc), exc.capacity_bits, exc.prior.tobytes(), exc.iterations)
+
+
+def _fields_of(call):
+    """What a bracket call reports, as bytes where it is an array: the fields
+    of each result it returns, or of the ConvergenceError it raises."""
+    try:
+        results = call()
+    except ConvergenceError as exc:
+        return _error_fields(exc)
+    return [(r.capacity_bits, r.prior.tobytes(), r.iterations, r.index) for r in results]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=4),
-            st.integers(min_value=2, max_value=6),
-            st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.6)),
-        ),
+        st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=6)),
         min_size=1,
         max_size=5,
     ),
@@ -422,18 +438,16 @@ def _fields_of(result):
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_grouped_brackets_have_the_bits_of_their_single_calls(groups, outcomes, kind, seed):
-    # groups of 1-4 channels with 2-6 inputs, padded to the widest; a floor of
-    # None is no floor, else a bound known from outside the group.  Rows drawn
+    # groups of 1-4 channels with 2-6 inputs, padded to the widest.  Rows drawn
     # from a pool of three give tied divergences, which a sort over padded rows
     # would order differently; without the polish, the iterate is renormalised
-    # at every step.
+    # at every step and some groups stay open until their ConvergenceError.
     rng = np.random.default_rng(seed)
     if kind == "repeated rows":
         pool = rng.dirichlet(np.ones(outcomes), size=3)
-        stacks = [pool[rng.integers(0, 3, size=(count, inputs))] for count, inputs, _ in groups]
+        stacks = [pool[rng.integers(0, 3, size=(count, inputs))] for count, inputs in groups]
     else:
-        stacks = [rng.dirichlet(np.ones(outcomes), size=(count, inputs)) for count, inputs, _ in groups]
-    floors = [-math.inf if floor is None else floor for _, _, floor in groups]
+        stacks = [rng.dirichlet(np.ones(outcomes), size=(count, inputs)) for count, inputs in groups]
     tol, max_iter = 1e-8, 2000 if kind != "unpolished" else 200
     with contextlib.ExitStack() as patches:
         patches.enter_context(mock.patch.object(capacity, "BA_MAX_ITER", max_iter))
@@ -441,17 +455,13 @@ def test_grouped_brackets_have_the_bits_of_their_single_calls(groups, outcomes, 
         if kind == "unpolished":
             patches.enter_context(mock.patch.object(capacity, "_leader_priors", _no_prior))
             patches.enter_context(mock.patch.object(capacity, "_fallback_priors", _no_prior))
-        grouped = capacity._bracket(stacks, floors)
-        assert len(grouped) == len(stacks)
-        for stack, floor, result in zip(stacks, floors, grouped):
-            (single,) = capacity._bracket([stack], [floor])
-            assert _fields_of(result) == _fields_of(single)
-            if floor == -math.inf:
-                try:
-                    public = blahut_arimoto(stack)
-                except ConvergenceError as exc:
-                    public = exc
-                assert _fields_of(result) == _fields_of(public)
+        singles = [_fields_of(lambda: capacity._bracket([stack])) for stack in stacks]
+        for stack, single in zip(stacks, singles):
+            assert single == _fields_of(lambda: [blahut_arimoto(stack)])
+        # a grouped call raises the error of the first group whose single call raises
+        errors = [single for single in singles if single[0] == "error"]
+        expected = errors[0] if errors else [single[0] for single in singles]
+        assert _fields_of(lambda: capacity._bracket(stacks)) == expected
 
 
 def test_a_sweep_has_the_bits_of_its_one_item_calls():
@@ -496,5 +506,5 @@ def test_a_sweep_raises_the_first_open_size_with_its_own_prior(unpolished, monke
         theory_capacity(Theory(5))
     with pytest.raises(ConvergenceError) as sweep:
         capacity.theory_capacities([Theory(5), Theory(7), Theory(9)])
-    assert _fields_of(sweep.value) == _fields_of(single.value)
+    assert _error_fields(sweep.value) == _error_fields(single.value)
     assert sweep.value.prior.shape == (5,)

@@ -335,6 +335,18 @@ def test_reduce_rejects_nan_weights():
         caratheodory_reduce(t, [t.states()[:2]] * 2, [[0.5, 0.5], [math.nan, 1.0]], m)
 
 
+def test_reduce_rejects_effects_that_are_not_a_measurement():
+    # NaN effects used to give information (0.0,), effects of 0.9 about 0.067 bits
+    t = Theory(5)
+    message = "effects must give a probability vector on every state"
+    for bad in (math.nan, 0.9):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            caratheodory_reduce(t, t.states()[:3], [0.2, 0.3, 0.5], np.full((3, 3), bad))
+    effects = [t.measurement((0, 1, 3)).effects, np.full((3, 3), 0.9)]
+    with pytest.raises(ValueError, match=f"^{message}, ensemble 1$"):
+        caratheodory_reduce(t, [t.states()[:3]] * 2, [[0.2, 0.3, 0.5]] * 2, effects)
+
+
 def trace_bits(trace, info):
     """Every float of a trace and its bookkeeping as bytes, for bitwise comparison."""
     stages = [

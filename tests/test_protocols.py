@@ -269,6 +269,17 @@ def test_simulation_rejects_bad_inputs():
         simulate_transmission(t, t.states()[0], m, samples=0, seed=0)
 
 
+def test_simulation_rejects_effects_that_are_not_a_measurement():
+    # NaN effects used to raise numpy's multinomial error, effects of 0.5 gave a report
+    t = Theory(5)
+    for bad in (math.nan, 0.5):
+        with pytest.raises(ValueError, match="^effects must give a probability vector on every state$"):
+            simulate_transmission(t, t.states()[0], np.full((3, 3), bad), samples=10, seed=1)
+    m = t.measurement((0, 1, 3))
+    raw, built = (simulate_transmission(t, t.states()[0], e, samples=10, seed=1) for e in (m.effects, m))
+    assert raw.empirical_dist.tobytes() == built.empirical_dist.tobytes()
+
+
 def test_ic_bound_check_small_and_large():
     assert ic_bound_check(Theory(4)) is True
     assert ic_bound_check(Theory(6)) is True
