@@ -25,7 +25,6 @@ from .decomposition import (
     ReductionTrace,
     caratheodory_reduce,
     decompose_into_binary_channels,
-    trace_information,
 )
 from .geometry import (
     DegenerateTripleError,
@@ -87,6 +86,5 @@ __all__ = [
     "run_ic",
     "simulate_transmission",
     "theory_capacity",
-    "trace_information",
     "vertex_summary",
 ]

@@ -17,7 +17,7 @@ worst gaps moved at the level of roundoff.  ``check_reduction`` redraws a
 uniform 3-subset until it is in the feasible list, the stream and law of
 building a measurement and catching the infeasible ones, then realises its
 triples in one solve and reduces all its ensembles with one stacked
-``caratheodory_reduce`` and one stacked ``trace_information`` call.
+``caratheodory_reduce`` call, which also returns their chain-rule terms.
 ``check_decomposition`` keeps that build-and-catch loop, since the traced
 benchmark test needs a ``Theory.measurement`` call that raises; it splits
 and brackets each n's channels as one stack.
@@ -39,7 +39,7 @@ from .capacity import (
     odd_triple_rate,
     theory_capacities,
 )
-from .decomposition import caratheodory_reduce, decompose_into_binary_channels, trace_information
+from .decomposition import caratheodory_reduce, decompose_into_binary_channels
 from .geometry import (
     InfeasibleMeasurementError,
     ResourceBoundError,
@@ -208,15 +208,10 @@ def check_reduction() -> CheckResult:
     weights = np.array([w for _, _, w in draws])
     merged = mutual_information_bits(weights, t.channel_matrix(effects, states)).tolist()
     traces = caratheodory_reduce(t, states, weights, effects)
-    infos = trace_information(traces)
     if any(len(J) > 3 for trace in traces for _, J, _ in trace.stages):
         return CheckResult("reduction", False, "a stage kept more than 3 letters")
-    worst_loss = max(
-        [-1.0] + [m - info["per_stage"][trace.selected] for m, trace, info in zip(merged, traces, infos)]
-    )
-    worst_chain = max(
-        [0.0] + [abs(info["joint"] - info["stage"] - info["conditional"]) for info in infos]
-    )
+    worst_loss = max([-1.0] + [m - trace.information[trace.selected] for m, trace in zip(merged, traces)])
+    worst_chain = max([0.0] + [abs(trace.joint - trace.stage - trace.conditional) for trace in traces])
     passed = worst_loss <= 1e-9 and worst_chain <= 1e-10
     return CheckResult(
         "reduction",

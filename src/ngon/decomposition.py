@@ -14,7 +14,9 @@ Two constructions:
   ensemble average is repeatedly peeled against barycentric triples that
   reproduce it, so the stage label carries no information about the outcome
   and the best stage is at least as informative as the original ensemble.
-  ``trace_information`` does the chain-rule bookkeeping of its trace.
+  The same call computes each trace's chain-rule terms: the information of
+  the joint (letter, stage) variable is its stage part, zero up to
+  roundoff, plus the stage-weighted information of the stages.
 
 Both take one item or a stack: a (k, 3, inputs) stack of channels, or k
 ensembles of states (k, letters, 3) with weights (k, letters).  A stack runs
@@ -39,6 +41,7 @@ from .geometry import (
     InvalidStateError,
     Measurement,
     Theory,
+    _improper_effects,
     _outside_states,
     extremal_decomposition,
 )
@@ -154,18 +157,22 @@ class ReductionTrace:
     """Record of the alphabet reduction of one ensemble.
 
     ``stages`` holds (stage_weight, letter_indices, letter_distribution)
-    with every stage reproducing the global average state.  ``channel`` is
-    P(outcome | letter) against the measurement, shape (letters, outcomes),
-    over the letters of all stages in order; ``information`` holds each
-    stage's mutual information through its rows of that channel, and
-    ``selected`` indexes the stage of largest information (the lowest such
-    stage on ties).
+    with every stage reproducing the global average state.
+    ``information`` holds each stage's mutual information with the outcome
+    of the measurement, and ``selected`` indexes the stage of largest
+    information (the lowest such stage on ties).  The chain rule splits the
+    information of the joint (letter, stage) variable, ``joint``, into the
+    information of the stage label, ``stage`` (zero up to roundoff, since
+    every stage has the same barycenter), and ``conditional``, the
+    stage-weighted mean of ``information``.
     """
 
     stages: tuple
     selected: int
-    channel: np.ndarray
     information: tuple
+    joint: float
+    stage: float
+    conditional: float
 
 
 # triples solved per ensemble in the first round of the barycentric search; each round doubles it
@@ -246,12 +253,13 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
     or a stack, states (k, letters, 3) and weights (k, letters), with one
     measurement or an effect stack (k, outcomes, 3), and returns a list of k
     traces.  A stack splits all its states at once, solves each peeling
-    stage's barycentric triples in batches over all ensembles, and builds
-    one channel for every stage; every ensemble gets the bits of its single
-    call.  A bad weight vector, a measurement whose outcome law on some
-    extremal state is not a probability vector to PROB_TOL, or a failed peel
-    names its ensemble, and a letter that is not a normalised state names
-    its ensemble and the letter.
+    stage's barycentric triples in batches over all ensembles, and takes
+    every stage's information and every trace's chain-rule terms from one
+    channel; every ensemble gets the bits of its single call.  A bad weight
+    vector, a measurement whose raw overlaps with some extremal state are
+    not a probability vector to PROB_TOL, or a failed peel names its
+    ensemble, and a letter that is not a normalised state names its
+    ensemble and the letter; an effect stack of the wrong shape is refused.
     """
     p = np.asarray(weights, float)
     S = np.asarray(states, float)
@@ -270,13 +278,12 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
         _ensemble_error(ValueError, bad, message, lead)
     outside = _outside_states(theory, S.reshape(-1, 3)).reshape(k, size)
     _ensemble_error(InvalidStateError, outside, "not a normalised state of the model", lead)
+    improper = np.broadcast_to(_improper_effects(theory, measurement, k if lead else None), (k,))
+    _ensemble_error(ValueError, improper, "effects must give a probability vector on every state", lead)
     E = measurement.effects if isinstance(measurement, Measurement) else np.asarray(measurement, float)
     # every vertex against each ensemble's measurement, one product per ensemble;
     # a stage reads its letters' rows, which have the bits of any product of two or more rows
     channel = theory.channel_matrix(np.broadcast_to(E, (k,) + E.shape[-2:]))
-    # written so that a NaN fails it
-    improper = ~(np.abs(channel.sum(axis=-1) - 1.0) <= PROB_TOL).all(axis=-1)
-    _ensemble_error(ValueError, improper, "effects must give a probability vector on every state", lead)
 
     n = theory.n
     verts = theory.states()
@@ -320,58 +327,37 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
     else:
         _ensemble_error(DecompositionError, peeling, "peeling failed to terminate", lead)
 
+    # every stage's rows, in order, and every ensemble's letters over all its stages
     owner, letters, priors = zip(*[(e, J, beta) for e in range(k) for _, J, beta in stages[e]])
     stage_rows = channel[np.array(owner)[:, None], _padded(letters, np.intp)]
-    information = iter(mutual_information_bits(_padded(priors), stage_rows).tolist())
+    per_stage = zip(stage_rows, mutual_information_bits(_padded(priors), stage_rows).tolist())
+    joint_letters = _padded([[j for _, J, _ in stages[e] for j in J] for e in range(k)], np.intp)
 
-    traces = []
+    infos, selected, stage_priors, joint_priors, marginals = [], [], [], [], []
     for e in range(k):
-        info = tuple(itertools.islice(information, len(stages[e])))
+        blocks, info = zip(*itertools.islice(per_stage, len(stages[e])))
         # ties resolved to the lowest stage
         best_idx, best_info = 0, -math.inf
         for idx, value in enumerate(info):
             if value > best_info + ROUNDOFF:
                 best_idx, best_info = idx, value
-        rows_e = channel[e, [j for _, J, _ in stages[e] for j in J]]
-        traces.append(ReductionTrace(tuple(stages[e]), best_idx, rows_e, info))
-    return traces if lead else traces[0]
-
-
-def trace_information(trace) -> dict | list[dict]:
-    """Chain-rule bookkeeping of a reduction trace.
-
-    Returns the mutual information between the outcome and the joint
-    (letter, stage) variable, its two chain-rule parts, and the per-stage
-    conditional terms.  The stage part is zero because every stage has the
-    same barycenter.  The trace carries the channel of the reduction's own
-    measurement over its letters and each stage's conditional term, computed
-    once by ``caratheodory_reduce``; stage k reads its rows of that channel
-    as a slice.
-
-    A list of traces, as a stacked reduction returns, gives a list of dicts;
-    the joint and stage terms of all traces are then one stack each, and
-    every trace gets the bits of its single call.
-    """
-    traces = [trace] if isinstance(trace, ReductionTrace) else list(trace)
-    stage_priors, joint_priors, marginals = [], [], []
-    for tr in traces:
-        stage_prior = np.array([qk for qk, _, _ in tr.stages])
-        betas = [np.asarray(beta, float) for _, _, beta in tr.stages]
-        blocks = np.split(tr.channel, np.cumsum([len(beta) for beta in betas])[:-1])
+        masses, _, betas = zip(*stages[e])
+        stage_prior = np.array(masses)
         probs = np.concatenate([qk * beta for qk, beta in zip(stage_prior, betas)])
-        joint_priors.append(probs / probs.sum())
-        stage_marginals = np.stack([beta @ block for beta, block in zip(betas, blocks)])
-        marginals.append(stage_marginals / stage_marginals.sum(axis=1, keepdims=True))
+        # each stage's outcome law, one product on its own rows
+        stage_marginals = np.stack([beta @ block[: len(beta)] for beta, block in zip(betas, blocks)])
+        infos.append(info)
+        selected.append(best_idx)
         stage_priors.append(stage_prior)
-    joint = mutual_information_bits(_padded(joint_priors), _padded([tr.channel for tr in traces])).tolist()
+        joint_priors.append(probs / probs.sum())
+        marginals.append(stage_marginals / stage_marginals.sum(axis=1, keepdims=True))
+    # the chain rule: joint (letter, stage) information = stage part + conditional part
+    joint = mutual_information_bits(_padded(joint_priors), channel[np.arange(k)[:, None], joint_letters]).tolist()
     stage = mutual_information_bits(_padded(stage_priors), _padded(marginals)).tolist()
-    infos = [
-        {
-            "joint": joint_info,
-            "stage": stage_info,
-            "conditional": float(np.dot(stage_prior, tr.information)),
-            "per_stage": list(tr.information),
-        }
-        for tr, joint_info, stage_info, stage_prior in zip(traces, joint, stage, stage_priors)
+    traces = [
+        ReductionTrace(
+            tuple(stages[e]), selected[e], infos[e], joint[e], stage[e], float(np.dot(stage_priors[e], infos[e]))
+        )
+        for e in range(k)
     ]
-    return infos[0] if isinstance(trace, ReductionTrace) else infos
+    return traces if lead else traces[0]

@@ -295,6 +295,26 @@ def _outside_states(theory: Theory, V: np.ndarray) -> np.ndarray:
     return (np.abs(V[:, 2] - 1.0) > PROB_TOL) | ~inside
 
 
+def _improper_effects(theory: Theory, measurement, count: int | None = None) -> np.ndarray:
+    """Which effect sets fail to give a probability vector on every extremal
+    state, shape () for one set and (count,) for a stack.
+
+    ``measurement`` is a Measurement, effects (outcomes, 3) or, when
+    ``count`` is given, a stack (count, outcomes, 3); any other shape raises
+    ValueError.  The raw overlaps, before the clip of ``channel_matrix``,
+    must be at least -PROB_TOL and sum to 1 within PROB_TOL on each state;
+    each test is written so that a NaN fails it.
+    """
+    E = measurement.effects if isinstance(measurement, Measurement) else np.asarray(measurement, float)
+    if E.shape[:-2] not in ((), (count,)) or E.ndim < 2 or E.shape[-1] != 3:
+        stack = "" if count is None else f", or a stack ({count}, outcomes, 3)"
+        raise ValueError(f"effects must have shape (outcomes, 3){stack}, got {E.shape}")
+    raw = _tables(int(theory.n))[0] @ np.swapaxes(E, -1, -2)
+    nonnegative = (raw >= -PROB_TOL).all(axis=(-2, -1))
+    normalised = (np.abs(raw.sum(axis=-1) - 1.0) <= PROB_TOL).all(axis=-1)
+    return ~(nonnegative & normalised)
+
+
 def extremal_decomposition(theory: Theory, state) -> np.ndarray:
     """Deterministic convex decomposition of normalised states over vertices.
 

@@ -42,11 +42,11 @@ import numpy as np
 from . import capacity
 from .capacity import antipodal_pair_rate, binary_entropy, theory_capacity
 from .geometry import (
-    PROB_TOL,
     InvalidStateError,
     Measurement,
     ResourceBoundError,
     Theory,
+    _improper_effects,
     _realize_triples,
     _tables,
     extremal_decomposition,
@@ -296,17 +296,17 @@ def simulate_transmission(
     and the receiver samples the measurement outcome on that vertex.  The
     analytic marginal equals the direct outcome law of the state itself by
     linearity, which the report exposes for comparison against the counts.
-    ``measurement`` may also be its effects (outcomes, 3); their outcome law
-    on every extremal state must be a probability vector to PROB_TOL.
+    ``measurement`` may also be its effects (outcomes, 3); their raw
+    overlaps with every extremal state must be a probability vector to
+    PROB_TOL.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples > np.iinfo(np.int64).max:  # numpy's multinomial takes an int64 count
         raise ValueError(f"samples={samples} above the int64 maximum {np.iinfo(np.int64).max}")
-    rows = theory.channel_matrix(measurement)
-    # written so that a NaN fails it
-    if not (np.abs(rows.sum(axis=-1) - 1.0) <= PROB_TOL).all():
+    if _improper_effects(theory, measurement):
         raise ValueError("effects must give a probability vector on every state")
+    rows = theory.channel_matrix(measurement)
     state = np.asarray(state, float)
     weights = extremal_decomposition(theory, state)  # raises InvalidStateError
     analytic = weights @ rows

@@ -2,6 +2,7 @@
 and stay stacked."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,54 @@ def test_ne_check_fails_on_a_nonzero_diagonal(monkeypatch):
 
     monkeypatch.setattr(checks, "ne_matrix", leaky)
     assert not checks.check_ne(max_n=8).passed
+
+
+def _lowered(trace):
+    information = list(trace.information)
+    information[trace.selected] -= 1e-8
+    return replace(trace, information=tuple(information))
+
+
+@pytest.mark.parametrize(
+    "change, details",
+    [
+        pytest.param(_lowered, "worst information loss 1.00e-08", id="loss"),
+        pytest.param(
+            lambda trace: replace(trace, conditional=trace.conditional + 1e-9),
+            "worst chain-rule residual 1.00e-09",
+            id="chain-rule",
+        ),
+        pytest.param(
+            lambda trace: replace(trace, stages=trace.stages + ((0.0, (0, 1, 2, 3), np.full(4, 0.25)),)),
+            "a stage kept more than 3 letters",
+            id="four-letters",
+        ),
+    ],
+)
+def test_reduction_check_fails_on_a_broken_trace(monkeypatch, change, details):
+    # every trace of the check's one stacked reduction is broken the same way
+    def broken(*args):
+        return [change(trace) for trace in decomposition.caratheodory_reduce(*args)]
+
+    monkeypatch.setattr(checks, "caratheodory_reduce", broken)
+    result = checks.check_reduction()
+    assert not result.passed and details in result.details
+
+
+def test_decomposition_check_fails_when_a_reconstruction_moves(monkeypatch):
+    def shifted(matrix, weights):
+        result = decomposition.decompose_into_binary_channels(matrix, weights)
+        q = result.q.copy()
+        q[0] += 1e-8
+        return decomposition.DecompositionResult(q, result.components)
+
+    monkeypatch.setattr(checks, "decompose_into_binary_channels", shifted)
+    result = checks.check_decomposition()
+    # each column of the three components sums to 3, so some entry of the
+    # first channel's reconstruction moves by at least 1e-8
+    assert not result.passed
+    worst = float(result.details.split("worst reconstruction ")[1].split(",")[0])
+    assert worst >= 1e-8
 
 
 def test_reduction_draws_the_triples_of_the_measurement_redraw_loop(monkeypatch):

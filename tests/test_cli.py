@@ -622,6 +622,8 @@ PINNED = [
     (("check", "--only", "ic,ne", "--max-n", "16", "--format", "json"), "e14c2a73efc30776f869151fd230dcc10aeec438f7ef7af88a93624d432fea42"),
     (("check", "--only", "decomposition,reduction"), "c636902f32066173033087a3e83af6562ea9f2d38b0992f537efda3406a7ce5e"),
     (("check", "--only", "decomposition,reduction", "--format", "json"), "2a39c9dde23d360fd52ad349f2b942b9d1b65987c7e3940c440776c093e76a47"),
+    (("check", "--only", "simulation,weights"), "bfd2ab61142a7349f03a9d38d3be761d666e4337bc6f8e05b643c3a07b521862"),
+    (("check", "--only", "simulation,weights", "--format", "json"), "785d9387a17e22a64fa82bbf5b691e5fdf8cd802099ae91792a72f703315dbcd"),
 ]
 
 

@@ -16,7 +16,6 @@ from ngon.decomposition import (
     InfeasibleChannelError,
     caratheodory_reduce,
     decompose_into_binary_channels,
-    trace_information,
 )
 from ngon.geometry import InvalidStateError, Theory, _feasible_triples, _realize_triples
 
@@ -271,8 +270,7 @@ def test_reduce_never_loses_information():
             w, np.clip(states @ tri.effects.T, 0.0, 1.0)
         )
         trace = caratheodory_reduce(t, states, w, tri)
-        info = trace_information(trace)
-        best = info["per_stage"][trace.selected]
+        best = trace.information[trace.selected]
         worst = max(worst, merged - best)
         assert best >= merged - 1e-9
         assert len(trace.stages[trace.selected][1]) <= 3
@@ -295,8 +293,7 @@ def test_reduction_never_loses_information(n, size, mixed, seed):
     merged = mutual_information_bits(w, t.channel_matrix(m, states))
     trace = caratheodory_reduce(t, states, w, m)
     assert all(len(J) <= 3 for _, J, _ in trace.stages)
-    info = trace_information(trace)
-    assert info["per_stage"][trace.selected] >= merged - 1e-9
+    assert trace.information[trace.selected] >= merged - 1e-9
 
 
 def test_chain_rule_accounting():
@@ -305,11 +302,10 @@ def test_chain_rule_accounting():
     m = t.measurement((0, 3, 6))
     w = rng.dirichlet(np.ones(9))
     trace = caratheodory_reduce(t, t.states(), w, m)
-    info = trace_information(trace)
     # stage label carries no information: every stage shares one barycenter
-    assert abs(info["stage"]) < 1e-10
-    assert abs(info["joint"] - info["stage"] - info["conditional"]) < 1e-10
-    assert info["per_stage"][trace.selected] >= max(info["per_stage"]) - 1e-12
+    assert abs(trace.stage) < 1e-10
+    assert abs(trace.joint - trace.stage - trace.conditional) < 1e-10
+    assert trace.information[trace.selected] >= max(trace.information) - 1e-12
 
 
 def test_reduce_input_validation():
@@ -347,18 +343,36 @@ def test_reduce_rejects_effects_that_are_not_a_measurement():
         caratheodory_reduce(t, [t.states()[:3]] * 2, [[0.2, 0.3, 0.5]] * 2, effects)
 
 
-def trace_bits(trace, info):
-    """Every float of a trace and its bookkeeping as bytes, for bitwise comparison."""
+def test_reduce_checks_the_raw_overlaps_of_its_effects():
+    # overlaps from -2.70 to 3.70 that sum to 1 once passed the check on the clipped channel: 1.0 bit
+    t = Theory(5)
+    message = "effects must give a probability vector on every state"
+    outside = np.array([[-3.0, 0.0, 1.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        caratheodory_reduce(t, t.states()[:3], [0.2, 0.3, 0.5], outside)
+    effects = [t.measurement((0, 1, 3)).effects, outside]
+    with pytest.raises(ValueError, match=f"^{message}, ensemble 1$"):
+        caratheodory_reduce(t, [t.states()[:3]] * 2, [[0.2, 0.3, 0.5]] * 2, effects)
+
+
+def test_reduce_refuses_an_effect_stack_of_the_wrong_shape():
+    # three effect sets for two ensembles once failed inside numpy's broadcast
+    t = Theory(5)
+    effects = [t.measurement((0, 1, 3)).effects] * 3
+    message = r"^effects must have shape \(outcomes, 3\), or a stack \(2, outcomes, 3\), got \(3, 3, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        caratheodory_reduce(t, [t.states()[:3]] * 2, [[0.2, 0.3, 0.5]] * 2, effects)
+    with pytest.raises(ValueError, match=r"^effects must have shape \(outcomes, 3\), got \(3, 3, 3\)$"):
+        caratheodory_reduce(t, t.states()[:3], [0.2, 0.3, 0.5], effects)
+
+
+def trace_bits(trace):
+    """Every float of a trace, its chain-rule terms included, as bytes, for bitwise comparison."""
     stages = [
         (np.float64(qk).tobytes(), J, np.asarray(beta, float).tobytes()) for qk, J, beta in trace.stages
     ]
-    return (
-        stages,
-        trace.selected,
-        trace.channel.tobytes(),
-        np.array(trace.information).tobytes(),
-        {key: np.asarray(value, float).tobytes() for key, value in info.items()},
-    )
+    terms = (trace.information, trace.joint, trace.stage, trace.conditional)
+    return stages, trace.selected, [np.asarray(value, float).tobytes() for value in terms]
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,11 +396,9 @@ def test_a_stacked_reduction_has_the_bits_of_its_single_calls(n, k, size, mixed,
     w = rng.dirichlet(np.ones(size), size=k)
     _, effects = _realize_triples(n, feasible[rng.integers(len(feasible), size=k)])
     traces = caratheodory_reduce(t, states, w, effects)
-    infos = trace_information(traces)
-    assert len(traces) == len(infos) == k
+    assert len(traces) == k
     for e in range(k):
-        single = caratheodory_reduce(t, states[e], w[e], effects[e])
-        assert trace_bits(traces[e], infos[e]) == trace_bits(single, trace_information(single))
+        assert trace_bits(traces[e]) == trace_bits(caratheodory_reduce(t, states[e], w[e], effects[e]))
 
 
 @pytest.mark.parametrize(

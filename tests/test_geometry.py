@@ -101,6 +101,23 @@ def test_cone_memberships():
     assert geometry._outside_states(t, V).tolist() == [False, False, True, True]
 
 
+def test_every_realised_measurement_passes_the_effect_check():
+    # the smallest raw overlap is -2.8e-16 and the largest sum error 4.4e-16, far inside PROB_TOL
+    for n in range(3, 41):
+        t = Theory(n)
+        feasible = geometry._feasible_triples(n)
+        _, effects = geometry._realize_triples(n, feasible)
+        assert not geometry._improper_effects(t, effects, len(feasible)).any()
+        if t.even:
+            assert not geometry._improper_effects(t, t.measurement((0, n // 2)))
+    # an overlap outside [0, 1], which the clipped channel hides, or a NaN fails it
+    outside = np.array([[-3.0, 0.0, 1.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    nan = np.where(np.arange(9).reshape(3, 3) == 0, math.nan, effects[0])
+    assert geometry._improper_effects(Theory(40), np.stack([effects[0], outside, nan]), 3).tolist() == [
+        False, True, True
+    ]
+
+
 def test_effects_sum_to_scaled_unit():
     # Σ_j e_j = (n * scale) u for both parities, scale = realized weight unit
     for n in (4, 5, 8, 11):

@@ -24,7 +24,6 @@ DOCUMENTED = {
     "ReductionTrace",
     "caratheodory_reduce",
     "decompose_into_binary_channels",
-    "trace_information",
     # geometry
     "DegenerateTripleError",
     "InfeasibleMeasurementError",
@@ -53,7 +52,7 @@ DOCUMENTED = {
 
 
 def test_package_exports_only_the_documented_surface():
-    assert len(ngon.__all__) == len(DOCUMENTED) == 36
+    assert len(ngon.__all__) == len(DOCUMENTED) == 35
     assert set(ngon.__all__) == DOCUMENTED
     bound = {
         name
@@ -73,7 +72,7 @@ def test_no_public_callable_takes_a_stopping_rule():
         for param in inspect.signature(getattr(ngon, name)).parameters
         if param in ("tol", "max_iter")
     ]
-    assert len(functions) == 19 and taking == []
+    assert len(functions) == 18 and taking == []
 
 
 def test_tolerances_are_named_at_module_level():

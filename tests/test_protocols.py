@@ -280,6 +280,29 @@ def test_simulation_rejects_effects_that_are_not_a_measurement():
     assert raw.empirical_dist.tobytes() == built.empirical_dist.tobytes()
 
 
+def test_simulation_checks_the_raw_overlaps_of_its_effects():
+    # overlaps from -2.70 to 3.70 that sum to 1 once gave analytic_dist [0, 1, 0]
+    t = Theory(5)
+    outside = np.array([[-3.0, 0.0, 1.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="^effects must give a probability vector on every state$"):
+        simulate_transmission(t, t.states()[0], outside, samples=10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "reshape, shape",
+    [
+        pytest.param(lambda e: np.stack([e, e]), r"\(2, 3, 3\)", id="stack"),
+        pytest.param(lambda e: e[:, :2], r"\(3, 2\)", id="two-columns"),
+    ],
+)
+def test_simulation_refuses_effects_of_the_wrong_shape(reshape, shape):
+    # numpy's broadcast and matmul errors once escaped
+    t = Theory(5)
+    effects = reshape(t.measurement((0, 1, 3)).effects)
+    with pytest.raises(ValueError, match=rf"^effects must have shape \(outcomes, 3\), got {shape}$"):
+        simulate_transmission(t, t.states()[0], effects, samples=10, seed=1)
+
+
 def test_ic_bound_check_small_and_large():
     assert ic_bound_check(Theory(4)) is True
     assert ic_bound_check(Theory(6)) is True
