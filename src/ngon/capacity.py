@@ -9,29 +9,25 @@ upper bound.  At iterations 1, 2, 4, 8, ... the ascent is polished: the
 capacity KKT conditions are solved on the few inputs the iterate points to
 (at most one per outcome; in closed form on a square support, by a safeguarded
 Newton search on a pair), and the solution joins the bracket as a separate
-certificate prior.  Every polygon capacity closes this way at iteration 1.
+certificate prior.  ``blahut_arimoto`` runs the ascent on one stack of
+channels and closes every bracket to BA_TOL within BA_MAX_ITER iterations,
+both read at call time; no caller sets either.
 
-One engine runs the ascent on a list of channel stacks (groups) at once.
-Each group keeps its own best lower bound and retires its channels against
-it.  Groups with fewer inputs than the widest are padded with zero rows held
-at zero prior.  Every sum, maximum and sort over inputs runs per width on the
-unpadded columns, so padded rows never enter a bound, a sort or a polish and
-each group gets the bits of its own run.  ``blahut_arimoto`` runs it on one
-group.  Every run closes its brackets to BA_TOL within BA_MAX_ITER
-iterations, both read at call time; no caller sets either.
-
-``theory_capacities`` maximises the capacity over one canonical measurement
-per dihedral orbit, with all n extremal states as the input alphabet: rotating
-or reflecting a measurement only permutes the channel's inputs and outcomes.
-The candidates are the antipodal pair for even n and one triple (0, g1, g1 + g2)
-per sorted gap partition g1 <= g2 <= g3 <= n/2, less the triples with a gap of
-exactly n/2, whose zero weight leaves the pair's channel plus a zero column.
-Consecutive sizes run in chunks: one solve realises every candidate of the
-chunk, the pair as the triple (0, n/2, 1) with weight 0 on index 1, and one
-stack runs them with a group per size, the pair in row 0.  A chunk grows
-while its candidates times its largest n, the input rows of its padded
-stack, stay within CHUNK_ROWS, since one stack of every size 3..64 raised
-the peak RSS of the sweep from about 31.5 to 45 MiB.
+``theory_capacities`` needs no ascent.  It maximises the capacity over one
+canonical measurement per dihedral orbit, with all n extremal states as the
+input alphabet: rotating or reflecting a measurement only permutes the
+channel's inputs and outcomes.  The candidates are the antipodal pair for
+even n and one triple (0, g1, g1 + g2) per sorted gap partition
+g1 <= g2 <= g3 <= n/2, less the triples with a gap of exactly n/2, whose zero
+weight leaves the pair's channel plus a zero column.  The winner has a
+closed form: for even n the pair carries 1 bit at the prior 1/2 on the first
+saturating states of its two effects; for odd n the orbit of (0, 1, m + 1),
+m = (n - 1)/2, is a noiseless symbol beside a binary symmetric channel, with
+capacity log2(1 + 2^(1 - h(eps))), eps = 1 - 1/(2 cos(pi/n)).  Per size one
+solve realises every candidate and one pass certifies the result: the
+winner's bracket at its closed-form prior closes to BA_TOL, and every losing
+orbit's dual bound max_x D(W_x || q), q the output law of the uniform prior
+(Gallager 1968, Thm 4.5.1), lies strictly below the winner's lower bound.
 """
 
 from __future__ import annotations
@@ -55,19 +51,16 @@ from .geometry import (
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
 ENUMERATION_MAX = 64
-# input rows of one chunk's padded stack in theory_capacities, its
-# candidates times its largest n.  For `capacity --n-range 3..64` on 2 shared
-# vCPUs: 27 chunks, 31.5 MiB peak RSS and about 33 ms in the library; 8,192
-# rows gave 16 chunks, 31.7 MiB and 30 ms; one stack, 44.9 MiB.
-CHUNK_ROWS = 4096
 
 _TINY = 1e-300
 _SUPPORT_WEIGHT = 1e-6  # inputs with more prior weight are reported as support
 _PAIR_STEPS = 60
+_LN2 = math.log(2.0)
 
 
 class ConvergenceError(RuntimeError):
-    """Capacity iteration failed to close its bracket; carries the last iterate."""
+    """A capacity bracket failed to close, or a polygon capacity failed its
+    certificate; carries the last iterate, or the closed-form winner."""
 
     def __init__(self, message: str, capacity_bits: float, prior: np.ndarray, iterations: int):
         super().__init__(message)
@@ -242,44 +235,9 @@ def _pair_priors(W: np.ndarray, wlogw: np.ndarray, pair: np.ndarray) -> np.ndarr
     return priors
 
 
-def _width_classes(width: np.ndarray, m: int):
-    """(w, rows) for each distinct input count w of a padded stack; built
-    once per set of rows.  When every row has all ``m`` inputs the one class
-    takes its rows as a slice, which keeps that common case free of copies."""
-    if width.min() == m:
-        return [(m, slice(None))]
-    return [(w, np.flatnonzero(width == w)) for w in dict.fromkeys(width.tolist())]
-
-
-def _by_width(fn, classes, *arrays) -> np.ndarray:
-    """``fn(*arrays)``, a reduction over the input (last) axis, on each row's
-    own inputs.  The bits of a sum depend on its length, so a padded stack is
-    reduced once per width class on its unpadded columns, as its single call
-    is; padded inputs never reach a sum or a maximum."""
-    out = np.empty(arrays[0].shape[:-1])
-    for w, rows in classes:
-        out[..., rows] = fn(*(a[..., rows, :w] for a in arrays))
-    return out
-
-
-def _order(d: np.ndarray, classes) -> np.ndarray:
-    """Inputs of each row by increasing divergence, padded inputs first.
-
-    The order of ties depends on the row length, so a padded stack sorts
-    once per width class on its unpadded columns."""
-    m = d.shape[1]
-    order = np.empty(d.shape, np.intp)
-    for w, rows in classes:
-        order[rows, : m - w] = np.arange(w, m)
-        order[rows, m - w :] = np.argsort(d[rows, :w], axis=1)
-    return order
-
-
-def _leader_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray, width):
+def _leader_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray):
     """First polish: the KKT system on the inputs the outcomes decode to.
-    Returns (valid, priors), shaped (1, count) and (1, count, inputs).  A
-    padded input has p W = 0 and comes after every real one, so argmax never
-    picks it."""
+    Returns (valid, priors), shaped (1, count) and (1, count, inputs)."""
     count, m, _ = W.shape
     valid, priors = np.zeros((1, count), bool), np.zeros((1, count, m))
     leaders = _leaders(p, W)
@@ -288,7 +246,7 @@ def _leader_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarra
     return valid, priors
 
 
-def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray, width):
+def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndarray):
     """Second polish, for channels whose leaders gave no valid prior.
 
     Two guesses per channel: the KKT system on the k inputs of largest
@@ -296,14 +254,14 @@ def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndar
     twice, and the best prior on a pair of inputs, for an optimum on fewer
     inputs than outcomes: the leaders when they name exactly two inputs,
     else the two inputs of largest divergence.  Returns (valid, priors),
-    shaped (2, count) and (2, count, inputs).  A channel with fewer than k
-    inputs of its own gets no square guess, as in its single call.
+    shaped (2, count) and (2, count, inputs).  A stack with fewer than k
+    inputs gets no square guess.
     """
     count, m, _ = W.shape
     valid, priors = np.zeros((2, count), bool), np.zeros((2, count, m))
     if m < 2:
         return valid, priors
-    order = _order(d, _width_classes(width, m))
+    order = np.argsort(d, axis=1)
     pairs = order[:, -2:].copy()
     leaders = _leaders(p, W)
     for sel, cols in _column_groups(W):
@@ -313,8 +271,7 @@ def _fallback_priors(W: np.ndarray, wlogw: np.ndarray, p: np.ndarray, d: np.ndar
         other = np.where(lead[:, 1] != lead[:, 0], lead[:, 1], lead[:, -1])
         pairs[sel[two]] = np.stack([lead[two, 0], other[two]], axis=1)
         if k <= m:
-            square = sel[width[sel] >= k]
-            valid[0, square] = _square_priors(W, wlogw, priors[0], square, cols, order[square, -k:])
+            valid[0, sel] = _square_priors(W, wlogw, priors[0], sel, cols, order[sel, -k:])
     valid[1], priors[1] = True, _pair_priors(W, wlogw, pairs)
     return valid, priors
 
@@ -342,7 +299,7 @@ def blahut_arimoto(matrices) -> BAResult:
     ``index`` in the stack.  Raises ConvergenceError, carrying the best
     channel's lower bound and last iterate, if some bracket stays open
     after BA_MAX_ITER iterations.  BA_TOL and BA_MAX_ITER are read at call
-    time.  This is ``_bracket`` on one group.
+    time.
     """
     W = np.asarray(matrices, float)
     if W.ndim not in (2, 3) or 0 in W.shape:
@@ -350,39 +307,17 @@ def blahut_arimoto(matrices) -> BAResult:
     # written so that a NaN fails it
     if not ((W >= -ROUNDOFF).all() and np.abs(W.sum(axis=-1) - 1.0).max() <= PROB_TOL):
         raise ValueError("matrix rows must be probability vectors")
-    return _bracket([np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)])[0]
+    # the einsums sum in an order set by their operands' memory layout
+    return _bracket(np.ascontiguousarray(np.clip(W.reshape(-1, *W.shape[-2:]), 0.0, None)))
 
 
-def _bracket(stacks) -> list[BAResult]:
-    """The ascent of ``blahut_arimoto`` on several channel stacks (groups) at once.
-
-    ``stacks`` are nonnegative stacks (count, inputs, outcomes) with one
-    outcome count; a group with fewer inputs than the widest is padded with
-    zero rows held at zero prior.  Each group keeps its own best lower
-    bound.  Every sum, maximum and sort over inputs runs per width on the
-    unpadded columns, and a padded input never leads an outcome, so each
-    group gets the BAResult ``blahut_arimoto`` returns on it alone.  If
-    some group's call would raise a ConvergenceError after BA_MAX_ITER
-    iterations, the first such group's error is raised.  One set-up serves
-    every call: the groups are copied into one zero-padded stack, each
-    channel starting from the uniform prior on its own inputs.
-    """
-    sizes = [len(s) for s in stacks]
-    widths = [s.shape[1] for s in stacks]
-    starts = np.cumsum([0] + sizes[:-1]).tolist()
-    m = max(widths)
-    gid = np.repeat(np.arange(len(stacks)), sizes)
-    width = np.repeat(widths, sizes)
-    classes = _width_classes(width, m)
-    W = np.zeros((len(gid), m, stacks[0].shape[2]))
-    for g, start in enumerate(starts):
-        W[start : start + sizes[g], : widths[g]] = stacks[g]
-    p = np.where(np.arange(m) < width[:, None], 1.0 / width[:, None], 0.0)
-    count = len(W)
+def _bracket(W: np.ndarray) -> BAResult:
+    """The ascent of ``blahut_arimoto`` on a nonnegative stack (count, inputs, outcomes)."""
+    count, m, _ = W.shape
+    p = np.full((count, m), 1.0 / m)
     wlogw = _row_log_entropy(W)
-    # ids, gid (their groups), width, W, wlogw, p, the bounds lo, up and the
-    # certificate priors cert hold the channels still iterating; certified
-    # marks a lo attained at cert
+    # ids, W, wlogw, p, the bounds lo, up and the certificate priors cert hold
+    # the channels still iterating; certified marks a lo attained at cert
     ids = np.arange(count)
     lo = np.full(count, -math.inf)
     up = np.full(count, math.inf)
@@ -391,17 +326,16 @@ def _bracket(stacks) -> list[BAResult]:
     lower = np.full(count, -math.inf)
     priors = p.copy()
     retired_at = np.zeros(count, int)
-    best = np.full(len(stacks), -math.inf)
-    each_group = np.arange(len(stacks))[:, None]
+    best = -math.inf
     for it in range(1, BA_MAX_ITER + 1):
         d = _divergences(W, wlogw, p)
-        dmax = _by_width(_largest, classes, d)[:, None]
-        info = _by_width(_mean_divergence, classes, p, d)
+        dmax = d.max(axis=1, keepdims=True)
+        info = _mean_divergence(p, d)
         certified &= info <= lo
         lo = np.maximum(lo, info)
         up = np.minimum(up, dmax[:, 0])
-        best = np.maximum(best, np.where(gid == each_group, lo, -math.inf).max(axis=1))
-        retire = (up - lo <= BA_TOL) | (up <= best[gid])
+        best = max(best, lo.max())
+        retire = (up - lo <= BA_TOL) | (up <= best)
         if it & (it - 1) == 0:
             # polish the channels still open; the fallback only takes those
             # the leaders gave no valid prior
@@ -410,54 +344,48 @@ def _bracket(stacks) -> list[BAResult]:
                 rows = np.flatnonzero(fresh & ~retire)
                 if not len(rows):
                     break
-                fresh[rows[_polish(polish, rows, W, wlogw, p, d, width, lo, up, cert, certified)]] = False
-                best = np.maximum(best, np.where(gid == each_group, lo, -math.inf).max(axis=1))
-                retire = (up - lo <= BA_TOL) | (up <= best[gid])
+                fresh[rows[_polish(polish, rows, W, wlogw, p, d, lo, up, cert, certified)]] = False
+                best = max(best, lo.max())
+                retire = (up - lo <= BA_TOL) | (up <= best)
         if retire.any():
             done = ids[retire]
             lower[done], retired_at[done] = lo[retire], it
             priors[done] = np.where(certified[retire, None], cert[retire], p[retire])
             keep = ~retire
-            ids, gid, width, W, wlogw, p, d, dmax, lo, up, cert, certified = (
-                a[keep] for a in (ids, gid, width, W, wlogw, p, d, dmax, lo, up, cert, certified)
+            ids, W, wlogw, p, d, dmax, lo, up, cert, certified = (
+                a[keep] for a in (ids, W, wlogw, p, d, dmax, lo, up, cert, certified)
             )
             if not len(ids):
                 break
-            classes = _width_classes(width, m)
         p = p * np.exp2(d - dmax)
-        p /= _by_width(_total, classes, p)[:, None]
+        p /= p.sum(axis=1, keepdims=True)
     else:
         lower[ids], priors[ids] = lo, p
-    still_open = np.bincount(gid, minlength=len(sizes)).tolist()
-    results = []
-    for start, size, w, left in zip(starts, sizes, widths, still_open):
-        winner = int(np.argmax(lower[start : start + size]))
-        bits = max(float(lower[start + winner]), 0.0)
-        # a copy, so that a kept result does not hold the whole stack's priors
-        prior = priors[start + winner, :w].copy()
-        if left:
-            message = f"{left} of {size} channels kept brackets above tol={BA_TOL} after {BA_MAX_ITER} iterations"
-            raise ConvergenceError(message, bits, prior, BA_MAX_ITER)
-        results.append(BAResult(bits, prior, int(retired_at[start + winner]), winner))
-    return results
+    winner = int(np.argmax(lower))
+    bits = max(float(lower[winner]), 0.0)
+    # a copy, so that a kept result does not hold the whole stack's priors
+    prior = priors[winner].copy()
+    if len(ids):
+        message = f"{len(ids)} of {count} channels kept brackets above tol={BA_TOL} after {BA_MAX_ITER} iterations"
+        raise ConvergenceError(message, bits, prior, BA_MAX_ITER)
+    return BAResult(bits, prior, int(retired_at[winner]), winner)
 
 
-def _polish(polish, rows, W, wlogw, p, d, width, lo, up, cert, certified) -> np.ndarray:
+def _polish(polish, rows, W, wlogw, p, d, lo, up, cert, certified) -> np.ndarray:
     """Run ``polish`` on the open channels ``rows`` and let its valid priors
     join their brackets: lo, up, cert and certified are updated in place.
     Returns which of ``rows`` got a valid prior."""
     # a slice keeps the common case, every channel open, free of copies
     sub = slice(None) if len(rows) == len(W) else rows
-    Wr, hr, wr = W[sub], wlogw[sub], width[sub]
-    classes = _width_classes(wr, W.shape[1])
-    valid, prior = polish(Wr, hr, p[sub], d[sub], wr)
+    Wr, hr = W[sub], wlogw[sub]
+    valid, prior = polish(Wr, hr, p[sub], d[sub])
     dc = _divergences(Wr, hr, prior)
-    info = np.where(valid, _by_width(_mean_divergence, classes, prior, dc), -math.inf)
+    info = np.where(valid, _mean_divergence(prior, dc), -math.inf)
     pick = np.argmax(info, axis=0)
     prior, info = prior[pick, np.arange(len(rows))], info.max(axis=0)
     gain = info > lo[rows]
     lo[rows[gain]], cert[rows[gain]], certified[rows[gain]] = info[gain], prior[gain], True
-    up[rows] = np.minimum(up[rows], np.where(valid, _by_width(_largest, classes, dc), math.inf).min(axis=0))
+    up[rows] = np.minimum(up[rows], np.where(valid, dc.max(axis=-1), math.inf).min(axis=0))
     return valid.any(axis=0)
 
 
@@ -466,20 +394,13 @@ def _mean_divergence(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.einsum("...x,...x->...", p, d)
 
 
-def _total(a: np.ndarray) -> np.ndarray:
-    return a.sum(axis=-1)
-
-
-def _largest(a: np.ndarray) -> np.ndarray:
-    return a.max(axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
     """Capacity of a polygon model with the maximising measurement.
 
-    ``iterations`` is the iteration at which the winner's certified bracket
-    closed, polish steps included.
+    ``capacity_bits`` is the mutual information of the winning measurement
+    at its closed-form ``prior``, certified within BA_TOL of the capacity.
+    ``iterations`` counts the one certificate pass, so it reads 1.
     """
 
     n: int
@@ -510,55 +431,95 @@ def capacity_candidates(theory: Theory) -> list[tuple[int, ...]]:
 def theory_capacities(theories) -> list[CapacityResult]:
     """Classical capacity of each model over canonical measurement classes.
 
-    For each n the candidates are those of ``capacity_candidates``, run as
-    one group with the antipodal pair first, so the pair is reported unless
-    a triple's certified bound lies above it (at n = 4 no triple is left).
-    Consecutive sizes run in chunks, each grown while its candidates times
-    its largest n stay within CHUNK_ROWS (a size above that is a chunk
-    alone): one solve realises the chunk's candidates and one stack with a
-    group per size runs them, so every result has the bits of its size's
-    own run, certified within BA_TOL of the true maximum.  The first n above
-    ENUMERATION_MAX is refused when it is reached, before any bracket runs;
-    every bracket closes to BA_TOL within BA_MAX_ITER iterations, and all
-    three are read at call time.  A bracket that stays open raises the
-    ConvergenceError of the first such size.
+    Each size is certified on its own, with no ascent: the winner among the
+    orbits of ``capacity_candidates`` is the closed form of the module
+    docstring, reported at its closed-form prior, and every other orbit's
+    dual bound lies strictly below it.  The first n above ENUMERATION_MAX is
+    refused when it is reached, before any size is certified; it and BA_TOL
+    are read at call time.  A size whose winner is missing from its
+    candidates, whose winner's bracket is wider than BA_TOL or whose losing
+    orbit is not certified below the winner raises ConvergenceError, naming
+    n (and the orbit), with the winner's bits and prior.
     """
-    chunks, count, width = [], 0, 0
+    sizes = []
     for t in theories:
         if t.n > ENUMERATION_MAX:
             raise ResourceBoundError(f"n={t.n} above the enumeration bound {ENUMERATION_MAX}")
-        cands = capacity_candidates(t)
-        count, width = count + len(cands), max(width, t.n)
-        if not chunks or count * width > CHUNK_ROWS:
-            chunks.append([])
-            count, width = len(cands), t.n
-        chunks[-1].append((t, cands))
-    return [r for chunk in chunks for r in _chunk_capacities(chunk)]
+        sizes.append(t)
+    return [_certificate(t)[0] for t in sizes]
 
 
-def _chunk_capacities(chunk: list[tuple[Theory, list]]) -> list[CapacityResult]:
-    """``theory_capacities`` of one chunk of (theory, candidates) pairs."""
-    theories, cands = zip(*chunk)
-    counts = [len(cs) for cs in cands]
-    starts = np.cumsum([0] + counts[:-1]).tolist()
-    sizes = np.repeat([t.n for t in theories], counts)
-    # the pair (0, n/2) is realised as the triple (0, n/2, 1), exactly 0 on index 1
-    mu, effects = _realize_triples(sizes, [c if len(c) == 3 else (*c, 1) for cs in cands for c in cs])
-    stacks = [t.channel_matrix(effects[s : s + k]) for t, s, k in zip(theories, starts, counts)]
-    results = []
-    for t, cs, start, best in zip(theories, cands, starts, _bracket(stacks)):
-        indices, row = cs[best.index], start + best.index
-        outcomes = len(indices)
-        results.append(CapacityResult(
-            n=t.n,
-            parity=t.parity,
-            capacity_bits=best.capacity_bits,
-            measurement=Measurement(indices, tuple(mu[row, :outcomes].tolist()), effects[row, :outcomes].copy()),
-            prior=best.prior,
-            support=tuple(int(x) for x in np.nonzero(best.prior > _SUPPORT_WEIGHT)[0]),
-            iterations=best.iterations,
-        ))
-    return results
+def _certificate(theory: Theory) -> tuple[CapacityResult, float, tuple[int, ...] | None]:
+    """The certified capacity of one model, with the largest dual bound of a
+    losing orbit and that orbit; -inf and None when no other orbit is a
+    candidate.
+
+    One solve realises every candidate, the pair as the triple (0, n/2, 1)
+    with weight exactly 0 on index 1, and one pass takes the divergences of
+    every channel from its output law: at the winner's closed-form prior,
+    which gives its bracket, and at the uniform prior for the others.
+    """
+    n, half = theory.n, theory.n // 2
+    prior = np.zeros(n)
+    if theory.even:
+        # the first saturating states of effects 0 and n/2
+        winner, closed = (0, half), 1.0
+        prior[[0, half - 1]] = 0.5
+    else:
+        winner, closed = (0, 1, half + 1), 1.0 + _odd_excess(n)
+        prior[half + 1] = 2.0**-closed
+        prior[[0, 1]] = (1.0 - prior[half + 1]) / 2.0
+    cands = capacity_candidates(theory)
+    if winner not in cands:
+        raise ConvergenceError(f"n={n}: the closed-form winner {winner} is not a candidate", closed, prior, 1)
+    w = cands.index(winner)
+    mu, effects = _realize_triples(n, [c if len(c) == 3 else (*c, 1) for c in cands])
+    W = theory.channel_matrix(effects)
+    priors = np.full((len(cands), n), 1.0 / n)
+    priors[w] = prior
+    d = _divergences(W, _row_log_entropy(W), priors)
+    bits = max(float(_mean_divergence(prior, d[w])), 0.0)
+    if d[w].max() - bits > BA_TOL:
+        message = f"n={n}: the winner's bracket [{bits!r}, {d[w].max()!r}] is wider than tol={BA_TOL}"
+        raise ConvergenceError(message, bits, prior, 1)
+    others = [(b, c) for b, c in zip(d.max(axis=1).tolist(), cands) if c != winner]
+    uncertified = [c for b, c in others if b >= bits]
+    if uncertified:
+        message = f"n={n}: orbit {uncertified[0]} is not certified below the winner {winner}"
+        raise ConvergenceError(message, bits, prior, 1)
+    bound, loser = max(others, default=(-math.inf, None))
+    outcomes = len(winner)
+    result = CapacityResult(
+        n=n,
+        parity=theory.parity,
+        capacity_bits=bits,
+        measurement=Measurement(winner, tuple(mu[w, :outcomes].tolist()), effects[w, :outcomes].copy()),
+        prior=prior,
+        support=tuple(int(x) for x in np.nonzero(prior > _SUPPORT_WEIGHT)[0]),
+        iterations=1,
+    )
+    return result, bound, loser
+
+
+def _odd_excess(n: int) -> float:
+    """C - 1 for the capacity C = log2(1 + 2^delta) of the odd-n winner.
+
+    delta = 1 - h(eps) with eps = (1 - t)/2, t = 2 sin^2(pi/2n) / cos(pi/n).
+    For t > 1/4, that is n = 3, delta comes from h; for t <= 1/4, from its series
+    (1/ln 2) sum_k t^2k / (2k(2k - 1)), whose positive terms do not cancel
+    and fall below 2^-60 of the first by k = 14.  Then
+    C - 1 = log2(1 + (2^delta - 1)/2), from expm1 and log1p, keeps its
+    relative accuracy as n grows and the excess falls as n^-4.
+    """
+    t = 2.0 * math.sin(math.pi / (2 * n)) ** 2 / math.cos(math.pi / n)
+    if t > 0.25:
+        # eps = (1 - t)/2 as a product of sines, exactly 0 at n = 3
+        sines = math.sin(math.pi * (n + 3) / (6 * n)) * math.sin(math.pi * (n - 3) / (6 * n))
+        eps = 2.0 * sines / math.cos(math.pi / n)
+        delta = 1.0 - float(binary_entropy(eps))
+    else:
+        delta = math.fsum(t ** (2 * k) / (2 * k * (2 * k - 1)) for k in range(1, 15)) / _LN2
+    return math.log1p(math.expm1(delta * _LN2) / 2.0) / _LN2
 
 
 def theory_capacity(theory: Theory) -> CapacityResult:
@@ -580,12 +541,11 @@ def odd_triple_rate(theory: Theory) -> float:
     """Capacity of the odd-n strategy: states 0, (n-1)/2, (n+1)/2 against the
     completed measurement on the same three indices, prior optimised.
 
-    Equals log2(3) at n=3 and decreases strictly towards one bit; always
-    strictly above one bit.
+    The channel is a noiseless symbol beside a binary symmetric channel with
+    crossover eps = 1 - 1/(2 cos(pi/n)), so the capacity is
+    log2(1 + 2^(1 - h(eps))), taken from ``_odd_excess``.  Equals log2(3) at
+    n=3 and decreases strictly towards one bit; always strictly above one bit.
     """
     if theory.even:
         raise ValueError("the triple strategy requires odd n")
-    m = (theory.n - 1) // 2
-    idx = [0, m, m + 1]
-    matrix = theory.channel_matrix(theory.measurement(idx), theory.states()[idx])
-    return blahut_arimoto(matrix).capacity_bits
+    return 1.0 + _odd_excess(theory.n)

@@ -7,7 +7,7 @@ sorted, every float is rounded to 9 significant digits, and timing fields are
 kept out of JSON so identical invocations produce identical bytes.  CSV is
 for spreadsheet-style consumption and may include runtimes: the
 ``runtime_ms`` column of ``capacity`` gives each size an even share of the
-elapsed time of the whole sweep, since its sizes are bracketed together.
+elapsed time of the whole sweep, which is timed as one call.
 
 The library returns plain data and this module is the one place that renders
 it: a dataclass record renders by its fields, an array as nested lists, and

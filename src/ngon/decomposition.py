@@ -280,6 +280,8 @@ def caratheodory_reduce(theory: Theory, states, weights, measurement) -> Reducti
     _ensemble_error(InvalidStateError, outside, "not a normalised state of the model", lead)
     improper = np.broadcast_to(_improper_effects(theory, measurement, k if lead else None), (k,))
     _ensemble_error(ValueError, improper, "effects must give a probability vector on every state", lead)
+    if not k:
+        return []
     E = measurement.effects if isinstance(measurement, Measurement) else np.asarray(measurement, float)
     # every vertex against each ensemble's measurement, one product per ensemble;
     # a stage reads its letters' rows, which have the bits of any product of two or more rows

@@ -176,54 +176,41 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _cyclic_gaps(n, idx: np.ndarray) -> np.ndarray:
+def _cyclic_gaps(n: int, idx: np.ndarray) -> np.ndarray:
     """Cyclic gaps b - a, c - b, n - c + a of each row's sorted indices,
-    shape (k, 3) for index rows of shape (k, 3) reduced mod n; ``n`` is a
-    size or one size per row."""
+    shape (k, 3) for index rows of shape (k, 3) reduced mod n."""
     s = np.sort(idx, axis=1)
     gaps = s[:, [1, 2, 0]] - s
     gaps[:, 2] += n
     return gaps
 
 
-def _realize_triples(n, indices) -> tuple[np.ndarray, np.ndarray]:
+def _realize_triples(n: int, indices) -> tuple[np.ndarray, np.ndarray]:
     """Completion weights mu, shape (k, 3), and realised effects
     mu_k * effect(j_k), shape (k, 3, 3), of a stack of index triples.
 
-    ``n`` is one polygon size or an array of one size per row, so that
-    triples of several sizes share one solve.  Every row must hold three
-    indices distinct mod its n that pass the arc-gap rule; the first row
-    that does not raises DegenerateTripleError or InfeasibleMeasurementError.
-    A row with a gap of exactly n/2 spans an antipodal pair, whose effects
-    already sum to the unit effect: weight 1 on the pair and exactly 0 on
-    the third index; the capacity sweep builds each pair (0, n/2) this way,
-    as the row (0, n/2, 1).  The other rows solve sum_k mu_k * effect(j_k) = u in
-    one batched solve, whose rows have the bits of their single solves.
+    Every row must hold three indices distinct mod n that pass the arc-gap
+    rule; the first row that does not raises DegenerateTripleError or
+    InfeasibleMeasurementError.  A row with a gap of exactly n/2 spans an
+    antipodal pair, whose effects already sum to the unit effect: weight 1
+    on the pair and exactly 0 on the third index; the capacity sweep builds
+    each pair (0, n/2) this way, as the row (0, n/2, 1).  The other rows
+    solve sum_k mu_k * effect(j_k) = u in one batched solve, whose rows have
+    the bits of their single solves.
     """
-    idx = np.asarray(indices, dtype=np.intp).reshape(-1, 3)
-    scalar = np.ndim(n) == 0
-    sizes = n if scalar else np.asarray(n, dtype=np.intp)
-    # a size, or a column of sizes that broadcasts against the index rows
-    column = sizes if scalar else sizes[:, None]
-    idx = idx % column
-    gaps = _cyclic_gaps(sizes, idx)
+    idx = np.asarray(indices, dtype=np.intp).reshape(-1, 3) % n
+    gaps = _cyclic_gaps(n, idx)
     degenerate = gaps.min(axis=1) == 0
-    bad = degenerate | (2 * gaps.max(axis=1) > sizes)
+    bad = degenerate | (2 * gaps.max(axis=1) > n)
     if bad.any():
         row = int(np.argmax(bad))
-        triple, size = tuple(int(j) for j in idx[row]), int(sizes if scalar else sizes[row])
+        triple = tuple(int(j) for j in idx[row])
         if degenerate[row]:
-            raise DegenerateTripleError(f"indices {triple} are not distinct mod {size}")
+            raise DegenerateTripleError(f"indices {triple} are not distinct mod {n}")
         raise InfeasibleMeasurementError(f"triple {triple} has an index gap above n/2")
-    if scalar:
-        rows = _tables(int(n))[1][idx]
-    else:
-        rows = np.empty((len(idx), 3, 3))
-        for size in dict.fromkeys(sizes.tolist()):
-            same = sizes == size
-            rows[same] = _tables(size)[1][idx[same]]
+    rows = _tables(int(n))[1][idx]
     # off[:, k]: the two indices other than k form an antipodal pair
-    off = 2 * ((idx[:, [1, 2, 0]] - idx[:, [2, 0, 1]]) % column) == column
+    off = 2 * ((idx[:, [1, 2, 0]] - idx[:, [2, 0, 1]]) % n) == n
     solve = ~off.any(axis=1)
     mu = np.where(off, 0.0, 1.0)
     if solve.any():

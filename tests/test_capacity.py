@@ -1,6 +1,5 @@
 """Tests for channel capacity: Blahut-Arimoto core and polygon-theory rates."""
 
-import contextlib
 import math
 from unittest import mock
 
@@ -22,7 +21,7 @@ from ngon.capacity import (
     odd_triple_rate,
     theory_capacity,
 )
-from ngon.geometry import ResourceBoundError, Theory
+from ngon.geometry import ResourceBoundError, Theory, _realize_triples
 
 LOG2_3 = math.log2(3.0)
 
@@ -109,14 +108,32 @@ def test_ba_reads_the_iteration_bound_at_call_time(unpolished, monkeypatch):
         assert err.value.iterations == bound
 
 
-def test_theory_capacity_convergence_error_carries_last_iterate(unpolished, monkeypatch):
-    monkeypatch.setattr(capacity, "BA_MAX_ITER", 3)
-    with pytest.raises(ConvergenceError) as err:
+def _with_orbit_mate(monkeypatch):
+    """Candidates with (0, m, m + 1), m = (n - 1)/2, added for odd n: a
+    rotation of the winner (0, 1, m + 1), whose channel at the uniform prior
+    has a dual bound no lower than the winner's capacity."""
+    candidates = capacity.capacity_candidates
+
+    def with_mate(t):
+        m = (t.n - 1) // 2
+        return candidates(t) + ([(0, m, m + 1)] if t.n % 2 else [])
+
+    monkeypatch.setattr(capacity, "capacity_candidates", with_mate)
+
+
+def test_theory_capacity_convergence_error_carries_last_iterate(monkeypatch):
+    # an orbit that the dual bound cannot put below the winner is refused,
+    # with the winner's bits and closed-form prior; there is no second path
+    _with_orbit_mate(monkeypatch)
+    message = r"^n=7: orbit \(0, 3, 4\) is not certified below the winner \(0, 1, 4\)$"
+    with pytest.raises(ConvergenceError, match=message) as err:
         theory_capacity(Theory(7))
     prior = err.value.prior
-    assert err.value.iterations == 3
+    assert err.value.iterations == 1
+    assert abs(err.value.capacity_bits - odd_triple_rate(Theory(7))) <= 1e-14
     assert prior.shape == (7,) and abs(prior.sum() - 1.0) < 1e-12
-    assert np.abs(prior - 1.0 / 7.0).max() > 1e-6  # not the uniform start
+    assert np.flatnonzero(prior).tolist() == [0, 1, 4]
+    assert prior[4] == 2.0 ** -odd_triple_rate(Theory(7))
 
 
 @settings(max_examples=30, deadline=None)
@@ -371,18 +388,88 @@ def test_measurement_capacity_cyclic_symmetry():
 
 
 def test_every_size_certifies_at_the_first_iteration(monkeypatch):
-    # a count, not a timing: the leader polish closes every bracket at
-    # iteration 1, so no polygon bracket reaches the fallback polish, which
-    # stays for general channels (test_nearly_useless_channel_converges)
+    # a count, not a timing: the sweep certifies every size in one pass and
+    # runs no Blahut-Arimoto ascent at all
     def unreached(*_):
-        raise AssertionError("a polygon bracket reached the fallback polish")
+        raise AssertionError("a polygon capacity ran the ascent")
 
-    monkeypatch.setattr(capacity, "_fallback_priors", unreached)
+    monkeypatch.setattr(capacity, "_bracket", unreached)
     sweep = capacity.theory_capacities(Theory(n) for n in range(3, 65))
     for r in sweep + [theory_capacity(Theory(n)) for n in range(3, 65)]:
         assert r.iterations == 1, r.n
         if r.n % 2 == 0:
             assert abs(r.capacity_bits - 1.0) <= 1e-14, r.n
+
+
+def _candidate_channels(t):
+    """Every candidate's channel on all n states, the pair as (0, n/2, 1)."""
+    _, effects = _realize_triples(t.n, [c if len(c) == 3 else (*c, 1) for c in capacity_candidates(t)])
+    return t.channel_matrix(effects)
+
+
+def test_the_ascent_on_every_candidate_agrees_with_the_sweep():
+    sweep = capacity.theory_capacities(Theory(n) for n in range(3, 65))
+    for r in sweep:
+        ascent = blahut_arimoto(_candidate_channels(Theory(r.n)))
+        assert abs(ascent.capacity_bits - r.capacity_bits) <= 1e-12, r.n
+        assert capacity_candidates(Theory(r.n))[ascent.index] == r.measurement.indices, r.n
+
+
+def _uniform_dual_bound(w):
+    """max_x D(W_x || q), q the output law of the uniform prior, in bits."""
+    q = w.mean(axis=0)
+    terms = np.where(w > 0, w * np.log2(np.maximum(w, 1e-300) / np.maximum(q, 1e-300)), 0.0)
+    return terms.sum(axis=1).max()
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 31, 63, 64])
+def test_each_losing_orbit_lies_below_its_dual_bound_and_the_winner(n):
+    t = Theory(n)
+    r, bound, loser = capacity._certificate(t)
+    bounds = []
+    for c, w in zip(capacity_candidates(t), _candidate_channels(t)):
+        if c == r.measurement.indices:
+            continue
+        bounds.append((_uniform_dual_bound(w), c))
+        assert blahut_arimoto(w).capacity_bits <= bounds[-1][0] + 1e-12, (n, c)
+        assert bounds[-1][0] < r.capacity_bits, (n, c)
+    assert abs(max(bounds)[0] - bound) <= 1e-12 and max(bounds)[1] == loser
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 63, 64])
+def test_dropping_the_winner_orbit_makes_the_sweep_raise(monkeypatch, n):
+    candidates = capacity.capacity_candidates
+    winner = theory_capacity(Theory(n)).measurement.indices
+    monkeypatch.setattr(capacity, "capacity_candidates", lambda t: [c for c in candidates(t) if c != winner])
+    with pytest.raises(ConvergenceError, match=rf"^n={n}: the closed-form winner .* is not a candidate$"):
+        capacity.theory_capacities([Theory(3), Theory(n)])
+
+
+def test_a_wrong_closed_form_leaves_the_winner_bracket_open(monkeypatch):
+    # the winner's prior comes from the closed form; a capacity 1e-4 off
+    # moves it off the optimum, and the bracket at that prior stays wider
+    # than BA_TOL
+    excess = capacity._odd_excess
+    monkeypatch.setattr(capacity, "_odd_excess", lambda n: excess(n) + 1e-4)
+    with pytest.raises(ConvergenceError, match=r"^n=7: the winner's bracket \[.*\] is wider than tol=1e-10$") as err:
+        theory_capacity(Theory(7))
+    assert err.value.iterations == 1 and err.value.prior.shape == (7,)
+
+
+def test_the_odd_excess_matches_a_60_digit_oracle():
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 60
+
+    def excess(n):
+        eps = 1 - 1 / (2 * mp.cos(mp.pi / n))
+        h = -eps * mp.log(eps, 2) - (1 - eps) * mp.log(1 - eps, 2) if eps else 0
+        return mp.log(1 + mp.mpf(2) ** (1 - h), 2) - 1
+
+    for n in [3, 5, 7, 9, 63, 101, 1001, 30001, 10**5, 10**6, 10**7, 10**9 + 1]:
+        got, want = capacity._odd_excess(n), excess(n)
+        assert abs(got - want) <= 4e-15 * want, n
+    assert 0.0 < capacity._odd_excess(30001) < 2e-17
+    assert odd_triple_rate(Theory(7)) == 1.0 + capacity._odd_excess(7)
 
 
 def test_capacity_result_validates_range():
@@ -412,58 +499,6 @@ def test_a_mutual_information_stack_has_the_bits_of_its_single_calls():
     assert mutual_information_bits(priors.reshape(20, 10, 12), channels.reshape(20, 10, 12, 3)).shape == (20, 10)
 
 
-def _error_fields(exc):
-    return ("error", str(exc), exc.capacity_bits, exc.prior.tobytes(), exc.iterations)
-
-
-def _fields_of(call):
-    """What a bracket call reports, as bytes where it is an array: the fields
-    of each result it returns, or of the ConvergenceError it raises."""
-    try:
-        results = call()
-    except ConvergenceError as exc:
-        return _error_fields(exc)
-    return [(r.capacity_bits, r.prior.tobytes(), r.iterations, r.index) for r in results]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=6)),
-        min_size=1,
-        max_size=5,
-    ),
-    st.integers(min_value=2, max_value=3),
-    st.sampled_from(["dirichlet", "repeated rows", "unpolished"]),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_grouped_brackets_have_the_bits_of_their_single_calls(groups, outcomes, kind, seed):
-    # groups of 1-4 channels with 2-6 inputs, padded to the widest.  Rows drawn
-    # from a pool of three give tied divergences, which a sort over padded rows
-    # would order differently; without the polish, the iterate is renormalised
-    # at every step and some groups stay open until their ConvergenceError.
-    rng = np.random.default_rng(seed)
-    if kind == "repeated rows":
-        pool = rng.dirichlet(np.ones(outcomes), size=3)
-        stacks = [pool[rng.integers(0, 3, size=(count, inputs))] for count, inputs in groups]
-    else:
-        stacks = [rng.dirichlet(np.ones(outcomes), size=(count, inputs)) for count, inputs in groups]
-    tol, max_iter = 1e-8, 2000 if kind != "unpolished" else 200
-    with contextlib.ExitStack() as patches:
-        patches.enter_context(mock.patch.object(capacity, "BA_MAX_ITER", max_iter))
-        patches.enter_context(mock.patch.object(capacity, "BA_TOL", tol))
-        if kind == "unpolished":
-            patches.enter_context(mock.patch.object(capacity, "_leader_priors", _no_prior))
-            patches.enter_context(mock.patch.object(capacity, "_fallback_priors", _no_prior))
-        singles = [_fields_of(lambda: capacity._bracket([stack])) for stack in stacks]
-        for stack, single in zip(stacks, singles):
-            assert single == _fields_of(lambda: [blahut_arimoto(stack)])
-        # a grouped call raises the error of the first group whose single call raises
-        errors = [single for single in singles if single[0] == "error"]
-        expected = errors[0] if errors else [single[0] for single in singles]
-        assert _fields_of(lambda: capacity._bracket(stacks)) == expected
-
-
 def test_a_sweep_has_the_bits_of_its_one_item_calls():
     sweep = capacity.theory_capacities(Theory(n) for n in range(3, 65))
     assert [r.n for r in sweep] == list(range(3, 65))
@@ -477,34 +512,15 @@ def test_a_sweep_has_the_bits_of_its_one_item_calls():
         assert r.measurement.effects.tobytes() == one.measurement.effects.tobytes(), r.n
 
 
-def test_sizes_are_chunked_by_the_row_budget(monkeypatch):
-    chunks = []
-    bracket_chunk = capacity._chunk_capacities
-
-    def recording(chunk):
-        chunks.append([t.n for t, _ in chunk])
-        return bracket_chunk(chunk)
-
-    monkeypatch.setattr(capacity, "_chunk_capacities", recording)
-    results = capacity.theory_capacities(Theory(n) for n in range(3, 65))
-    assert [r.n for r in results] == [n for chunk in chunks for n in chunk] == list(range(3, 65))
-
-    def rows(sizes):
-        return sum(len(capacity_candidates(Theory(n))) for n in sizes) * max(sizes)
-
-    for chunk in chunks:
-        assert rows(chunk) <= capacity.CHUNK_ROWS or len(chunk) == 1, chunk
-    # maximal: the next size would take each chunk over the budget
-    for chunk, after in zip(chunks, chunks[1:]):
-        assert rows(chunk + after[:1]) > capacity.CHUNK_ROWS, chunk
-    assert len(chunks) == 27 and chunks[-1] == [64]
-
-
-def test_a_sweep_raises_the_first_open_size_with_its_own_prior(unpolished, monkeypatch):
-    monkeypatch.setattr(capacity, "BA_MAX_ITER", 3)
+def test_a_sweep_raises_the_first_open_size_with_its_own_prior(monkeypatch):
+    # sizes are certified in order: the first uncertified size raises the
+    # error of its own call, with its own prior
+    _with_orbit_mate(monkeypatch)
     with pytest.raises(ConvergenceError) as single:
         theory_capacity(Theory(5))
     with pytest.raises(ConvergenceError) as sweep:
-        capacity.theory_capacities([Theory(5), Theory(7), Theory(9)])
-    assert _error_fields(sweep.value) == _error_fields(single.value)
+        capacity.theory_capacities([Theory(4), Theory(5), Theory(7), Theory(9)])
+    assert str(sweep.value) == str(single.value) == "n=5: orbit (0, 2, 3) is not certified below the winner (0, 1, 3)"
+    assert sweep.value.capacity_bits == single.value.capacity_bits
+    assert sweep.value.prior.tobytes() == single.value.prior.tobytes()
     assert sweep.value.prior.shape == (5,)

@@ -46,6 +46,29 @@ def test_ne_check_fails_on_a_nonzero_diagonal(monkeypatch):
     assert not checks.check_ne(max_n=8).passed
 
 
+@pytest.mark.parametrize(
+    "max_n, even, odd",
+    [
+        (64, "smallest losing-orbit margin 0.00347 at n=64", "smallest losing-orbit margin 0.00268 at n=63"),
+        (8, "smallest losing-orbit margin 0.207 at n=8", "smallest losing-orbit margin 0.131 at n=7"),
+    ],
+)
+def test_capacity_checks_state_their_smallest_margin(max_n, even, odd):
+    assert checks.check_even_capacity(max_n).details.endswith(f"(tol 1e-6); {even}")
+    assert checks.check_odd_capacity(max_n).details.endswith(f"of Blahut-Arimoto; {odd}")
+    # the square and the pentagon have no losing orbit
+    assert checks.check_even_capacity(4).details.endswith("(tol 1e-6); no losing orbit")
+
+
+def test_odd_capacity_check_fails_when_the_closed_form_moves(monkeypatch):
+    # the ascent on the winner's 3-state channel is the witness: a closed
+    # form 1e-8 off, still decreasing and above 1 bit, fails the check
+    rate = checks.odd_triple_rate
+    monkeypatch.setattr(checks, "odd_triple_rate", lambda t: rate(t) + 1e-8)
+    result = checks.check_odd_capacity(max_n=15)
+    assert not result.passed and "within 1.00e-08 of Blahut-Arimoto" in result.details
+
+
 def _lowered(trace):
     information = list(trace.information)
     information[trace.selected] -= 1e-8
@@ -171,7 +194,7 @@ def test_a_sweep_check_refuses_its_bound_before_any_work(monkeypatch, key, max_n
     def unreachable(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
-    for name in ("theory_capacities", "run_ic", "ne_matrix"):
+    for name in ("_certificate", "run_ic", "ne_matrix"):
         monkeypatch.setattr(checks, name, unreachable)
     with pytest.raises(ResourceBoundError) as alone:
         checks.REGISTRY[key](max_n=max_n)
@@ -182,13 +205,13 @@ def test_a_sweep_check_refuses_its_bound_before_any_work(monkeypatch, key, max_n
 
 def test_every_sweep_is_checked_before_the_first_check_runs(monkeypatch):
     calls = []
-    theory_capacities = checks.theory_capacities
+    certificate = checks._certificate
 
-    def counted(theories):
-        calls.append(theories)
-        return theory_capacities(theories)
+    def counted(theory):
+        calls.append(theory)
+        return certificate(theory)
 
-    monkeypatch.setattr(checks, "theory_capacities", counted)
+    monkeypatch.setattr(checks, "_certificate", counted)
     # the even sweep would pass at 6; the odd one needs max_n >= 7
     with pytest.raises(ValueError, match="check odd-capacity: max_n=6 is below 7"):
         checks.run_checks(max_n=6)

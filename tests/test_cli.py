@@ -469,13 +469,13 @@ def test_check_empty_sweep_exits_two(capsys, key, max_n):
 
 def test_a_short_sweep_exits_two_before_any_sweep_runs(capsys, monkeypatch):
     calls = []
-    theory_capacities = checks.theory_capacities
+    certificate = checks._certificate
 
-    def counted(theories):
-        calls.append(theories)
-        return theory_capacities(theories)
+    def counted(theory):
+        calls.append(theory)
+        return certificate(theory)
 
-    monkeypatch.setattr(checks, "theory_capacities", counted)
+    monkeypatch.setattr(checks, "_certificate", counted)
     code, out, err = run(capsys, "check", "--max-n", "6")
     assert code == 2 and out == ""
     assert err == "error: check odd-capacity: max_n=6 is below 7, the smallest max_n the sweep accepts\n"
@@ -597,14 +597,16 @@ def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):
 # SHA-256 of stdout per subcommand and format, computed at 843b4da before the
 # handlers returned their payloads to one writer in main; the decomposition and
 # reduction digests were computed at 0a8306a, before those two checks ran as
-# stacks.  The capacity CSV runtime_ms column and the text "(0.12s)" timings
-# are masked.
+# stacks.  The capacity JSON digest was computed again when the sweep became a
+# certificate: n = 4 now reports the closed-form prior 1/2 on states 0 and 1,
+# where the ascent reported the uniform prior, which is as optimal.  The
+# capacity CSV runtime_ms column and the text "(0.12s)" timings are masked.
 PINNED = [
     (("states", "--n", "5"), "409b22b4bc7b6d01017a02ea0bfbb1c331a5a724b3ea1900a96209abca7bd8ba"),
     (("states", "--n", "6", "--format", "csv"), "a145219505ee374372f6809e68fa95b6a9df2994e8e215852dcef9d1c9c91049"),
     (("effects", "--n", "8"), "52b804600abc14750f52eb6c8ae47071694432aaa4cc9565a256f21ac1ee7d07"),
     (("effects", "--n", "5", "--format", "csv"), "0bacbf66e6eef980fd964d4d32775d34e28209e9aab879b87dc721a0b0c7b37d"),
-    (("capacity", "--n-range", "3..8"), "1b95953440c67e3208c0e62ba46745c19446d4976ff4561fcbbe013177c04fcd"),
+    (("capacity", "--n-range", "3..8"), "90008ec2babd3f77d32f0e7452d0f9943e21de2ca49504d1617dd794b17fa2f4"),
     (("capacity", "--n-range", "3..8", "--format", "csv"), "10d63770a7c91bb5e35ef32562cabb35e309f2a9c1b4fb19756ee65f3ac1ff45"),
     (("vertices", "--alphabet-size", "2", "--c", "2.5"), "6d7f1252767fbef4ddc0f122a8fcc19a99794d29b677f62a7ccad26fb924033d"),
     (("vertices", "--alphabet-size", "2", "--c", "2.5", "--format", "csv"), "475e231ba35a56942c60e4f2a3c4fb9f372d72fabef75057da643f7030ce7725"),

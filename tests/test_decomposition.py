@@ -366,6 +366,16 @@ def test_reduce_refuses_an_effect_stack_of_the_wrong_shape():
         caratheodory_reduce(t, t.states()[:3], [0.2, 0.3, 0.5], effects)
 
 
+def test_an_empty_stack_reduces_to_no_traces():
+    # an empty stack once failed unpacking its stages, where the binary split
+    # of an empty stack returns an empty result
+    t = Theory(5)
+    m = t.measurement((0, 1, 3))
+    assert caratheodory_reduce(t, np.zeros((0, 3, 3)), np.zeros((0, 3)), m) == []
+    assert caratheodory_reduce(t, np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3, 3))) == []
+    assert len(decompose_into_binary_channels(np.zeros((0, 3, 5)), np.zeros((0, 3))).q) == 0
+
+
 def trace_bits(trace):
     """Every float of a trace, its chain-rule terms included, as bytes, for bitwise comparison."""
     stages = [

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngon import capacity, geometry
-from ngon.capacity import capacity_candidates, theory_capacity
+from ngon.capacity import ConvergenceError, capacity_candidates, theory_capacity
 from ngon.geometry import (
     DegenerateTripleError,
     InfeasibleMeasurementError,
@@ -344,17 +344,24 @@ def test_theory_capacity_matches_the_full_candidate_list(monkeypatch):
         return pair + trial_accepted_triples(t)
 
     # The full list holds up to 2n copies of each orbit's channel, rows and
-    # columns permuted, and reports the copy whose roundoff came out highest:
-    # a few ulps, invisible at the 9 digits the CLI prints.
+    # columns permuted; the ascent over all of them finds the capacity that
+    # the orbit list certifies.  The sweep refuses the full list from n = 4
+    # on: a copy of the winner has the winner's capacity, so no dual bound
+    # puts it below the winner.
     for n in range(3, 41):
         t = Theory(n)
         orbits = theory_capacity(t)
+        rows = [c if len(c) == 3 else (*c, 1) for c in full_list(t)]
+        full = capacity.blahut_arimoto(t.channel_matrix(geometry._realize_triples(n, rows)[1]))
+        assert f"{orbits.capacity_bits:.9g}" == f"{full.capacity_bits:.9g}", n
+        assert abs(full.capacity_bits - orbits.capacity_bits) <= 1e-12, n
         with monkeypatch.context() as patched:
             patched.setattr(capacity, "capacity_candidates", full_list)
-            full = theory_capacity(t)
-        assert orbits.iterations == full.iterations, n
-        assert f"{orbits.capacity_bits:.9g}" == f"{full.capacity_bits:.9g}", n
-        assert 0 <= full.capacity_bits - orbits.capacity_bits <= 1e-14, n
+            if n == 3:
+                assert theory_capacity(t).capacity_bits == orbits.capacity_bits
+                continue
+            with pytest.raises(ConvergenceError, match=f"^n={n}: orbit .* is not certified below the winner"):
+                theory_capacity(t)
 
 
 def test_min_effect_weight_matches_every_accepted_triple():
