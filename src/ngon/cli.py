@@ -11,11 +11,14 @@ elapsed time of the whole sweep, which is timed as one call.
 
 The library returns plain data and this module is the one place that renders
 it: a dataclass record renders by its fields, an array as nested lists, and
-a tuple key such as the bit pair (0, 1) as its joined digits, "01".
+a tuple key such as the bit pair (0, 1) as its joined digits, "01".  JSON is
+written in one walk of the payload, straight to the indent-2 text that
+``json.dumps`` prints for the rounded tree, and each distinct float is
+formatted once.
 
 Each ``cmd_*`` handler returns its JSON payload, a dict or a record, and its
-other rendering: a CSV ``(header, rows)`` table, or the text report of
-``check``.  ``main``
+other rendering: a CSV ``(header, rows)`` table whose rows are an iterator
+that only a CSV request consumes, or the text report of ``check``.  ``main``
 picks the format and writes once, to stdout or ``--out``.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage errors
@@ -28,9 +31,10 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
+import itertools
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -51,36 +55,24 @@ from .protocols import (
 )
 
 
-def _sig9(value: float) -> float:
-    v = float(f"{value:.9g}")
-    return 0.0 if v == 0.0 else v
-
-
 def _fields(record) -> dict:
     """A dataclass record as a dict of its fields, values as they are."""
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
-_PLAIN = frozenset((str, int, bool, type(None)))
+class _Floats(dict):
+    """Float -> the JSON text of its 9-significant-digit rounding, each value
+    formatted once; -0.0 shares the key of 0.0 and prints as 0.0."""
 
-
-def _round_tree(obj):
-    """Render a tree of records, arrays, dicts and sequences as JSON-ready
-    data with every float at 9 significant digits.  Plain scalars return
-    before the container and record tests, which most nodes would fail."""
-    if isinstance(obj, float):
-        return _sig9(obj)
-    if type(obj) in _PLAIN:
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_round_tree(v) for v in obj]
-    if isinstance(obj, dict):
-        return {"".join(map(str, k)) if isinstance(k, tuple) else k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return _round_tree(obj.tolist())
-    if dataclasses.is_dataclass(obj):
-        return _round_tree(_fields(obj))
-    return obj
+    def __missing__(self, value):
+        text = f"{value:.9g}"
+        # a fixed-point text with a fraction and at most 9 digits is already
+        # the repr of the float it names; other forms take the long way
+        if "." not in text or "e" in text:
+            text = repr(float(text) + 0.0)
+            text = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+        self[value] = text
+        return text
 
 
 def _write(text: str, out: str | None) -> None:
@@ -95,7 +87,45 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(_round_tree(payload), sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(..., sort_keys=True, indent=2)`` on the payload
+    with every float at 9 significant digits, written in one walk.  A key
+    that is neither a str nor a tuple raises TypeError; no payload has one."""
+    floats = _Floats()
+
+    def text(obj, nl: str) -> str:
+        if isinstance(obj, float):
+            return floats[obj]
+        if isinstance(obj, (np.ndarray, np.generic)):
+            return text(obj.tolist(), nl)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            inner = nl + "  "
+            items = [floats[v] if type(v) is float else text(v, inner) for v in obj]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = nl + "  "
+            # a later key wins when two tuple keys join alike
+            fields = {"".join(map(str, k)) if isinstance(k, tuple) else k: v for k, v in obj.items()}
+            items = [encode_basestring_ascii(k) + ": " + text(fields[k], inner) for k in sorted(fields)]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if dataclasses.is_dataclass(obj):
+            return text(_fields(obj), nl)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    return text(payload, "\n") + "\n"
 
 
 def _csv_text(header, rows) -> str:
@@ -127,12 +157,12 @@ def _parse_range(text: str) -> range:
     return range(a, b + 1)
 
 
-def _indexed(rows) -> list[tuple]:
-    return [(i, *row) for i, row in enumerate(rows)]
+def _indexed(rows):
+    return ((i, *row) for i, row in enumerate(rows))
 
 
 # largest n of the states report: its table and rendering grow as n; n = 50,000
-# took 0.4-0.7 s and 77 MiB as JSON on 2 shared vCPUs
+# took 0.37-0.62 s and 62 MiB as JSON (fresh process, 2 shared vCPUs)
 STATES_MAX = 50_000
 
 
@@ -150,7 +180,8 @@ def cmd_states(args) -> tuple[dict, tuple]:
 
 
 # largest n of the effects report: its (n, n) overlap table and rendering grow
-# as n^2; n = 600 took 0.8 s and 96 MiB as JSON on 2 shared vCPUs
+# as n^2; n = 600 took 0.23-0.31 s and 70 MiB as JSON (fresh process, 2 shared
+# vCPUs)
 EFFECTS_MAX = 600
 
 
@@ -186,7 +217,7 @@ def cmd_capacity(args) -> tuple[dict, tuple]:
         {**_fields(r), "measurement": r.measurement.indices, "weights": r.measurement.weights}
         for r in results
     ]
-    rows = [(r.n, r.parity, r.capacity_bits, share_ms) for r in results]
+    rows = ((r.n, r.parity, r.capacity_bits, share_ms) for r in results)
     return {"results": entries}, (("n", "parity", "capacity_bits", "runtime_ms"), rows)
 
 
@@ -198,10 +229,10 @@ def cmd_vertices(args) -> tuple[dict, tuple]:
     payload = {"summary": vertex_summary(args.alphabet_size, args.c), "vertices": verts}
     header = ["index", "class", "lam0", "lam1", "lam2"]
     header += [f"P_{y}_{x}" for y in range(3) for x in range(args.alphabet_size)]
-    rows = [
+    rows = (
         (i, d["class"], *d["lambda"], *(x for row in d["P"] for x in row))
         for i, d in enumerate(verts)
-    ]
+    )
     return payload, (header, rows)
 
 
@@ -221,7 +252,7 @@ def cmd_ic(args) -> tuple[dict, tuple]:
         }
     keys = ("n", "success_bit0", "success_bit1", "worst_bit_success",
             "info_bit0", "info_bit1", "info_sum_bits", "info_avg_bits")
-    return payload, (("key", "value"), [(key, float(payload[key])) for key in keys])
+    return payload, (("key", "value"), ((key, float(payload[key])) for key in keys))
 
 
 def cmd_ne(args) -> tuple[NEReport, tuple]:
@@ -254,8 +285,10 @@ def cmd_simulate(args) -> tuple[SimulationReport, tuple]:
     else:
         state = np.array([0.0, 0.0, 1.0])
     report = simulate_transmission(t, state, measurement, samples=args.samples, seed=args.seed)
-    rows = _indexed(zip(report.analytic_dist, report.empirical_dist))
-    rows.append(("tv_distance", report.tv_distance, float("nan")))
+    rows = itertools.chain(
+        _indexed(zip(report.analytic_dist, report.empirical_dist)),
+        [("tv_distance", report.tv_distance, float("nan"))],
+    )
     return report, (("outcome", "analytic", "empirical"), rows)
 
 

@@ -58,7 +58,8 @@ IC_SEARCH_MAX = 24
 # n = 200,000 took 0.4-0.7 s and 96 MiB on 2 shared vCPUs
 IC_MAX = 200_000
 # largest n of a NOT-EQUAL matrix: the (n, n) table and its rendering grow as
-# n^2; n = 601 took 0.6 s and 103 MiB as JSON on 2 shared vCPUs
+# n^2; n = 599, the largest table, took 0.23-0.34 s and 68 MiB as JSON (fresh
+# process, 2 shared vCPUs)
 NE_MAX = 600
 
 

@@ -1,6 +1,7 @@
 """Command line interface: payloads, formats, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -158,21 +160,45 @@ def test_ic_rejects_odd_and_oversized_search(capsys, monkeypatch):
     assert code == 2 and "exhaustive search is capped at n=24" in err
 
 
-def test_round_tree_renders_records_arrays_and_tuple_keys():
+def _old_round_tree(obj):
+    """The renderer the one-pass writer replaced: a rounded copy of the tree
+    for ``json.dumps``.  Kept here as the writer's oracle."""
+    if isinstance(obj, float):
+        v = float(f"{obj:.9g}")
+        return 0.0 if v == 0.0 else v
+    if type(obj) in (str, int, bool, type(None)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_old_round_tree(v) for v in obj]
+    if isinstance(obj, dict):
+        return {"".join(map(str, k)) if isinstance(k, tuple) else k: _old_round_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _old_round_tree(obj.tolist())
+    if dataclasses.is_dataclass(obj):
+        return _old_round_tree({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+    return obj
+
+
+def _oracle_text(tree) -> str:
+    return json.dumps(_old_round_tree(tree), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_renders_records_arrays_and_tuple_keys():
     record = checks.CheckResult("ic", True, "ok", 0.123456789012)
-    assert cli._round_tree(record) == {
+    assert json.loads(cli._json_text(record)) == {
         "key": "ic", "passed": True, "details": "ok", "elapsed_s": 0.123456789,
     }
-    assert cli._round_tree(np.array([[1 / 3, 2.0]])) == [[0.333333333, 2.0]]
-    assert cli._round_tree({(0, 1): np.int64(7), "k": (1, 2)}) == {"01": 7, "k": [1, 2]}
+    assert cli._json_text(np.array([[1 / 3, 2.0]])) == "[\n  [\n    0.333333333,\n    2.0\n  ]\n]\n"
+    assert json.loads(cli._json_text({(0, 1): np.int64(7), "k": (1, 2)})) == {"01": 7, "k": [1, 2]}
 
 
 def _numpy_scalars(tree):
-    """The same tree with every bool, int and float leaf as a numpy scalar."""
+    """The same tree with every bool, int64-sized int and float leaf as a
+    numpy scalar."""
     if isinstance(tree, bool):
         return np.bool_(tree)
     if isinstance(tree, int):
-        return np.int64(tree)
+        return np.int64(tree) if -(2**63) <= tree < 2**63 else tree
     if isinstance(tree, float):
         return np.float64(tree)
     if isinstance(tree, dict):
@@ -181,18 +207,46 @@ def _numpy_scalars(tree):
     return kind(_numpy_scalars(v) for v in tree) if kind in (list, tuple) else tree
 
 
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    value: object
+    other: object
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+_floats = st.one_of(
+    st.floats(),  # NaN, -0.0 and the infinities included
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([-0.0, 5e-324, 2.0**80, 1e16, 123456789.5, 1e-5]),
+)
+
 scalar_trees = st.recursive(
     st.one_of(
         st.booleans(),
         st.integers(-(2**63), 2**63 - 1),
-        st.floats(allow_nan=False),
-        st.text(max_size=3),
+        st.integers(2**63, 2**90),
+        _floats,
+        st.text(max_size=3),  # non-ASCII included
         st.none(),
+        _floats.map(np.float64),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.lists(_floats, max_size=3).map(np.array),
     ),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(
+            # (1, 23) and (12, 3) both join to "123"
+            st.text(max_size=3) | st.sampled_from([(0, 1), (1, 23), (12, 3), "123", (np.int64(4),)]),
+            children,
+            max_size=4,
+        ),
+        st.builds(_Record, children, children),
+        st.builds(_Pair, children, children),
     ),
     max_leaves=20,
 )
@@ -200,10 +254,29 @@ scalar_trees = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(scalar_trees)
+@example([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 2**80])
+# empty and nested empty containers
+@example([])
+@example({})
+@example([[], {}, ()])
+@example({"a": {}, "b": [[], {}], (): [()]})
+@example(np.zeros((2, 0)))
+@example(_Record([], {}))
+def test_json_text_is_json_dumps_of_the_rounded_tree(tree):
+    assert cli._json_text(tree) == _oracle_text(tree)
+
+
+@pytest.mark.parametrize("tree", [{1: 2}, {"a": 1, 2: 3}, {1.5: 0}, {None: 0}])
+def test_keys_other_than_str_and_tuple_are_a_type_error(tree):
+    # json.dumps would stringify them; no payload has them, so they are refused
+    with pytest.raises(TypeError):
+        cli._json_text(tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_trees)
 def test_numpy_scalars_render_like_python_scalars(tree):
-    plain, numpy = cli._round_tree(tree), cli._round_tree(_numpy_scalars(tree))
-    assert numpy == plain
-    assert json.dumps(numpy, sort_keys=True) == json.dumps(plain, sort_keys=True)
+    assert cli._json_text(_numpy_scalars(tree)) == cli._json_text(tree)
 
 
 def test_capacity_payload_keys(capsys):
@@ -600,13 +673,17 @@ def test_check_max_n_reaches_the_checks_that_take_it(capsys, monkeypatch):
 # stacks.  The capacity JSON digest was computed again when the sweep became a
 # certificate: n = 4 now reports the closed-form prior 1/2 on states 0 and 1,
 # where the ascent reported the uniform prior, which is as optimal.  The
+# digests of the full capacity sweep, the alphabet-5 census and effects at
+# n = 64 were computed at 19bd60c, before one walk replaced json.dumps.  The
 # capacity CSV runtime_ms column and the text "(0.12s)" timings are masked.
 PINNED = [
     (("states", "--n", "5"), "409b22b4bc7b6d01017a02ea0bfbb1c331a5a724b3ea1900a96209abca7bd8ba"),
     (("states", "--n", "6", "--format", "csv"), "a145219505ee374372f6809e68fa95b6a9df2994e8e215852dcef9d1c9c91049"),
     (("effects", "--n", "8"), "52b804600abc14750f52eb6c8ae47071694432aaa4cc9565a256f21ac1ee7d07"),
+    (("effects", "--n", "64"), "d604ab8cce26c2d60698f384fd30de484ea15b032baa40086267d2dadbec3c26"),
     (("effects", "--n", "5", "--format", "csv"), "0bacbf66e6eef980fd964d4d32775d34e28209e9aab879b87dc721a0b0c7b37d"),
     (("capacity", "--n-range", "3..8"), "90008ec2babd3f77d32f0e7452d0f9943e21de2ca49504d1617dd794b17fa2f4"),
+    (("capacity", "--n-range", "3..64"), "697727986ca93c50ee37d86b004d6406a59849fe681812120635f85cb8c4faf7"),
     (("capacity", "--n-range", "3..8", "--format", "csv"), "10d63770a7c91bb5e35ef32562cabb35e309f2a9c1b4fb19756ee65f3ac1ff45"),
     (("vertices", "--alphabet-size", "2", "--c", "2.5"), "6d7f1252767fbef4ddc0f122a8fcc19a99794d29b677f62a7ccad26fb924033d"),
     (("vertices", "--alphabet-size", "2", "--c", "2.5", "--format", "csv"), "475e231ba35a56942c60e4f2a3c4fb9f372d72fabef75057da643f7030ce7725"),
@@ -614,6 +691,7 @@ PINNED = [
     (("vertices", "--alphabet-size", "3", "--c", "2.8127", "--format", "csv"), "861dde6c687b1c923d4d58a8f31b9a6a8aa53add65ca28b96097627ce9c34521"),
     (("vertices", "--alphabet-size", "4", "--c", "2.5"), "147d0c4886a86c88a718b9eebe5b49fcdf005cbb769914f1308b21649448d399"),
     (("vertices", "--alphabet-size", "4", "--c", "2.5", "--format", "csv"), "0412278d632df28e56ae9e5f81817a0890073900e84d935c780112be9c9ab66c"),
+    (("vertices", "--alphabet-size", "5", "--c", "2.5"), "a4cd5b76f7942128eaa37659d4ebbd1b6047d8ce06a269236c0af358fe60ad7a"),
     (("ic", "--n", "12", "--search"), "4bdcb5d7ed7d3c5119cf81d9ca8428f118f8471203a1043fb54135676c350522"),
     (("ic", "--n", "12", "--search", "--format", "csv"), "313e6df7bc0a345e3182f9b4d3197f9445341e1e10959163a36d5bafd43b81e8"),
     (("ne", "--n", "7"), "757ed9750dde966999e40d367bcd3212526268e469c9cbd2c1b23055da97d222"),
@@ -642,6 +720,43 @@ def test_stdout_keeps_its_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(_masked(argv, out).encode()).hexdigest() == digest
+
+
+class _RowsBuilt(Exception):
+    pass
+
+
+def _unbuilt_rows(rows):
+    raise _RowsBuilt("a CSV row was built")
+    yield
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in PINNED if argv[0] in ("states", "effects", "ne", "simulate")])
+def test_json_requests_never_build_csv_rows(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_indexed", _unbuilt_rows)
+    if "csv" in argv:
+        with pytest.raises(_RowsBuilt):
+            main(list(argv))
+        return
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == dict(PINNED)[argv]
+    with pytest.raises(_RowsBuilt):
+        main([*argv, "--format", "csv"])
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (("capacity", "--n-range", "3..5"), (3, "odd")),
+        (("vertices", "--alphabet-size", "2", "--c", "2.0"), (0, "ZERO_WEIGHT")),
+        (("ic", "--n", "4"), ("n", 4.0)),
+    ],
+)
+def test_handlers_return_unconsumed_csv_rows(argv, first):
+    args = cli.build_parser().parse_args(list(argv))
+    _, (_, rows) = args.func(args)
+    assert iter(rows) is rows
+    assert next(rows)[:2] == first
 
 
 @pytest.mark.parametrize(
